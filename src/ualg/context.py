@@ -61,18 +61,6 @@ MODELABLE_KINDS = (
     CARTESIAN_KIND,
 )
 
-# Structures where context validity only depends on the *set* of context
-# letters, so any reordering of a context is derivable from any other.
-ORDER_FREE_KINDS = (
-    BIJECTIVE_KIND, INJECTIVE_KIND, SURJECTIVE_KIND, CARTESIAN_KIND,
-)
-
-# Structures where governed words never introduce or drop letters.
-BALANCED_KINDS = (
-    TRIVIAL_KIND, BIJECTIVE_KIND, SURJECTIVE_KIND, LEFT_SURJECTIVE_KIND,
-    RIGHT_SURJECTIVE_KIND,
-)
-
 
 @dataclass(frozen=True)
 class ContextStructure:
@@ -92,14 +80,6 @@ class ContextStructure:
     @property
     def modelable(self) -> bool:
         return self.kind in MODELABLE_KINDS
-
-    @property
-    def order_free(self) -> bool:
-        return self.kind in ORDER_FREE_KINDS
-
-    @property
-    def balanced(self) -> bool:
-        return self.kind in BALANCED_KINDS
 
     def __str__(self) -> str:
         if self.monoid is None:

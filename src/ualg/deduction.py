@@ -20,14 +20,30 @@ contexts take variables and constants, with a per-equation budget that falls
 back to constants alone.  Anything the tiers or the depth/context caps skip
 sets the truncation flag, so a missing goal is reported inconclusive rather
 than refuted.
+
+Three caches keep the engine from recomputing canonical forms; each leaves
+every derived equation and proof unchanged:
+
+  * canonical views: a term's (canonical context, canonical term, letter
+    order) for every letter order that governs it depends on the term alone,
+    so it is computed once per engine; and each child's smallest mate is
+    computed once per sweep, since candidates are merged only after the
+    round's sweep ends and the spaces cannot change under it;
+  * renamed conclusions: holds() and positional canonicalization commute
+    with sort-preserving letter bijections, so a rule-5 conclusion whose
+    (lhs, rhs, governed word) is a letter-renamed copy of an earlier one
+    meets only keys the earlier one already recorded, and is skipped;
+  * interned letters: the _v pool letters and the _p template letters are
+    built once per (sort, index), so the cached forms share them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Generator, Mapping, Optional, Sequence
 
 from .context import Letter, Word, holds, terminal_context
 from .syntax import (
@@ -101,7 +117,28 @@ class Subst(Proof):
 
 
 def check_proof(E: Theory, p: Proof) -> Equation:
-    """Replay a proof against a theory; returns the equation it concludes."""
+    """Replay a proof against a theory; returns the equation it concludes.
+
+    Runs on an explicit stack of node checkers, so the left-nested `Trans`
+    chains that `explain` builds never reach Python's recursion limit."""
+    stack = [_check_node(E, p)]
+    concluded = None
+    while stack:
+        try:
+            premise = stack[-1].send(concluded)
+        except StopIteration as done:
+            stack.pop()
+            concluded = done.value
+        else:
+            stack.append(_check_node(E, premise))
+            concluded = None
+    return concluded
+
+
+def _check_node(E: Theory, p: Proof
+                ) -> Generator[Proof, Equation, Equation]:
+    """Check one node: yields each premise, receives what it concludes, and
+    returns what the node concludes."""
     R = E.structure
     if isinstance(p, Axiom):
         ax = E.axiom(p.name)
@@ -118,18 +155,18 @@ def check_proof(E: Theory, p: Proof) -> Equation:
                 f"{term_str(p.term)}")
         return Equation("", p.term, p.term, p.ctx)
     if isinstance(p, Sym):
-        e = check_proof(E, p.premise)
+        e = yield p.premise
         return Equation("", e.rhs, e.lhs, e.ctx)
     if isinstance(p, Trans):
-        e1 = check_proof(E, p.left)
-        e2 = check_proof(E, p.right)
+        e1 = yield p.left
+        e2 = yield p.right
         if e1.ctx != e2.ctx:
             raise ProofError("trans node: premises use different contexts")
         if e1.rhs is not e2.lhs:
             raise ProofError("trans node: middle terms differ")
         return Equation("", e1.lhs, e2.rhs, e1.ctx)
     if isinstance(p, Subst):
-        e = check_proof(E, p.premise)
+        e = yield p.premise
         v = e.ctx
         s1 = dict(p.s1)
         s2 = dict(p.s2)
@@ -140,7 +177,7 @@ def check_proof(E: Theory, p: Proof) -> Equation:
         if len(p.sides) != len(v):
             raise ProofError("subst node: need one side premise per letter")
         for x, wi, side in zip(v, p.ws, p.sides):
-            se = check_proof(E, side)
+            se = yield side
             if se.ctx != wi or se.lhs is not s1[x] or se.rhs is not s2[x]:
                 raise ProofError(
                     f"subst node: side premise for {x.name} does not conclude "
@@ -152,45 +189,50 @@ def check_proof(E: Theory, p: Proof) -> Equation:
 
 def proof_lines(p: Proof, indent: int = 0) -> list[str]:
     """Serialize a proof as an indented rule tree, one rule per line."""
-    pad = "  " * indent
-    if isinstance(p, Axiom):
-        return [f"{pad}axiom {p.name}: {p.concluded}"]
-    if isinstance(p, Refl):
-        return [f"{pad}refl {term_str(p.term)} ctx [{ctx_str(p.ctx)}]"]
-    if isinstance(p, Sym):
-        return [f"{pad}sym"] + proof_lines(p.premise, indent + 1)
-    if isinstance(p, Trans):
-        return ([f"{pad}trans"] + proof_lines(p.left, indent + 1)
-                + proof_lines(p.right, indent + 1))
-    if isinstance(p, Subst):
-        s1 = ", ".join(f"{x.name}->{term_str(t)}" for x, t in p.s1)
-        s2 = ", ".join(f"{x.name}->{term_str(t)}" for x, t in p.s2)
-        out = [f"{pad}subst w=[{ctx_str(p.w)}] s1={{{s1}}} s2={{{s2}}}"]
-        out.extend(proof_lines(p.premise, indent + 1))
-        for side in p.sides:
-            out.extend(proof_lines(side, indent + 1))
-        return out
-    raise ProofError(f"unknown proof node {type(p).__name__}")
-
-
-def proof_size(p: Proof) -> int:
-    if isinstance(p, (Axiom, Refl)):
-        return 1
-    if isinstance(p, Sym):
-        return 1 + proof_size(p.premise)
-    if isinstance(p, Trans):
-        return 1 + proof_size(p.left) + proof_size(p.right)
-    if isinstance(p, Subst):
-        return 1 + proof_size(p.premise) + sum(map(proof_size, p.sides))
-    raise ProofError(f"unknown proof node {type(p).__name__}")
+    out: list[str] = []
+    stack = [(p, indent)]
+    while stack:
+        node, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(node, Axiom):
+            out.append(f"{pad}axiom {node.name}: {node.concluded}")
+            continue
+        if isinstance(node, Refl):
+            out.append(
+                f"{pad}refl {term_str(node.term)} ctx [{ctx_str(node.ctx)}]")
+            continue
+        if isinstance(node, Sym):
+            out.append(f"{pad}sym")
+            premises: tuple[Proof, ...] = (node.premise,)
+        elif isinstance(node, Trans):
+            out.append(f"{pad}trans")
+            premises = (node.left, node.right)
+        elif isinstance(node, Subst):
+            s1 = ", ".join(f"{x.name}->{term_str(t)}" for x, t in node.s1)
+            s2 = ", ".join(f"{x.name}->{term_str(t)}" for x, t in node.s2)
+            out.append(
+                f"{pad}subst w=[{ctx_str(node.w)}] s1={{{s1}}} s2={{{s2}}}")
+            premises = (node.premise,) + node.sides
+        else:
+            raise ProofError(f"unknown proof node {type(node).__name__}")
+        stack.extend((q, depth + 1) for q in reversed(premises))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Canonical form: context letters become _v1.._vn in context order
 
 
+@functools.cache
 def _pool_letter(sort: str, i: int) -> Letter:
+    """Interned, so the engine's caches share one Letter per (sort, i)."""
     return Letter(sort, f"_v{i}")
+
+
+@functools.cache
+def _template_letter(sort: str, j: int) -> Letter:
+    """The j-th argument letter of a congruence template op(_p1, .., _pk)."""
+    return Letter(sort, f"_p{j}")
 
 
 def _canonicalize(ctx: Word, terms: Sequence[Term]
@@ -218,17 +260,17 @@ def _term_key(t: Term) -> tuple[int, str]:
     return (term_depth(t), repr(t))
 
 
-def _canon_alone(t: Term) -> tuple[str, dict[Letter, Letter]]:
-    """Relabel a single term's letters by first occurrence; key plus map.
-    The key carries the letter sorts so same-named letters of different
-    sorts never collide."""
-    mapping: dict[Letter, Letter] = {}
-    for x in tau(t):
-        if x not in mapping:
-            mapping[x] = _pool_letter(x.sort, len(mapping) + 1)
-    sub = {x: var(y) for x, y in mapping.items()}
-    sorts = ";".join(x.sort for x in mapping)
-    return f"{sorts}|{apply_renaming(sub, t)!r}", mapping
+def _first_occurrence_form(lhs: Term, rhs: Term, word: Word
+                           ) -> tuple[Term, Term, tuple[Term, ...]]:
+    """The triple with its letters relabelled _v1.._vn by first occurrence.
+    Two triples share it iff a sort-preserving letter bijection maps one onto
+    the other."""
+    sub: dict[Letter, Term] = {}
+    for x in itertools.chain(tau(lhs), tau(rhs), word):
+        if x not in sub:
+            sub[x] = var(_pool_letter(x.sort, len(sub) + 1))
+    return (apply_renaming(sub, lhs), apply_renaming(sub, rhs),
+            tuple(sub[x] for x in word))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +415,8 @@ class _Saturator:
         self.by_sort: dict[str, list[Term]] = {}
         self._tier_cache: dict[tuple[str, str], list[Term]] = {}
         self._sweep_seen: set[tuple[Term, int, Term]] = set()
+        self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
+        self._concluded: set[tuple] = set()
         self.seen_merges: set[tuple] = set()
         self.truncated_by: set[str] = set()
         self.events: list[tuple[Word, Term, Term]] = []
@@ -583,6 +627,13 @@ class _Saturator:
         if max(term_depth(lhs), term_depth(rhs)) > self.depth_cap:
             self.truncated_by.add("depth")
             return
+        # holds() and positional canonicalization commute with letter
+        # renaming, so a renamed repeat of an earlier call would meet only
+        # keys that call already put into seen_merges.
+        orbit = _first_occurrence_form(lhs, rhs, u_cat)
+        if orbit in self._concluded:
+            return
+        self._concluded.add(orbit)
         if len(distinct) <= 4:
             orders = itertools.permutations(distinct)
         else:
@@ -625,12 +676,17 @@ class _Saturator:
     def _congruence_sweep(self, out: list) -> None:
         """Rewrite every argument position toward its class's smallest
         member; iterated over rounds this is congruence closure with
-        explicit representative terms."""
+        explicit representative terms.  The spaces stay fixed until the round's
+        candidates are merged, so each child's mate is computed once."""
+        mates: dict[Term, Optional[Term]] = {}
         for parent in list(self.universe):
             if not isinstance(parent, App) or not parent.args:
                 continue
             for pos, child in enumerate(parent.args):
-                mate = self._smallest_mate(child)
+                if child in mates:
+                    mate = mates[child]
+                else:
+                    mate = mates[child] = self._smallest_mate(child)
                 if mate is None:
                     continue
                 memo_key = (parent, pos, mate)
@@ -642,26 +698,34 @@ class _Saturator:
     def _smallest_mate(self, u: Term) -> Optional[Term]:
         """The least term provably equal to u, if smaller than u itself."""
         best: Optional[Term] = None
-        distinct = tuple(dict.fromkeys(tau(u)))
-        for perm in itertools.permutations(distinct):
-            if not holds(self.R, perm, tau(u)):
-                continue
-            canon_ctx, (cu,), mapping = _canonicalize(perm, [u])
+        for canon_ctx, cu, perm in self._canonical_views(u):
             sp = self.spaces.get(canon_ctx)
             if sp is None or cu not in sp.parent:
                 continue
             small = sp.smallest(cu)
             if small is cu:
                 continue
-            back = {y: x for x, y in mapping.items()}
-            if not set(tau(small)) <= set(back):
+            if not set(tau(small)) <= set(canon_ctx):
                 continue
-            sub = {x: var(y) for x, y in back.items()}
+            sub = {y: var(x) for y, x in zip(canon_ctx, perm)}
             cand = apply_renaming(sub, small)
             if _term_key(cand) < _term_key(u) and (
                     best is None or _term_key(cand) < _term_key(best)):
                 best = cand
         return best
+
+    def _canonical_views(self, u: Term) -> list[tuple[Word, Term, Word]]:
+        """(canon_ctx, canonical u, perm) for each order perm of u's letters
+        that governs u, in permutation order; fixed for the engine's life."""
+        views = self._views.get(u)
+        if views is None:
+            views = []
+            for perm in itertools.permutations(dict.fromkeys(tau(u))):
+                if holds(self.R, perm, tau(u)):
+                    canon_ctx, (cu,), _ = _canonicalize(perm, [u])
+                    views.append((canon_ctx, cu, perm))
+            self._views[u] = views
+        return views
 
     def _swap_child(self, parent: App, pos: int, replacement: Term,
                     out: list) -> None:
@@ -693,8 +757,8 @@ class _Saturator:
         if not ok:
             return
         u_cat = tuple(y for w_j in ws for y in w_j)
-        template_ctx = tuple(
-            Letter(c.sort, f"_p{j + 1}") for j, c in enumerate(parent.args))
+        template_ctx = tuple(_template_letter(c.sort, j)
+                             for j, c in enumerate(parent.args, start=1))
         template = app(self.sig, parent.op, [var(x) for x in template_ctx])
         s1 = dict(zip(template_ctx, parent.args))
         s2 = dict(s1)

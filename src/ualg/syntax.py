@@ -8,7 +8,7 @@ line-oriented; see `parse_theory` for the grammar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .context import (
     ContextStructure, ContextError, Letter, Word, check_context, holds,
@@ -159,13 +159,6 @@ def term_vars(t: Term) -> frozenset[Letter]:
     return frozenset(t._tau)
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
-
-
 def term_str(t: Term) -> str:
     return repr(t)
 
@@ -289,7 +282,7 @@ class Theory:
 #
 #   theory <Name>
 #   structure <structure-token>
-#   sort <S> [<S> ...]
+#   sort <S> [<S> ...]            (each <S> an identifier)
 #   op <name> : [<S> ...] -> <S>
 #   eq <name> : <term> ~ <term> ctx [ <var>:<S> ... ]
 #
@@ -448,6 +441,11 @@ def parse_theory(text: str) -> Theory:
             if not rest:
                 raise ParseError("sort needs at least one name", lineno)
             for s in rest.split():
+                # The extended signature names hom sorts "[A B=>C]", so a
+                # sort name must not carry brackets, '=>' or separators.
+                if not s.isidentifier():
+                    raise ParseError(f"sort name {s!r} is not an identifier",
+                                     lineno)
                 if s in sorts:
                     raise ParseError(f"duplicate sort {s!r}", lineno)
                 sorts.append(s)

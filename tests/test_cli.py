@@ -119,6 +119,17 @@ def test_parse_error_exit_code(tmp_path):
     assert p.returncode == 3
 
 
+def test_non_identifier_sort_exit_code(tmp_path):
+    bad = tmp_path / "arrow.ua"
+    bad.write_text("theory Arrow\nstructure cartesian\nsort A=>B\n"
+                   "op m : A=>B A=>B -> A=>B\n"
+                   "eq idem : m(x,x) ~ x ctx [ x:A=>B ]\n")
+    p = ualg("universal", str(bad), "--hom", "A=>B A=>B -> A=>B",
+             "--depth", "2")
+    assert p.returncode == 3
+    assert "not an identifier" in p.stderr
+
+
 def test_bad_goal_exit_code():
     p = ualg("prove", MONOID, "--goal", "mul(x) ~ x ctx [ x:M ]")
     assert p.returncode == 3

@@ -1,24 +1,27 @@
 """The bounded saturation engine, proof replay, and the refutation invariant."""
 
+from pathlib import Path
+
 import pytest
 
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, STRICT_INCREASING, SURJECTIVE, TRIVIAL,
-    Letter,
+    Letter, terminal_context,
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
-    _canonical_triple, check_proof, proof_lines, prove, refute_by_invariant,
-    saturate,
+    _canonical_triple, _pool_letter, _Saturator, check_proof, proof_lines,
+    prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
     MONOID_TEXT, eckmann_hilton_theory, monoid_theory, projection_theory,
 )
 from ualg.syntax import (
-    Theory, app, equation, parse_equation_text, parse_theory, var,
+    Theory, app, equation, parse_equation_text, parse_theory, tau, var,
 )
 
 X, Y = Letter("M", "x"), Letter("M", "y")
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +122,62 @@ def test_saturation_monotone_in_bounds(monoid):
     assert small_set <= {canon(eq) for eq in more_rounds.equations}
 
 
-def test_every_output_replays(monoid):
-    sat = saturate(monoid, Bounds(2, 3, 3))
-    assert sat.equations
-    for eq in sat.equations:
-        proof = sat.proof_of(eq)
-        concluded = check_proof(monoid, proof)
-        assert canon(concluded) == canon(eq)
+def test_every_output_replays():
+    """Every derived equation of every sample theory, at small bounds, the
+    decide bounds and criterion 6's, replays through check_proof to itself."""
+    for path in sorted(THEORIES.glob("*.ua")):
+        theory = parse_theory(path.read_text())
+        for bounds in (Bounds(2, 3, 3), Bounds(3, 3, 4), Bounds(3, 4, 5)):
+            sat = saturate(theory, bounds)
+            assert sat.equations, (path.name, bounds)
+            for eq in sat.equations:
+                concluded = check_proof(theory, sat.proof_of(eq))
+                assert canon(concluded) == canon(eq), (path.name, bounds, eq)
+            if path.name == "eckmann_hilton.ua" and bounds == Bounds(3, 3, 4):
+                assert len(sat.equations) == 561
+                assert sat.truncated_by == ("ctx", "instantiation", "rounds")
+
+
+def test_renamed_conclusion_is_skipped_exactly(monoid):
+    """_conclude on a letter-renamed copy of an earlier call's (lhs, rhs,
+    u_cat) emits nothing and flags nothing; on a fresh engine the copy
+    emits exactly the canonical equations the earlier call emitted."""
+    sig = monoid.signature
+    v = tuple(_pool_letter("M", i) for i in (1, 2, 3))
+    _, a, b = canon(monoid.axiom("assoc"))
+    x, y, z, w = (Letter("M", n) for n in "xyzw")
+
+    def call(engine, images):
+        out: list = []
+        s = dict(zip(v, images))
+        ws = tuple(terminal_context(monoid.structure, tau(t)) for t in images)
+        u_cat = tuple(q for wi in ws for q in wi)
+        engine._conclude(v, a, b, s, s, ws, u_cat, None, out)
+        return {c[:3] for c in out}
+
+    original = (app(sig, "mul", [var(x), var(y)]), var(z), var(w))
+    renamed = (app(sig, "mul", [var(w), var(x)]), var(y), var(z))
+    engine = _Saturator(monoid, Bounds(4, 4, 4))
+    emitted = call(engine, original)
+    assert emitted
+    flags = set(engine.truncated_by)
+    assert call(engine, renamed) == set()
+    assert engine.truncated_by == flags
+    assert call(_Saturator(monoid, Bounds(4, 4, 4)), renamed) == emitted
+    # a call that is no renaming of the first still concludes
+    assert call(engine, (app(sig, "mul", [var(x), var(x)]), var(z), var(w)))
+
+
+def test_deep_proofs_do_not_recurse(monoid):
+    t = app(monoid.signature, "mul", [var(X), var(Y)])
+    step = Refl(t, (X, Y))
+    proof = step
+    for _ in range(5000):
+        proof = Trans(proof, step)
+    assert check_proof(monoid, proof) == equation("", t, t, (X, Y))
+    lines = proof_lines(proof)
+    assert len(lines) == 10001
+    assert lines[0] == "trans" and lines[-1].startswith("  refl")
 
 
 def test_canonical_identification(monoid):

@@ -44,6 +44,16 @@ def test_parse_errors_carry_location():
         parse_theory("theory T\nstructure nonsense\nsort M")
 
 
+@pytest.mark.parametrize("name", ["A=>B", "[M]", "M,N", "1M"])
+def test_non_identifier_sort_rejected(name):
+    text = (f"theory T\nstructure cartesian\nsort {name}\n"
+            f"op m : {name} {name} -> {name}\n")
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert "not an identifier" in str(err.value)
+    assert err.value.line == 3
+
+
 def test_context_error_under_injective():
     text = """
 theory Bad
