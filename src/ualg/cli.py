@@ -32,7 +32,6 @@ class RunConfig:
     bounds: Bounds
     max_size: int
     workers: int
-    output_format: str
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -44,8 +43,7 @@ def run_config(args: argparse.Namespace) -> RunConfig:
         bounds=Bounds(getattr(args, "depth", 4), getattr(args, "ctx", 4),
                       getattr(args, "rounds", 8)),
         max_size=getattr(args, "max_size", 2),
-        workers=_workers(args),
-        output_format=getattr(args, "format", "text"))
+        workers=_workers(args))
 
 
 def _workers(args: argparse.Namespace) -> int:

@@ -21,6 +21,18 @@ back to constants alone.  Anything the tiers or the depth/context caps skip
 sets the truncation flag, so a missing goal is reported inconclusive rather
 than refuted.
 
+Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
+producing congruence closure.  A union edge records why it holds as plain
+data: an axiom edge its (cheap) proof, a rule-5 edge an `_Inst` or `_Cong`
+naming the premise, the substitution, the target contexts, and the edge
+count of the space that explains the premise (or the congruence side) at
+that moment.  `proof_of` turns the records it needs into proof trees, once
+per edge, on an explicit stack.  Edge lists only grow, so explaining from
+the first n edges walks exactly the edges the space had when the conclusion
+was found, and each proof is the one an eager build would have made.  The
+records hold terms, words and numbers, never the engine or a space, so a
+finished engine is freed by reference counting alone.
+
 Three caches keep the engine from recomputing canonical forms; each leaves
 every derived equation and proof unchanged:
 
@@ -278,14 +290,20 @@ def _first_occurrence_form(lhs: Term, rhs: Term, word: Word
 
 
 class _Space:
-    """All equalities known at one canonical context."""
+    """All equalities known at one canonical context.
 
-    __slots__ = ("ctx", "parent", "edges", "members", "class_min")
+    Each union adds one edge, numbered in order; `why[i]` says why edge i
+    holds: a built proof, or a rule-5 justification (`_Inst`, `_Cong`) that
+    the engine turns into one on first use.  Edge lists only grow, so the
+    first n edges are exactly the edges the space had when it held n."""
+
+    __slots__ = ("ctx", "parent", "edges", "why", "members", "class_min")
 
     def __init__(self, ctx: Word):
         self.ctx = ctx
         self.parent: dict[Term, Term] = {}
-        self.edges: dict[Term, list[tuple[Term, Proof, bool]]] = {}
+        self.edges: dict[Term, list[tuple[Term, int, bool]]] = {}
+        self.why: list = []
         self.members: list[Term] = []
         self.class_min: dict[Term, Term] = {}
 
@@ -304,7 +322,7 @@ class _Space:
             self.parent[t], t = root, self.parent[t]
         return root
 
-    def union(self, a: Term, b: Term, proof: Proof) -> bool:
+    def union(self, a: Term, b: Term, why) -> bool:
         self.add(a)
         self.add(b)
         ra, rb = self.find(a), self.find(b)
@@ -313,8 +331,10 @@ class _Space:
         best = min(self.class_min.pop(rb), self.class_min[ra], key=_term_key)
         self.parent[rb] = ra
         self.class_min[ra] = best
-        self.edges[a].append((b, proof, False))
-        self.edges[b].append((a, proof, True))
+        edge = len(self.why)
+        self.why.append(why)
+        self.edges[a].append((b, edge, False))
+        self.edges[b].append((a, edge, True))
         return True
 
     def smallest(self, t: Term) -> Term:
@@ -325,40 +345,67 @@ class _Space:
             return False
         return self.find(a) is self.find(b)
 
-    def explain(self, a: Term, b: Term) -> Proof:
-        if a is b:
-            return Refl(a, self.ctx)
-        prev: dict[Term, tuple[Term, Proof, bool]] = {}
+    def explain(self, a: Term, b: Term, cut: Optional[int] = None
+                ) -> list[tuple[int, bool]]:
+        """The edges (number, walked backwards) of a path from a to b that
+        uses only the first `cut` edges (all of them by default)."""
+        if cut is None:
+            cut = len(self.why)
+        prev: dict[Term, tuple[Term, int, bool]] = {}
         queue = deque([a])
         seen = {a}
         while queue:
             x = queue.popleft()
             if x is b:
                 break
-            for y, proof, flipped in self.edges[x]:
+            for y, edge, flipped in self.edges[x]:
+                if edge >= cut:
+                    break
                 if y not in seen:
                     seen.add(y)
-                    prev[y] = (x, proof, flipped)
+                    prev[y] = (x, edge, flipped)
                     queue.append(y)
-        if b not in prev:
+        if a is not b and b not in prev:
             raise DeductionError("no recorded path between equal terms")
-        steps: list[Proof] = []
+        path: list[tuple[int, bool]] = []
         node = b
         while node is not a:
-            x, proof, flipped = prev[node]
-            steps.append(Sym(proof) if flipped else proof)
-            node = x
-        steps.reverse()
-        out = steps[0]
-        for step in steps[1:]:
-            out = Trans(out, step)
-        return out
+            node, edge, flipped = prev[node]
+            path.append((edge, flipped))
+        path.reverse()
+        return path
 
     def classes(self) -> list[list[Term]]:
         groups: dict[Term, list[Term]] = {}
         for t in self.members:
             groups.setdefault(self.find(t), []).append(t)
         return [sorted(g, key=_term_key) for g in groups.values()]
+
+
+class _Inst:
+    """Rule 5 by instantiation: the letters of ctx become `images` in the
+    premise a ~ b, which ctx's space explains from its first `cut` edges;
+    the conclusion is stated at w with per-letter contexts ws."""
+
+    __slots__ = ("ctx", "a", "b", "cut", "images", "w", "ws")
+
+    def __init__(self, ctx: Word, a: Term, b: Term, cut: int,
+                 images: tuple[Term, ...], w: Word, ws: tuple[Word, ...]):
+        self.ctx, self.a, self.b, self.cut = ctx, a, b, cut
+        self.images, self.w, self.ws = images, w, ws
+
+
+class _Cong:
+    """Rule 5 by congruence: argument pos of parent becomes replacement.  The
+    side premise old ~ replacement holds at ws[pos], and its canonical space
+    explains it from its first `cut` edges."""
+
+    __slots__ = ("parent", "pos", "replacement", "cut", "w", "ws")
+
+    def __init__(self, parent: App, pos: int, replacement: Term, cut: int,
+                 w: Word, ws: tuple[Word, ...]):
+        self.parent, self.pos, self.replacement = parent, pos, replacement
+        self.cut, self.w, self.ws = cut, w, ws
 
 
 @dataclass
@@ -499,8 +546,8 @@ class _Saturator:
                 self.truncated_by.add("instantiation")
             self._tier_cache = {}
             candidates = self._round_candidates(frontier)
-            for canon_ctx, a, b, proof in candidates:
-                self._apply_merge(canon_ctx, a, b, proof)
+            for canon_ctx, a, b, why in candidates:
+                self._apply_merge(canon_ctx, a, b, why)
         self.rounds_used = rounds
         if self.frontier or self.new_terms:
             self.truncated_by.add("rounds")
@@ -510,7 +557,9 @@ class _Saturator:
         sp = self.spaces.get(canon_ctx)
         if sp is None or not sp.same(a, b):
             raise DeductionError(f"equation not derived: {eq}")
-        proof = sp.explain(a, b)
+        path = sp.explain(a, b)
+        self._assemble(canon_ctx, [edge for edge, _ in path])
+        proof = self._chain(canon_ctx, a, path)
         back = {y: x for x, y in mapping.items()}
         return self._reletter(proof, canon_ctx, back)
 
@@ -519,23 +568,101 @@ class _Saturator:
         sp = self.spaces.get(canon_ctx)
         return sp is not None and sp.same(ca, cb)
 
+    # -- proofs, assembled on demand ----------------------------------------
+
+    def _chain(self, ctx: Word, a: Term, path: list[tuple[int, bool]]
+               ) -> Proof:
+        """The proof along a path of ctx's space whose edges are built."""
+        if not path:
+            return Refl(a, ctx)
+        why = self.spaces[ctx].why
+        steps = [Sym(why[edge]) if flipped else why[edge]
+                 for edge, flipped in path]
+        out = steps[0]
+        for step in steps[1:]:
+            out = Trans(out, step)
+        return out
+
+    def _assemble(self, ctx: Word, edges: list[int]) -> None:
+        """Replace the justifications of these edges of ctx's space, and of
+        every edge their premises rest on, by built proofs.  A justification
+        rests only on edges older than itself, so this terminates; it runs
+        on an explicit stack, since premise chains can be deep."""
+        stack = [(ctx, edge, None) for edge in reversed(edges)]
+        while stack:
+            key, edge, premise = stack.pop()
+            why = self.spaces[key].why[edge]
+            if isinstance(why, Proof):
+                continue
+            if premise is None:
+                side_ctx, a, b, cut = self._premise_of(why)
+                path = self.spaces[side_ctx].explain(a, b, cut)
+                premise = (side_ctx, a, path)
+                side_why = self.spaces[side_ctx].why
+                todo = [(side_ctx, e, None) for e, _ in path
+                        if not isinstance(side_why[e], Proof)]
+                if todo:
+                    stack.append((key, edge, premise))
+                    stack.extend(todo)
+                    continue
+            self.spaces[key].why[edge] = self._rule5_proof(
+                why, self._chain(*premise))
+
+    def _premise_of(self, why: _Inst | _Cong
+                    ) -> tuple[Word, Term, Term, int]:
+        """The (space, a, b, cut) whose explanation a justification needs:
+        the premise of an instantiation, the side of a congruence."""
+        if isinstance(why, _Inst):
+            return why.ctx, why.a, why.b, why.cut
+        old = why.parent.args[why.pos]
+        canon_ctx, (cu, cv), _ = _canonicalize(why.ws[why.pos],
+                                               [old, why.replacement])
+        return canon_ctx, cu, cv, why.cut
+
+    def _rule5_proof(self, why: _Inst | _Cong, explained: Proof) -> Proof:
+        """The Subst node of a justification, relettered to canonical form;
+        `explained` proves what `_premise_of` asked for."""
+        if isinstance(why, _Inst):
+            s = tuple(sorted(zip(why.ctx, why.images), key=_letter_sort_key))
+            node = Subst(s, s, why.w, why.ws, explained,
+                         tuple(Refl(t, wi)
+                               for t, wi in zip(why.images, why.ws)))
+        else:
+            parent, pos = why.parent, why.pos
+            template_ctx, template = self._template(parent)
+            s1 = list(zip(template_ctx, parent.args))
+            s2 = list(s1)
+            s2[pos] = (template_ctx[pos], why.replacement)
+            side_ctx = why.ws[pos]
+            canon_ctx, _, mapping = _canonicalize(side_ctx, [])
+            back = {y: x for x, y in mapping.items()}
+            sides = tuple(
+                self._reletter(explained, canon_ctx, back) if j == pos
+                else Refl(child, wj)
+                for j, (child, wj) in enumerate(zip(parent.args, why.ws)))
+            node = Subst(tuple(sorted(s1, key=_letter_sort_key)),
+                         tuple(sorted(s2, key=_letter_sort_key)),
+                         why.w, why.ws, Refl(template, template_ctx), sides)
+        _, _, mapping = _canonicalize(why.w, [])
+        return self._reletter(node, why.w, mapping)
+
     # -- merge bookkeeping -------------------------------------------------
 
     def _apply_merge(self, canon_ctx: Word, a: Term, b: Term,
-                     proof: Proof) -> None:
+                     why: Proof | _Inst | _Cong) -> None:
         if a is b:
             return
         sp = self._space(canon_ctx)
         self._register(a)
         self._register(b)
-        if sp.union(a, b, proof):
+        if sp.union(a, b, why):
             self.events.append((canon_ctx, a, b))
             self.frontier.append((canon_ctx, a, b))
 
     # -- one round ---------------------------------------------------------
 
     def _round_candidates(self, frontier):
-        out: list[tuple[Word, Term, Term, Proof]] = []
+        out: list[tuple[Word, Term, Term, _Inst | _Cong]] = []
         for ctx, a, b in frontier:
             axiom_level = (ctx, a, b) in self.axiom_seeds
             if axiom_level or max(term_depth(a), term_depth(b)) <= _CONG_TIER_DEPTH:
@@ -614,8 +741,10 @@ class _Saturator:
 
     def _conclude(self, ctx: Word, a: Term, b: Term, s1: Mapping[Letter, Term],
                   s2: Mapping[Letter, Term], ws: tuple[Word, ...], u_cat: Word,
-                  side_proofs: Optional[list[Proof]], out: list) -> None:
-        """Emit one rule-5 conclusion at every admissible target context."""
+                  cong: Optional[tuple[App, int, Term, int]], out: list
+                  ) -> None:
+        """Emit one rule-5 conclusion at every admissible target context,
+        justified by an `_Inst`, or by `_Cong(*cong, ...)` when given."""
         distinct = tuple(dict.fromkeys(u_cat))
         if len(distinct) > self.bounds.max_ctx_len:
             self.truncated_by.add("ctx")
@@ -645,7 +774,7 @@ class _Saturator:
             w = perm
             if not holds(self.R, w, u_cat):
                 continue
-            canon_ctx, (ca, cb), mapping = _canonicalize(w, [lhs, rhs])
+            canon_ctx, (ca, cb), _ = _canonicalize(w, [lhs, rhs])
             key = (canon_ctx, ca, cb) if _term_key(ca) <= _term_key(cb) \
                 else (canon_ctx, cb, ca)
             if key in self.seen_merges:
@@ -654,22 +783,12 @@ class _Saturator:
             sp = self.spaces.get(canon_ctx)
             if sp is not None and sp.same(ca, cb):
                 continue
-            if side_proofs is None:
-                sides = tuple(Refl(s1[x], wi) for x, wi in zip(ctx, ws))
+            if cong is None:
+                why = _Inst(ctx, a, b, len(self.spaces[ctx].why),
+                            tuple(s1[x] for x in ctx), w, ws)
             else:
-                sides = tuple(side_proofs)
-            premise = self._premise_proof(ctx, a, b)
-            node = Subst(tuple(sorted(s1.items(), key=_letter_sort_key)),
-                         tuple(sorted(s2.items(), key=_letter_sort_key)),
-                         w, ws, premise, sides)
-            proof = self._reletter(node, w, mapping)
-            out.append((canon_ctx, ca, cb, proof))
-
-    def _premise_proof(self, ctx: Word, a: Term, b: Term) -> Proof:
-        if a is b:
-            return Refl(a, ctx)
-        sp = self.spaces[ctx]
-        return sp.explain(a, b)
+                why = _Cong(*cong, w, ws)
+            out.append((canon_ctx, ca, cb, why))
 
     # -- rule 5, congruence flavour ------------------------------------------
 
@@ -739,50 +858,43 @@ class _Saturator:
         found = self._known_equal(old, replacement)
         if found is None:
             return
-        w_i, side_proof = found
+        w_i, cut = found
         ws: list[Word] = []
-        sides: list[Proof] = []
-        ok = True
         for j, child in enumerate(parent.args):
             if j == pos:
                 ws.append(w_i)
-                sides.append(side_proof)
             else:
                 w_j = terminal_context(self.R, tau(child))
                 if w_j is None:
-                    ok = False
-                    break
+                    return
                 ws.append(w_j)
-                sides.append(Refl(child, w_j))
-        if not ok:
-            return
         u_cat = tuple(y for w_j in ws for y in w_j)
-        template_ctx = tuple(_template_letter(c.sort, j)
-                             for j, c in enumerate(parent.args, start=1))
-        template = app(self.sig, parent.op, [var(x) for x in template_ctx])
+        template_ctx, template = self._template(parent)
         s1 = dict(zip(template_ctx, parent.args))
         s2 = dict(s1)
         s2[template_ctx[pos]] = replacement
         self._conclude(template_ctx, template, template, s1, s2,
-                       tuple(ws), u_cat, sides, out)
+                       tuple(ws), u_cat, (parent, pos, replacement, cut), out)
 
-    def _known_equal(self, u: Term, v: Term
-                     ) -> Optional[tuple[Word, Proof]]:
-        """A context at which u ~ v is already derived, with its proof."""
-        if u is v:
-            w = terminal_context(self.R, tau(u))
-            if w is None:
-                return None
-            return w, Refl(u, w)
+    def _template(self, parent: App) -> tuple[Word, Term]:
+        """The congruence premise op(_p1, .., _pk) for parent's op, with its
+        context."""
+        template_ctx = tuple(_template_letter(c.sort, j)
+                             for j, c in enumerate(parent.args, start=1))
+        return template_ctx, app(self.sig, parent.op,
+                                 [var(x) for x in template_ctx])
+
+    def _known_equal(self, u: Term, v: Term) -> Optional[tuple[Word, int]]:
+        """A context at which u ~ v is already derived, with the edge count
+        of its canonical space, which explains u ~ v from those edges."""
         distinct = tuple(dict.fromkeys(tau(u) + tau(v)))
         for perm in itertools.permutations(distinct):
             if not holds(self.R, perm, tau(u)) or not holds(self.R, perm, tau(v)):
                 continue
-            canon_ctx, (cu, cv), mapping = _canonicalize(perm, [u, v])
+            canon_ctx, (cu, cv), _ = _canonicalize(perm, [u, v])
             sp = self.spaces.get(canon_ctx)
             if sp is not None and sp.same(cu, cv):
-                back = {y: x for x, y in mapping.items()}
-                return perm, self._reletter(sp.explain(cu, cv), canon_ctx, back)
+                return perm, len(sp.why)
         return None
 
 

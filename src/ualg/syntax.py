@@ -283,7 +283,7 @@ class Theory:
 #   theory <Name>
 #   structure <structure-token>
 #   sort <S> [<S> ...]            (each <S> an identifier)
-#   op <name> : [<S> ...] -> <S>
+#   op <name> : [<S> ...] -> <S>   (<name> an identifier)
 #   eq <name> : <term> ~ <term> ctx [ <var>:<S> ... ]
 #
 # '#' starts a comment.  A bare name in a term is a declared constant or a
@@ -454,6 +454,9 @@ def parse_theory(text: str) -> Theory:
             decl_name = decl_name.strip()
             if not sep or not decl_name:
                 raise ParseError("op syntax: op <name> : [<S> ...] -> <S>", lineno)
+            if not decl_name.isidentifier():
+                raise ParseError(f"op name {decl_name!r} is not an identifier",
+                                 lineno)
             if decl_name in ops:
                 raise ParseError(f"duplicate op {decl_name!r}", lineno)
             arity_text, sep, result = typing.partition("->")

@@ -20,8 +20,8 @@ from .context import (
     terminal_context,
 )
 from .finord import (
-    FinFn, compose as fn_compose, coproduct, identity as fn_identity,
-    similarity_component,
+    FinFn, all_functions, compose as fn_compose, coproduct,
+    identity as fn_identity, similarity_component,
 )
 from .setmodel import (
     FinSetModel, MultiMap, compose_multi, identity_map, theta_action,
@@ -203,7 +203,7 @@ def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
         ops[name] = OpDecl((), _hom_sort(decl.arity, decl.result))
         sym_info[name] = ("op", f)
 
-    thetas = [theta for theta in _all_fns(max_theta) if delta_of(R, theta)]
+    thetas = [theta for theta in all_functions(max_theta) if delta_of(R, theta)]
     for theta in thetas:
         if theta.dom > max_arity or theta.cod > max_arity:
             continue
@@ -229,15 +229,6 @@ def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
     sig = Signature(sort_names, ops)
     return SigmaSignature(base, R, max_arity, max_theta, sig,
                           tuple(hom_sorts), sym_info, tuple(thetas))
-
-
-def _all_fns(max_n: int):
-    for n in range(max_n + 1):
-        for m in range(max_n + 1):
-            if n == 0 and m > 0:
-                continue
-            for images in itertools.product(range(1, n + 1), repeat=m):
-                yield FinFn(m, n, images)
 
 
 def _arg_splits(S: Sequence[str], n: int, max_total: int):

@@ -130,6 +130,15 @@ def test_non_identifier_sort_exit_code(tmp_path):
     assert "not an identifier" in p.stderr
 
 
+def test_non_identifier_op_exit_code(tmp_path):
+    bad = tmp_path / "paren.ua"
+    bad.write_text("theory Paren\nstructure cartesian\nsort M\n"
+                   "op m(x : M M -> M\n")
+    p = ualg("prove", str(bad), "--goal", "x ~ x ctx [ x:M ]")
+    assert p.returncode == 3
+    assert "not an identifier" in p.stderr
+
+
 def test_bad_goal_exit_code():
     p = ualg("prove", MONOID, "--goal", "mul(x) ~ x ctx [ x:M ]")
     assert p.returncode == 3

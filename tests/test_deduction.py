@@ -1,17 +1,20 @@
 """The bounded saturation engine, proof replay, and the refutation invariant."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
+from ualg import deduction, universal
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, STRICT_INCREASING, SURJECTIVE, TRIVIAL,
     Letter, terminal_context,
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
-    _canonical_triple, _pool_letter, _Saturator, check_proof, proof_lines,
-    prove, refute_by_invariant, saturate,
+    _canonical_triple, _pool_letter, _Saturator, _Space, check_proof,
+    proof_lines, prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
     MONOID_TEXT, eckmann_hilton_theory, monoid_theory, projection_theory,
@@ -19,6 +22,7 @@ from ualg.selftest import (
 from ualg.syntax import (
     Theory, app, equation, parse_equation_text, parse_theory, tau, var,
 )
+from ualg.universal import universal_hom
 
 X, Y = Letter("M", "x"), Letter("M", "y")
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
@@ -254,3 +258,78 @@ def test_eh_units_coincide():
     res = prove(EH, goal, Bounds(4, 4, 6))
     assert res.proved
     assert check_proof(EH, res.proof).ctx == ()
+
+
+def test_explanation_at_a_cut_keeps_its_path():
+    """explain(a, b, cut) walks only the first `cut` edges, so a proof
+    assembled later rests on the edges it had when it was justified.  union()
+    keeps the edges a spanning forest, so a later, shorter path can only be
+    added by hand; the cut must hide it all the same."""
+    a, b, c, d, e = (var(Letter("M", n)) for n in "abcde")
+    sp = _Space((X,))
+    for u, v in ((a, b), (b, c), (c, d)):
+        assert sp.union(u, v, ("why", u, v))
+    cut = len(sp.why)
+    old_path = [(0, False), (1, False), (2, False)]
+    assert sp.explain(a, d, cut) == old_path
+    assert sp.union(e, a, ("why", e, a))
+    shortcut = len(sp.why)
+    sp.why.append(("why", a, d))
+    sp.edges[a].append((d, shortcut, False))
+    sp.edges[d].append((a, shortcut, True))
+    assert sp.explain(a, d) == [(shortcut, False)]
+    assert sp.explain(a, d, cut) == old_path
+    assert sp.explain(d, a, cut) == [(2, True), (1, True), (0, True)]
+    assert sp.explain(a, a, cut) == []
+    with pytest.raises(DeductionError):
+        sp.explain(e, d, cut)  # e joined the class after the cut
+
+
+def test_engines_are_freed_by_reference_counting(monoid, monkeypatch):
+    """Justifications hold terms and numbers, never the engine or a space,
+    so a finished engine goes as soon as its result does, without the
+    cycle collector."""
+    engines = []
+
+    class Tracked(_Saturator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(deduction, "_Saturator", Tracked)
+    monkeypatch.setattr(universal, "_Saturator", Tracked)
+    goal = parse_equation_text(monoid.signature,
+                               "mul(e,mul(x,e)) ~ x ctx [ x:M ]",
+                               structure=monoid.structure)
+    gc.collect()
+    gc.disable()
+    try:
+        sat = saturate(monoid, Bounds(2, 3, 3))
+        proofs = [sat.proof_of(eq) for eq in sat.equations]
+        del sat
+        res = prove(monoid, goal, Bounds(3, 3, 4))
+        assert res.proved
+        del res
+        part = universal_hom(projection_theory(INJECTIVE), (("A", "A"), "A"),
+                             Bounds(2, 3, 6))
+        assert part.classes
+        del part
+        assert len(engines) == 3
+        assert [ref() for ref in engines] == [None, None, None]
+    finally:
+        gc.enable()
+    assert proofs
+
+
+def test_eh_commutativity_proof_sizes():
+    """The proofs that the derive benchmark replays keep their size: 246 and
+    232 lines, as when every proof was built eagerly."""
+    EH = eckmann_hilton_theory()
+    for text, lines in (("o(x,y) ~ o(y,x) ctx [ x:M y:M ]", 246),
+                        ("star(x,y) ~ star(y,x) ctx [ x:M y:M ]", 232)):
+        goal = parse_equation_text(EH.signature, text, structure=EH.structure)
+        res = prove(EH, goal, Bounds(4, 4, 8))
+        assert res.proved
+        assert len(proof_lines(res.proof)) == lines
+        concluded = check_proof(EH, res.proof)
+        assert (concluded.lhs, concluded.rhs) == (goal.lhs, goal.rhs)

@@ -54,6 +54,16 @@ def test_non_identifier_sort_rejected(name):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("decl", ["op m(x : M M -> M", "op 1m : M M -> M",
+                                  "op m-n : M M -> M", "op m' : -> M"])
+def test_non_identifier_op_rejected(decl):
+    text = f"theory T\nstructure cartesian\nsort M\n{decl}\n"
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert "not an identifier" in str(err.value)
+    assert err.value.line == 4
+
+
 def test_context_error_under_injective():
     text = """
 theory Bad
