@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     prove_p.add_argument("--rounds", type=int, default=8)
     prove_p.set_defaults(handler=cmd_prove)
 
-    cm = sub.add_parser("countermodel", help="brute-force model search")
+    cm = sub.add_parser(
+        "countermodel",
+        help="sequential backtracking model search (the result never "
+             "depends on --workers)")
     cm.add_argument("file")
     cm.add_argument("--goal", required=True)
     cm.add_argument("--max-size", type=int, default=2)

@@ -1,17 +1,29 @@
-"""Finite-set models: dense tuple-indexed tables and brute-force search.
+"""Finite-set models: dense tuple-indexed tables and backtracking search.
 
 A MultiMap is a total function from a cartesian product of finite carriers
 (identified by their sizes) into a carrier, stored as a dense row-major table
 (first coordinate most significant).  Carriers may be empty: a product with
 an empty factor has no rows and the table is the empty tuple.
+
+Model search follows SEM and Mace4: for each size vector it assigns the table
+cells one at a time, ops in signature order and each table row-major, trying
+values in ascending order.  Every ground instance of every axiom is checked
+as soon as all the cells it reads are assigned (it waits on the first
+unassigned cell it reads), and a mismatch prunes the branch.  Cells and values
+are taken in the order of the full product of all tables, so the complete
+tables are reached in that order, less those some axiom instance rules out:
+the first model found is the one the brute-force product gives first.  Each
+complete table is then confirmed by `satisfies_theory` and checked against
+`avoid` with `satisfies`, so the term semantics keeps the final word.  The
+search is sequential; a worker count is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .context import ContextStructure, Letter, Word, terminal_context
 from .finord import FinFn
@@ -23,6 +35,13 @@ from .syntax import (
 
 class ModelError(TheoryError):
     pass
+
+
+def _row_index(doms: Sequence[int], args: Sequence[int]) -> int:
+    idx = 0
+    for a, d in zip(args, doms):
+        idx = idx * d + a
+    return idx
 
 
 @dataclass(frozen=True)
@@ -47,10 +66,7 @@ class MultiMap:
                 raise ModelError(f"table entry {e} outside carrier of size {self.cod}")
 
     def index(self, args: Sequence[int]) -> int:
-        idx = 0
-        for a, d in zip(args, self.doms):
-            idx = idx * d + a
-        return idx
+        return _row_index(self.doms, args)
 
     def __call__(self, *args: int) -> int:
         if len(args) != len(self.doms):
@@ -226,40 +242,131 @@ def check_morphism(f: ModelMorphism, m: FinSetModel, n: FinSetModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force model search
+# Model search
+#
+# The cells of all op tables form one flat list `val`: ops in signature order,
+# each table row-major, -1 for a cell not yet assigned.  A ground evaluator
+# gives a term's value at a fixed point of its letters, or -1 - j when it
+# reads the unassigned cell j.
+
+_Ground = Callable[[list[int]], int]
+_Layout = Mapping[str, tuple[int, tuple[int, ...]]]  # op -> (offset, doms)
 
 
-def _size_vectors(sorts: Sequence[str], max_size: int) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(range(max_size + 1), repeat=len(sorts))
+def _ground(t: Term, point: Mapping[Letter, int], layout: _Layout) -> _Ground:
+    if isinstance(t, Var):
+        c = point[t.letter]
+        return lambda val: c
+    assert isinstance(t, App)
+    off, doms = layout[t.op]
+    if all(isinstance(a, Var) for a in t.args):
+        # The cell is fixed; reading it directly halves the search time on
+        # the Eckmann-Hilton theory at size 3.
+        j = off + _row_index(doms, [point[a.letter] for a in t.args])
+
+        def cell(val: list[int]) -> int:
+            v = val[j]
+            return v if v >= 0 else -1 - j
+        return cell
+    subs = tuple(zip([_ground(a, point, layout) for a in t.args], doms))
+
+    def node(val: list[int]) -> int:
+        idx = 0
+        for sub, d in subs:
+            a = sub(val)
+            if a < 0:
+                return a
+            idx = idx * d + a
+        v = val[off + idx]
+        return v if v >= 0 else -1 - off - idx
+    return node
 
 
-def _tables_for(sig: Signature, sizes: Mapping[str, int]
-                ) -> Iterator[dict[str, MultiMap]]:
-    names = list(sig.ops)
-    spaces = []
-    for name in names:
-        decl = sig.op(name)
+def _instances(E: Theory, sizes: Mapping[str, int], layout: _Layout
+               ) -> list[tuple[_Ground, _Ground]]:
+    """Both sides of every ground instance of every axiom; an axiom whose
+    context has an empty carrier has none."""
+    out = []
+    for eq in E.equations:
+        for values in itertools.product(*(range(sizes[x.sort]) for x in eq.ctx)):
+            point = dict(zip(eq.ctx, values))
+            out.append((_ground(eq.lhs, point, layout),
+                        _ground(eq.rhs, point, layout)))
+    return out
+
+
+def _check(instances: Sequence[tuple[_Ground, _Ground]], val: list[int],
+           watch: list[list], added: list[int]) -> bool:
+    """False if some instance whose cells are all assigned fails; each other
+    instance moves to the watch list of the first unassigned cell it reads,
+    and that cell goes on `added` so the move can be undone."""
+    for inst in instances:
+        a = inst[0](val)
+        if a >= 0:
+            b = inst[1](val)
+            if b >= 0:
+                if a != b:
+                    return False
+                continue
+            a = b
+        j = -1 - a
+        watch[j].append(inst)
+        added.append(j)
+    return True
+
+
+def _op_tables(E: Theory, sizes: Mapping[str, int]
+               ) -> Iterator[dict[str, MultiMap]]:
+    """Every assignment of op tables on these carriers whose ground axiom
+    instances all hold, by backtracking over the cells in flat order with
+    values ascending.  That is the order of the full product of all tables
+    (first op most significant, each table row-major), with the assignments
+    that some instance rules out left away."""
+    sig = E.signature
+    layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+    cods: list[int] = []
+    for name, decl in sig.ops.items():
         doms = tuple(sizes[s] for s in decl.arity)
-        cod = sizes[decl.result]
-        cells = 1
-        for d in doms:
-            cells *= d
-        if cod == 0 and cells > 0:
-            return  # no total map into an empty carrier
-        spaces.append([MultiMap(doms, cod, tbl)
-                       for tbl in itertools.product(range(cod), repeat=cells)])
-    for combo in itertools.product(*spaces):
-        yield dict(zip(names, combo))
+        layout[name] = (len(cods), doms)
+        cods.extend([sizes[decl.result]] * math.prod(doms))
+    n = len(cods)
+    val = [-1] * n
+    watch: list[list] = [[] for _ in range(n)]
+    if not _check(_instances(E, sizes, layout), val, watch, []):
+        return
+    added: list[list[int]] = [[] for _ in range(n)]
+    k = 0
+    while k >= 0:
+        if k == n:
+            yield {name: MultiMap(doms, sizes[sig.ops[name].result],
+                                  tuple(val[off:off + math.prod(doms)]))
+                   for name, (off, doms) in layout.items()}
+            k -= 1
+            continue
+        for j in added[k]:  # undo what the previous value of cell k moved
+            watch[j].pop()
+        added[k].clear()
+        v = val[k] + 1
+        if v == cods[k]:
+            val[k] = -1
+            k -= 1
+        else:
+            val[k] = v
+            if _check(watch[k], val, watch, added[k]):
+                k += 1
 
 
 def iter_models(E: Theory, max_size: int,
                 avoid: Optional[Equation] = None) -> Iterator[FinSetModel]:
-    """All models of E with carriers of size <= max_size, in the fixed order:
-    size vectors ascending lexicographically, then tables row-major."""
+    """All models of E with carriers of size <= max_size that fail `avoid`,
+    in the fixed order: size vectors ascending lexicographically, then tables
+    as in `_op_tables`.  Pruning only skips tables that fail some axiom;
+    every table it leaves is confirmed by `satisfies_theory` and `satisfies`
+    before it is yielded."""
     sorts = E.signature.sorts
-    for sizes_vec in _size_vectors(sorts, max_size):
+    for sizes_vec in itertools.product(range(max_size + 1), repeat=len(sorts)):
         sizes = dict(zip(sorts, sizes_vec))
-        for tables in _tables_for(E.signature, sizes):
+        for tables in _op_tables(E, sizes):
             m = FinSetModel(E.signature, E.structure, sizes, tables)
             if not satisfies_theory(m, E):
                 continue
@@ -270,36 +377,14 @@ def iter_models(E: Theory, max_size: int,
 
 def find_model(E: Theory, max_size: int, avoid: Optional[Equation] = None,
                workers: int = 1) -> Optional[FinSetModel]:
-    """First model in the fixed enumeration order, or None within the bound.
+    """The first model of `iter_models`, or None within the bound.
 
-    With workers > 1 the size vectors are scanned in deterministic chunks on
-    a thread pool; the earliest hit wins, so the witness does not depend on
-    the worker count.
+    The search is sequential: `workers` is accepted for compatibility and
+    ignored, so the witness never depends on it.
     """
     if max_size < 0:
         raise ModelError("max_size must be >= 0")
-    vectors = list(_size_vectors(E.signature.sorts, max_size))
-
-    def scan(vec: tuple[int, ...]) -> Optional[FinSetModel]:
-        sizes = dict(zip(E.signature.sorts, vec))
-        for tables in _tables_for(E.signature, sizes):
-            m = FinSetModel(E.signature, E.structure, sizes, tables)
-            if satisfies_theory(m, E) and (
-                    avoid is None or not satisfies(m, avoid)):
-                return m
-        return None
-
-    if workers <= 1:
-        for vec in vectors:
-            hit = scan(vec)
-            if hit is not None:
-                return hit
-        return None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for hit in pool.map(scan, vectors):
-            if hit is not None:
-                return hit
-    return None
+    return next(iter_models(E, max_size, avoid), None)
 
 
 def format_model(m: FinSetModel) -> str:

@@ -386,6 +386,14 @@ def _parse_ctx_block(text: str, line: int, sig: Signature) -> Word:
         name, sep, sort = entry.partition(":")
         if not sep or not name or not sort:
             raise ParseError(f"bad context entry {entry!r}", line)
+        # A letter must print back as it was read, and a bare name in a term
+        # is read as a constant first, so op names cannot be letters.
+        if not name.isidentifier():
+            raise ParseError(
+                f"context letter {name!r} is not an identifier", line)
+        if name in sig.ops:
+            raise ParseError(
+                f"context letter {name!r} is a declared op name", line)
         if sort not in sig.sorts:
             raise ParseError(f"undeclared sort {sort!r} in context", line)
         letters.append(Letter(sort, name))

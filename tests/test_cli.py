@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output formats, parse failures."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,24 @@ def test_non_identifier_op_exit_code(tmp_path):
     p = ualg("prove", str(bad), "--goal", "x ~ x ctx [ x:M ]")
     assert p.returncode == 3
     assert "not an identifier" in p.stderr
+
+
+def test_bad_context_letter_exit_code():
+    for ctx in ("[ e:M x:M ]", "[ x:M y:M z],:M ]"):
+        p = ualg("prove", MONOID, "--goal", f"mul(e,x) ~ x ctx {ctx}")
+        assert p.returncode == 3
+        assert "context letter" in p.stderr
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    p = subprocess.run([sys.executable, "-m", "ualg", "selftest", "--only",
+                        "2"], capture_output=True, text=True, env=env,
+                       cwd=REPO)
+    assert p.returncode == 0
+    assert "criterion  2 [pass]" in p.stdout
 
 
 def test_bad_goal_exit_code():

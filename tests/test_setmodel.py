@@ -1,6 +1,8 @@
-"""Tables, term evaluation, morphisms, and brute-force model search."""
+"""Tables, term evaluation, morphisms, and the backtracking model search."""
 
 import itertools
+import math
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,12 @@ from ualg.setmodel import (
     iter_models, satisfies, satisfies_theory, table_from, theta_action,
 )
 from ualg.syntax import (
-    Theory, app, const, equation, parse_equation_text, signature, var,
+    Theory, app, const, equation, parse_equation_text, parse_theory,
+    signature, var,
 )
 
 X, Y, Z = (Letter("M", n) for n in "xyz")
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +247,123 @@ def test_empty_carrier_vacuous_model():
     assert eval_term(m, (a,), t).table == ()
     eq = equation("", t, t, (a,))
     assert satisfies(m, eq)
+
+
+# ---------------------------------------------------------------------------
+# The backtracking search against a brute-force reference
+
+
+def brute_force_models(E, max_size, avoid=None):
+    """Every table of every op on every size vector, in product order, kept
+    when `satisfies_theory` accepts it and it fails `avoid`."""
+    sig = E.signature
+    for vec in itertools.product(range(max_size + 1), repeat=len(sig.sorts)):
+        sizes = dict(zip(sig.sorts, vec))
+        spaces = []
+        for decl in sig.ops.values():
+            doms = tuple(sizes[s] for s in decl.arity)
+            cod = sizes[decl.result]
+            spaces.append([MultiMap(doms, cod, t) for t in itertools.product(
+                range(cod), repeat=math.prod(doms))])
+        for combo in itertools.product(*spaces):
+            m = FinSetModel(sig, E.structure, sizes, dict(zip(sig.ops, combo)))
+            if satisfies_theory(m, E) and (
+                    avoid is None or not satisfies(m, avoid)):
+                yield m
+
+
+def sample_theory(stem):
+    return parse_theory((THEORIES / f"{stem}.ua").read_text())
+
+
+FREE_MAGMA = Theory("Free", signature(["A"], {"f": (("A", "A"), "A")}),
+                    CARTESIAN, ())
+
+# Two sorts and a constant in B only: size vectors with A empty have models,
+# those with B empty have none, and an axiom over A holds vacuously when A
+# is empty.  `fix` carries a padding letter of sort A.
+TWO_SORTED = parse_theory("""
+theory Action
+structure cartesian
+sort A B
+op act : A B -> B
+op c : -> B
+op q : A -> A
+eq fix : act(a,c) ~ c ctx [ a:A ]
+eq idem : act(a,act(a,b)) ~ act(a,b) ctx [ a:A b:B z:A ]
+eq qq : q(q(a)) ~ a ctx [ a:A ]
+""")
+
+
+@pytest.mark.parametrize("E", [
+    *(sample_theory(p.stem) for p in sorted(THEORIES.glob("*.ua"))),
+    FREE_MAGMA, TWO_SORTED], ids=lambda E: E.name)
+def test_iter_models_matches_brute_force(E):
+    assert list(iter_models(E, 2)) == list(brute_force_models(E, 2))
+
+
+def test_two_sorted_models_cover_empty_carriers():
+    vectors = {tuple(m.carriers.values()) for m in iter_models(TWO_SORTED, 2)}
+    assert (0, 1) in vectors and (2, 2) in vectors
+    assert not any(b == 0 for _, b in vectors)
+
+
+WITNESS_GOALS = [
+    # the README goals
+    ("monoid", "mul(e,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]"),
+    ("first_projection_injective", "f(x,y) ~ x ctx [ x:A y:A ]"),
+    ("first_projection", "f(x,y) ~ f(y,x) ctx [ x:A y:A ]"),
+    # goals like the benchmark's decide goals
+    ("monoid", "mul(x,y) ~ mul(x,mul(y,y)) ctx [ x:M y:M ]"),
+    ("monoid", "mul(mul(x,e),y) ~ mul(y,x) ctx [ x:M y:M ]"),
+    ("monoid", "mul(x,mul(y,z)) ~ mul(mul(x,y),z) ctx [ x:M y:M z:M ]"),
+    ("first_projection", "f(f(x,y),x) ~ f(x,f(y,y)) ctx [ x:A y:A ]"),
+    ("first_projection", "f(f(x,y),y) ~ y ctx [ x:A y:A ]"),
+    ("magma", "f(f(x,y),z) ~ f(x,f(y,z)) ctx [ x:A y:A z:A ]"),
+    ("magma", "f(x,x) ~ x ctx [ x:A ]"),
+    ("magma", "f(x,f(x,y)) ~ f(x,f(x,y)) ctx [ x:A y:A ]"),
+]
+
+
+@pytest.mark.parametrize("stem,text", WITNESS_GOALS)
+def test_find_model_matches_brute_force(stem, text):
+    E = FREE_MAGMA if stem == "magma" else sample_theory(stem)
+    goal = parse_equation_text(E.signature, text, structure=E.structure)
+    want = next(brute_force_models(E, 2, goal), None)
+    assert find_model(E, 2, avoid=goal) == want
+
+
+def test_exhaustive_size_3_projection_search():
+    E = sample_theory("first_projection")
+    goal = parse_equation_text(
+        E.signature, "f(f(f(f(f(x,x),y),x),y),x) ~ x ctx [ x:A y:A ]",
+        structure=E.structure)
+    assert find_model(E, 3, avoid=goal) is None
+
+
+def test_monoid_size_4_countermodel_is_the_first_at_size_3():
+    E = sample_theory("monoid")
+    goal = parse_equation_text(E.signature, "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]",
+                               structure=E.structure)
+    m = find_model(E, 4, avoid=goal)
+    assert m is not None and m.carriers == {"M": 3}
+    assert m.op_tables["mul"].table == (0, 0, 0, 0, 1, 2, 2, 2, 2)
+    assert m.op_tables["e"].table == (1,)
+
+
+def test_every_leaf_reached_is_a_model(monkeypatch):
+    """Pruning checks every ground axiom instance, so leaf confirmation by
+    `satisfies_theory` never rejects a table."""
+    from ualg import setmodel
+    verdicts = []
+
+    def counting(m, E):
+        verdicts.append(satisfies_theory(m, E))
+        return verdicts[-1]
+
+    monkeypatch.setattr(setmodel, "satisfies_theory", counting)
+    for E, size in ((sample_theory("monoid"), 3),
+                    (sample_theory("eckmann_hilton"), 2), (TWO_SORTED, 2)):
+        verdicts.clear()
+        models = list(iter_models(E, size))
+        assert verdicts == [True] * len(models)

@@ -64,6 +64,14 @@ def test_non_identifier_op_rejected(decl):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("ctx", ["[ e:M x:M ]", "[ x:M y:M z],:M ]",
+                                 "[ x:M 1y:M ]", "[ mul:M x:M ]"])
+def test_bad_context_letter_rejected(monoid, ctx):
+    with pytest.raises(ParseError) as err:
+        parse_equation_text(monoid.signature, f"mul(e,x) ~ x ctx {ctx}")
+    assert "context letter" in str(err.value)
+
+
 def test_context_error_under_injective():
     text = """
 theory Bad
