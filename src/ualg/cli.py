@@ -185,12 +185,13 @@ def cmd_universal(args) -> int:
             print(json.dumps({
                 "class": i,
                 "size": len(cls),
-                "representative": sigma_term_str(cls[0]),
+                "representative": sigma_term_str(part.sigma, cls[0]),
             }, sort_keys=True))
     else:
         print(f"{len(part.classes)} classes")
         for i, cls in enumerate(part.classes):
-            print(f"class {i} ({len(cls)} terms): {sigma_term_str(cls[0])}")
+            print(f"class {i} ({len(cls)} terms): "
+                  f"{sigma_term_str(part.sigma, cls[0])}")
         if part.truncated:
             print(f"truncated: {','.join(part.truncated_by)}")
     return 0

@@ -255,7 +255,7 @@ def _canonicalize(ctx: Word, terms: Sequence[Term]
     return canon_ctx, [apply_renaming(sub, t) for t in terms], mapping
 
 
-def _canonical_triple(ctx: Word, a: Term, b: Term):
+def canonical_triple(ctx: Word, a: Term, b: Term):
     canon_ctx, (ca, cb), _ = _canonicalize(ctx, [a, b])
     key_a, key_b = _term_key(ca), _term_key(cb)
     if key_b < key_a:
@@ -297,21 +297,19 @@ class _Space:
     the engine turns into one on first use.  Edge lists only grow, so the
     first n edges are exactly the edges the space had when it held n."""
 
-    __slots__ = ("ctx", "parent", "edges", "why", "members", "class_min")
+    __slots__ = ("ctx", "parent", "edges", "why", "class_min")
 
     def __init__(self, ctx: Word):
         self.ctx = ctx
         self.parent: dict[Term, Term] = {}
         self.edges: dict[Term, list[tuple[Term, int, bool]]] = {}
         self.why: list = []
-        self.members: list[Term] = []
         self.class_min: dict[Term, Term] = {}
 
     def add(self, t: Term) -> None:
         if t not in self.parent:
             self.parent[t] = t
             self.edges[t] = []
-            self.members.append(t)
             self.class_min[t] = t
 
     def find(self, t: Term) -> Term:
@@ -375,12 +373,6 @@ class _Space:
         path.reverse()
         return path
 
-    def classes(self) -> list[list[Term]]:
-        groups: dict[Term, list[Term]] = {}
-        for t in self.members:
-            groups.setdefault(self.find(t), []).append(t)
-        return [sorted(g, key=_term_key) for g in groups.values()]
-
 
 class _Inst:
     """Rule 5 by instantiation: the letters of ctx become `images` in the
@@ -420,14 +412,6 @@ class SaturationResult:
 
     def proof_of(self, eq: Equation) -> Proof:
         return self._engine.proof_of(eq)
-
-    def classes(self) -> dict[Word, list[list[Term]]]:
-        out = {}
-        for key, space in self._engine.spaces.items():
-            groups = space.classes()
-            if any(len(c) > 1 for c in groups):
-                out[key] = groups
-        return out
 
 
 @dataclass
@@ -906,16 +890,13 @@ def _letter_sort_key(item: tuple[Letter, Term]) -> tuple[str, str]:
 # Public entry points
 
 
-def saturate(E: Theory, bounds: Bounds,
-             extra_terms: Sequence[tuple[Word, Term]] = (),
-             inst_filter: Optional[Callable[[Term], bool]] = None
-             ) -> SaturationResult:
+def saturate(E: Theory, bounds: Bounds) -> SaturationResult:
     """Forward-close a theory under the five deduction rules, within bounds.
 
     The result lists every non-reflexive derived equation in canonical form
     (context letters _v1.._vn); proofs are recoverable per equation.
     """
-    engine = _Saturator(E, bounds, extra_terms, inst_filter)
+    engine = _Saturator(E, bounds)
     engine.run()
     eqs = [equation("", a, b, ctx) for ctx, a, b in engine.events]
     return SaturationResult(

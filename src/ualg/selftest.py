@@ -20,7 +20,10 @@ from .context import (
     delta_of, holds, terminal_context,
 )
 from .syntax import Equation, Theory, parse_equation_text, parse_theory
-from .deduction import Bounds, check_proof, prove, refute_by_invariant, saturate
+from .deduction import (
+    Bounds, canonical_triple, check_proof, prove, refute_by_invariant,
+    saturate,
+)
 from .setmodel import (
     MultiMap, compose_multi, find_model, iter_models, satisfies, table_from,
     theta_action,
@@ -515,9 +518,7 @@ def check_counterexample(workers: int = 1) -> CheckResult:
         return CheckResult(8, "padded-context counterexample", False,
                            ["cartesian derivation failed at depth 2"])
     details.append("cartesian: f(x,y) ~ x derived at depth 2")
-    from .deduction import _canonical_triple
-
-    want = _canonical_triple(goal.ctx, goal.lhs, goal.rhs)
+    want = canonical_triple(goal.ctx, goal.lhs, goal.rhs)
     for structure in (INJECTIVE, STRICT_INCREASING):
         theory = projection_theory(structure)
         if not refute_by_invariant(theory, goal):
@@ -525,7 +526,7 @@ def check_counterexample(workers: int = 1) -> CheckResult:
                                [f"{structure.kind}: invariant did not refute"])
         for depth in range(1, 5):
             sat = saturate(theory, Bounds(depth, 3, 4))
-            if any(_canonical_triple(e.ctx, e.lhs, e.rhs) == want
+            if any(canonical_triple(e.ctx, e.lhs, e.rhs) == want
                    for e in sat.equations):
                 return CheckResult(
                     8, "padded-context counterexample", False,

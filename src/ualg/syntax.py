@@ -135,7 +135,7 @@ def app(sig: Signature, op: str, args: Sequence[Term] = ()) -> App:
         if a.sort != want:
             raise TypingError(
                 f"op {op}: argument {a!r} has sort {a.sort}, expected {want}")
-    key = ("a", op, args)
+    key = ("a", op, decl.result, args)
     t = _TERMS.get(key)
     if t is None:
         t = _TERMS[key] = App(op, decl.result, args)
@@ -186,7 +186,7 @@ def apply_renaming(s: Mapping[Letter, Term], t: Term) -> Term:
     new_args = tuple(apply_renaming(s, a) for a in t.args)
     if new_args == t.args:
         return t
-    key = ("a", t.op, new_args)
+    key = ("a", t.op, t.sort, new_args)
     out = _TERMS.get(key)
     if out is None:
         out = _TERMS[key] = App(t.op, t.sort, new_args)

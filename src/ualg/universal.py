@@ -3,8 +3,11 @@
 The extended signature has one sort per (argument word, result sort) pair and
 four symbol families: composition, identities, reindexing actions for every
 admitted finite-ordinal function within bounds, and the original ops as
-constants.  The categorization axioms make those symbols behave like a
-multicategory; internalizing a theory adds one closed equation per axiom.
+constants.  Every sort and symbol name is built once, by `build_sigma`, from
+a structured key; code that needs a symbol's shape reads the key from the
+symbol table and never parses the name.  The categorization axioms make those
+symbols behave like a multicategory; internalizing a theory adds one closed
+equation per axiom.
 The initial model is then a congruence quotient of closed terms, which the
 shared saturation engine computes at bounded depth.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .context import (
     CARTESIAN, ContextStructure, Letter, Word, delta_of, holds,
@@ -127,16 +130,17 @@ def term_model_satisfies(kind: str, E: Theory, eq: Equation,
 # The extended signature
 
 
-def _hom_sort(a: Sequence[str], b: str) -> str:
-    return f"[{' '.join(a)}=>{b}]" if a else f"[=>{b}]"
-
-
-def _theta_tag(theta: FinFn) -> str:
-    return ",".join(map(str, theta.images)) + f"->{theta.cod}"
-
-
 @dataclass(frozen=True)
 class SigmaSignature:
+    """The extended signature with its symbol table.
+
+    Each sort and symbol name is built once, by `build_sigma`, next to its
+    structured key: ("id", c), ("op", f), ("act", theta, b, c) or
+    ("comp", a_words, bs, c), and ("hom", a, b) for the hom sort of arity a
+    and result b.
+    `sym_info` maps symbol names to keys, `hom_of` hom-sort names to (a, b),
+    and `name_of` every key to its name; nothing parses a name back."""
+
     base: Signature
     structure: ContextStructure
     max_arity: int
@@ -144,35 +148,36 @@ class SigmaSignature:
     signature: Signature = field(compare=False)
     hom_sorts: tuple[tuple[tuple[str, ...], str], ...] = field(compare=False)
     sym_info: Mapping[str, tuple] = field(compare=False)
+    hom_of: Mapping[str, tuple[tuple[str, ...], str]] = field(compare=False)
+    name_of: Mapping[tuple, str] = field(compare=False)
     thetas: tuple[FinFn, ...] = field(compare=False)
 
-    def hom_sort_name(self, a: Sequence[str], b: str) -> str:
-        name = _hom_sort(a, b)
-        if name not in self.signature.sorts:
-            raise UniversalError(f"hom sort {name} outside bounds")
+    def _lookup(self, key: tuple, what: Callable[[], str]) -> str:
+        name = self.name_of.get(key)
+        if name is None:
+            raise UniversalError(f"{what()} outside bounds")
         return name
+
+    def hom_sort_name(self, a: Sequence[str], b: str) -> str:
+        return self._lookup(("hom", tuple(a), b),
+                            lambda: f"hom sort {' '.join(a) or '()'} -> {b}")
 
     def id_name(self, c: str) -> str:
-        return f"id[{c}]"
+        return self._lookup(("id", c), lambda: f"identity symbol on {c}")
 
     def op_name(self, f: str) -> str:
-        return f"op:{f}"
+        return self._lookup(("op", f), lambda: f"op symbol {f}")
 
     def act_name(self, theta: FinFn, b: Sequence[str], c: str) -> str:
-        name = f"act[{_theta_tag(theta)}]{{{' '.join(b)}|{c}}}"
-        if name not in self.signature.ops:
-            raise UniversalError(
-                f"action symbol for {_theta_tag(theta)} on {' '.join(b) or '()'} "
-                f"outside bounds")
-        return name
+        return self._lookup(
+            ("act", theta, tuple(b), c),
+            lambda: f"action symbol for {theta.images}->{theta.cod} on "
+                    f"{' '.join(b) or '()'}")
 
-    def comp_name(self, a_words: Sequence[tuple[str, ...]],
+    def comp_name(self, a_words: Sequence[Sequence[str]],
                   bs: Sequence[str], c: str) -> str:
-        name = (f"comp{{{'|'.join(' '.join(a) for a in a_words)};"
-                f"{' '.join(bs)};{c}}}")
-        if name not in self.signature.ops:
-            raise UniversalError("composition symbol outside bounds")
-        return name
+        return self._lookup(("comp", tuple(map(tuple, a_words)), tuple(bs), c),
+                            lambda: "composition symbol")
 
 
 def _words(sorts: Sequence[str], max_len: int):
@@ -186,33 +191,43 @@ def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
     if max_arity < 1 or max_theta < 1:
         raise UniversalError("bounds must be >= 1")
     S = base.sorts
-    hom_sorts = [(tuple(a), b) for a in _words(S, max_arity) for b in S]
-    sort_names = tuple(_hom_sort(a, b) for a, b in hom_sorts)
+    hom_of: dict[str, tuple[tuple[str, ...], str]] = {}
+    name_of: dict[tuple, str] = {}
+    for a in _words(S, max_arity):
+        for b in S:
+            name = f"[{' '.join(a)}=>{b}]"
+            hom_of[name] = (a, b)
+            name_of[("hom", a, b)] = name
     ops: dict[str, OpDecl] = {}
     sym_info: dict[str, tuple] = {}
 
+    def hom(a: Sequence[str], b: str) -> str:
+        return name_of[("hom", tuple(a), b)]
+
+    def declare(name: str, key: tuple, arity: tuple[str, ...],
+                result: str) -> None:
+        ops[name] = OpDecl(arity, result)
+        sym_info[name] = key
+        name_of[key] = name
+
     for c in S:
-        name = f"id[{c}]"
-        ops[name] = OpDecl((), _hom_sort((c,), c))
-        sym_info[name] = ("id", c)
+        declare(f"id[{c}]", ("id", c), (), hom((c,), c))
     for f, decl in base.ops.items():
         if len(decl.arity) > max_arity:
             raise UniversalError(
                 f"op {f} has arity {len(decl.arity)} beyond bound {max_arity}")
-        name = f"op:{f}"
-        ops[name] = OpDecl((), _hom_sort(decl.arity, decl.result))
-        sym_info[name] = ("op", f)
+        declare(f"op:{f}", ("op", f), (), hom(decl.arity, decl.result))
 
     thetas = [theta for theta in all_functions(max_theta) if delta_of(R, theta)]
     for theta in thetas:
         if theta.dom > max_arity or theta.cod > max_arity:
             continue
+        tag = ",".join(map(str, theta.images)) + f"->{theta.cod}"
         for b in itertools.product(S, repeat=theta.cod):
             b_theta = tuple(b[theta(i) - 1] for i in range(1, theta.dom + 1))
             for c in S:
-                name = f"act[{_theta_tag(theta)}]{{{' '.join(b)}|{c}}}"
-                ops[name] = OpDecl((_hom_sort(b_theta, c),), _hom_sort(b, c))
-                sym_info[name] = ("act", theta, b, c)
+                declare(f"act[{tag}]{{{' '.join(b)}|{c}}}",
+                        ("act", theta, b, c), (hom(b_theta, c),), hom(b, c))
 
     for n in range(max_arity + 1):
         for bs in itertools.product(S, repeat=n):
@@ -221,14 +236,15 @@ def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
                     flat = tuple(x for a in a_words for x in a)
                     name = (f"comp{{{'|'.join(' '.join(a) for a in a_words)};"
                             f"{' '.join(bs)};{c}}}")
-                    arity = (_hom_sort(bs, c),) + tuple(
-                        _hom_sort(a, b) for a, b in zip(a_words, bs))
-                    ops[name] = OpDecl(arity, _hom_sort(flat, c))
-                    sym_info[name] = ("comp", a_words, bs, c)
+                    arity = (hom(bs, c),) + tuple(
+                        hom(a, b) for a, b in zip(a_words, bs))
+                    declare(name, ("comp", a_words, bs, c), arity,
+                            hom(flat, c))
 
-    sig = Signature(sort_names, ops)
+    sig = Signature(tuple(hom_of), ops)
     return SigmaSignature(base, R, max_arity, max_theta, sig,
-                          tuple(hom_sorts), sym_info, tuple(thetas))
+                          tuple(hom_of.values()), sym_info, hom_of, name_of,
+                          tuple(thetas))
 
 
 def _arg_splits(S: Sequence[str], n: int, max_total: int):
@@ -251,18 +267,10 @@ def _hvar(S: SigmaSignature, name: str, a: Sequence[str], b: str) -> Var:
 
 
 def _comp(S: SigmaSignature, head: Term, args: Sequence[Term]) -> Term:
-    a_words = []
-    bs = []
-    for g in args:
-        sort = g.sort  # "[a1 .. ak=>b]"
-        inner = sort[1:-1]
-        left, _, b = inner.partition("=>")
-        a_words.append(tuple(left.split()))
-        bs.append(b)
-    head_inner = head.sort[1:-1]
-    _, _, c = head_inner.partition("=>")
-    name = S.comp_name(a_words, bs, c)
-    return app(S.signature, name, [head] + list(args))
+    a_words = [S.hom_of[g.sort][0] for g in args]
+    bs = [S.hom_of[g.sort][1] for g in args]
+    name = S.comp_name(a_words, bs, S.hom_of[head.sort][1])
+    return app(S.signature, name, [head, *args])
 
 
 def _act(S: SigmaSignature, theta: FinFn, b: Sequence[str], c: str,
@@ -534,34 +542,24 @@ class HomPartition:
     def merged(self, a: Term, b: Term) -> bool:
         return self._engine.holds_canonically((), a, b)
 
-    def class_of(self, t: Term) -> Optional[list[Term]]:
-        for cls in self.classes:
-            if any(x is t for x in cls):
-                return cls
-        return None
-
 
 def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
                   extra_terms: Sequence[Term] = (),
-                  sigma: Optional[SigmaSignature] = None,
-                  restrict_action_targets: bool = True,
-                  enum_depth: Optional[int] = None) -> HomPartition:
+                  sigma: Optional[SigmaSignature] = None) -> HomPartition:
     """Quotient the enumerated closed terms of one hom sort by the bounded
     congruence generated by the categorization and internalized axioms.
 
     Every equation of interest is closed, so instantiation targets are
-    closed terms; reindexing towers are skipped as targets by default (their
-    collapses arrive through the action-composition axioms instead).  The
-    enumeration frontier defaults to depth 2 with deeper terms entering as
-    axiom subterms and derived conclusions, which keeps the congruence
-    universe at desk scale.
+    closed terms; reindexing towers are skipped as targets (their collapses
+    arrive through the action-composition axioms instead).  The enumeration
+    frontier is depth 2 (or the depth bound, if smaller), with deeper terms
+    entering as axiom subterms and derived conclusions, which keeps the
+    congruence universe at desk scale.
     """
     if sigma is None:
         sigma = default_sigma(E, hom)
     theory = sigma_theory(sigma, E)
-    if enum_depth is None:
-        enum_depth = min(2, bounds.max_term_depth)
-    universe = enumerate_pure_terms(sigma, enum_depth)
+    universe = enumerate_pure_terms(sigma, min(2, bounds.max_term_depth))
     hom_name = sigma.hom_sort_name(tuple(hom[0]), hom[1])
     seeds: list[tuple[Word, Term]] = []
     for terms in universe.values():
@@ -573,12 +571,7 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     engine_bounds = Bounds(bounds.max_term_depth, ctx_len, bounds.max_rounds)
 
     def inst_filter(t: Term) -> bool:
-        if tau(t):
-            return False
-        if restrict_action_targets and isinstance(t, App) and \
-                t.op.startswith("act["):
-            return False
-        return True
+        return not tau(t) and sigma.sym_info[t.op][0] != "act"
 
     engine = _Saturator(theory, engine_bounds, extra_terms=seeds,
                         inst_filter=inst_filter, inst_budget=500)
@@ -639,21 +632,17 @@ def sigma_interpret(S: SigmaSignature, m: FinSetModel, t: Term) -> MultiMap:
     raise UniversalError(f"unknown symbol kind {kind}")
 
 
-def sigma_term_str(t: Term) -> str:
+def sigma_term_str(S: SigmaSignature, t: Term) -> str:
     """Readable rendering: comp(...), id[S], act[images](...), op:<name>."""
     if isinstance(t, Var):
         return t.letter.name
     assert isinstance(t, App)
-    op = t.op
-    if op.startswith("comp{"):
-        return "comp(" + ", ".join(sigma_term_str(a) for a in t.args) + ")"
-    if op.startswith("act["):
-        imgs = op[4:op.index("]")]
-        imgs = imgs.split("->")[0]
-        return f"act[{imgs}](" + ", ".join(
-            sigma_term_str(a) for a in t.args) + ")"
-    if op.startswith("id[") or op.startswith("op:"):
-        return op
-    if not t.args:
-        return op
-    return op + "(" + ", ".join(sigma_term_str(a) for a in t.args) + ")"
+    info = S.sym_info.get(t.op)
+    if info is None:
+        raise UniversalError(f"unknown symbol {t.op}")
+    args = ", ".join(sigma_term_str(S, a) for a in t.args)
+    if info[0] == "comp":
+        return f"comp({args})"
+    if info[0] == "act":
+        return f"act[{','.join(map(str, info[1].images))}]({args})"
+    return t.op

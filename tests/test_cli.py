@@ -110,6 +110,34 @@ def test_universal_classes():
     assert count >= 2
 
 
+MONOID_HOM_D2 = """\
+7 classes
+class 0 (6 terms): op:mul
+class 1 (1 terms): act[](op:e)
+class 2 (1 terms): act[1,1](op:mul)
+class 3 (1 terms): act[1](id[M])
+class 4 (1 terms): act[2,1](op:mul)
+class 5 (1 terms): act[2,2](op:mul)
+class 6 (1 terms): act[2](id[M])
+truncated: ctx,depth,instantiation
+"""
+
+
+def test_universal_monoid_rendering():
+    """The README's universal command, text and json-lines, pinned."""
+    args = ("universal", MONOID, "--hom", "M M -> M", "--depth", "2")
+    p = ualg(*args)
+    assert p.returncode == 0
+    assert p.stdout == MONOID_HOM_D2
+    p = ualg("--format", "json-lines", *args)
+    assert p.returncode == 0
+    records = [json.loads(line) for line in p.stdout.splitlines()]
+    assert [r["representative"] for r in records] == [
+        "op:mul", "act[](op:e)", "act[1,1](op:mul)", "act[1](id[M])",
+        "act[2,1](op:mul)", "act[2,2](op:mul)", "act[2](id[M])"]
+    assert [r["size"] for r in records] == [6, 1, 1, 1, 1, 1, 1]
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ua"
     bad.write_text("theory X\nstructure nonsense\n")

@@ -13,7 +13,7 @@ from ualg.context import (
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
-    _canonical_triple, _pool_letter, _Saturator, _Space, check_proof,
+    canonical_triple, _pool_letter, _Saturator, _Space, check_proof,
     proof_lines, prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
@@ -34,7 +34,7 @@ def monoid():
 
 
 def canon(eq):
-    return _canonical_triple(eq.ctx, eq.lhs, eq.rhs)
+    return canonical_triple(eq.ctx, eq.lhs, eq.rhs)
 
 
 def test_bounds_validation():

@@ -107,6 +107,30 @@ def test_terms_are_interned(monoid):
     assert t1 is t2
 
 
+def test_interning_keeps_result_sorts_apart():
+    """Same-named ops of different result sorts in two theories of one
+    process build distinct terms, through app and through renaming."""
+    first = parse_theory("theory T1\nstructure cartesian\nsort A\n"
+                         "op c_sorted : -> A\nop g_sorted : A -> A\n"
+                         "eq k : g_sorted(c_sorted) ~ c_sorted ctx [ ]\n")
+    second = parse_theory("theory T2\nstructure cartesian\nsort A\nsort B\n"
+                          "op c_sorted : -> B\nop f_sorted : B -> A\n"
+                          "eq k : f_sorted(c_sorted) ~ f_sorted(c_sorted) "
+                          "ctx [ ]\n")
+    assert first.axiom("k").rhs.sort == "A"
+    assert second.axiom("k").lhs.args[0].sort == "B"
+
+    x = Letter("A", "x")
+    sig_aa = signature(["A"], {"a0_sorted": ((), "A"),
+                               "h_sorted": (("A",), "A")})
+    sig_ab = signature(["A", "B"], {"a0_sorted": ((), "A"),
+                                    "h_sorted": (("A",), "B")})
+    a0 = const(sig_aa, "a0_sorted")
+    for sig, sort in ((sig_aa, "A"), (sig_ab, "B")):
+        renamed = apply_renaming({x: a0}, app(sig, "h_sorted", [var(x)]))
+        assert renamed.sort == sort
+
+
 def test_is_r_context(monoid):
     sig = monoid.signature
     t = app(sig, "mul", [var(X), var(X)])

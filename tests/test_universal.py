@@ -4,7 +4,10 @@ import pytest
 
 from ualg.context import CARTESIAN, INJECTIVE, SURJECTIVE, TRIVIAL, Letter
 from ualg.deduction import Bounds
-from ualg.selftest import monoid_theory, projection_theory
+from ualg.finord import fn, identity
+from ualg.selftest import (
+    eckmann_hilton_theory, monoid_theory, projection_theory,
+)
 from ualg.setmodel import FinSetModel, MultiMap, find_model, table_from
 from ualg.syntax import Theory, app, const, equation, parse_equation_text, \
     signature, var
@@ -115,6 +118,37 @@ def test_build_sigma_counts(monoid):
     assert all(t.is_identity() for t in S_triv.thetas)
 
 
+@pytest.mark.parametrize("make", [monoid_theory, eckmann_hilton_theory])
+def test_sigma_names_round_trip(make):
+    """Every symbol name comes back from its accessor called on its key, and
+    every hom-sort name from its (arity, result) pair."""
+    S = default_sigma(make(), (("M", "M"), "M"))
+    accessors = {"id": S.id_name, "op": S.op_name, "act": S.act_name,
+                 "comp": S.comp_name}
+    assert set(S.sym_info) == set(S.signature.ops)
+    for name, (kind, *key) in S.sym_info.items():
+        assert accessors[kind](*key) == name
+    assert set(S.hom_of) == set(S.signature.sorts)
+    for s in S.signature.sorts:
+        assert S.hom_sort_name(*S.hom_of[s]) == s
+
+    # at the arity bound, and one step beyond it
+    top = ("M",) * S.max_arity
+    S.hom_sort_name(top, "M")
+    S.act_name(identity(S.max_arity), top, "M")
+    with pytest.raises(UniversalError):
+        S.hom_sort_name(top + ("M",), "M")
+    with pytest.raises(UniversalError):
+        S.act_name(identity(S.max_arity + 1), top + ("M",), "M")
+
+
+def test_sigma_action_outside_structure():
+    S = default_sigma(eckmann_hilton_theory(), (("M", "M"), "M"))
+    S.act_name(fn([2, 1], 2), ("M", "M"), "M")
+    with pytest.raises(UniversalError):
+        S.act_name(fn([1, 1], 1), ("M",), "M")  # not a bijection
+
+
 def test_categorization_contains_named_schemas(monoid):
     S = build_sigma(monoid.signature, CARTESIAN, 2, 2)
     cat = categorization_axioms(S)
@@ -136,9 +170,9 @@ def test_internalize_shapes(monoid):
         assert eq.ctx == ()
         assert eq.lhs.sort == eq.rhs.sort
     lun = next(eq for eq in ints if eq.name == "int:lunit")
-    assert sigma_term_str(lun.lhs) == \
+    assert sigma_term_str(S, lun.lhs) == \
         "act[1](comp(op:mul, act[](op:e), act[1](id[M])))"
-    assert sigma_term_str(lun.rhs) == "act[1](id[M])"
+    assert sigma_term_str(S, lun.rhs) == "act[1](id[M])"
 
 
 def test_internalize_is_deterministic(monoid):
@@ -160,7 +194,7 @@ def test_enumerate_pure_terms(monoid):
     S = build_sigma(sig1, CARTESIAN, 2, 2)
     universe = enumerate_pure_terms(S, 2)
     hom_mm = S.hom_sort_name(("M",), "M")
-    terms = {sigma_term_str(t) for t in universe[hom_mm]}
+    terms = {sigma_term_str(S, t) for t in universe[hom_mm]}
     assert "id[M]" in terms
     assert "act[1](id[M])" in terms
     assert any(name.startswith("comp(id[M]") for name in terms)
@@ -171,7 +205,7 @@ def test_universal_hom_unit_class():
     E0 = Theory("E0", sig1, CARTESIAN, ())
     part = universal_hom(E0, (("M",), "M"), Bounds(2, 3, 6))
     assert len(part.classes) == 1
-    names = {sigma_term_str(t) for t in part.classes[0]}
+    names = {sigma_term_str(part.sigma, t) for t in part.classes[0]}
     assert {"id[M]", "act[1](id[M])", "comp(id[M], id[M])"} <= names
 
 
@@ -198,8 +232,8 @@ def test_universal_hom_order_independence():
                        extra_terms=extra)
     p2 = universal_hom(E0, (("M",), "M"), Bounds(2, 3, 6), sigma=S,
                        extra_terms=list(reversed(extra)))
-    sets1 = {frozenset(map(sigma_term_str, cls)) for cls in p1.classes}
-    sets2 = {frozenset(map(sigma_term_str, cls)) for cls in p2.classes}
+    sets1 = {frozenset(sigma_term_str(S, t) for t in c) for c in p1.classes}
+    sets2 = {frozenset(sigma_term_str(S, t) for t in c) for c in p2.classes}
     assert sets1 == sets2
 
 
