@@ -22,7 +22,7 @@ from .deduction import Bounds, DeductionError, proof_lines, prove, \
     refute_by_invariant
 from .setmodel import find_model, format_model
 from .universal import sigma_term_str, universal_hom
-from .selftest import render_report, run_selftest
+from .selftest import ALL_CHECKS, render_report, run_selftest
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,24 @@ def cmd_universal(args) -> int:
     return 0
 
 
+def _criteria(text: str) -> list[int]:
+    """The --only value: comma-separated criterion numbers, 1 to the number
+    of checks."""
+    try:
+        numbers = [int(piece) for piece in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated criterion numbers, got {text!r}"
+        ) from None
+    for n in numbers:
+        if not 1 <= n <= len(ALL_CHECKS):
+            raise argparse.ArgumentTypeError(
+                f"no criterion {n}; criteria are 1-{len(ALL_CHECKS)}")
+    return numbers
+
+
 def cmd_selftest(args) -> int:
-    only = None
-    if args.only:
-        only = [int(piece) for piece in args.only.split(",")]
-    results = run_selftest(workers=_workers(args), only=only)
+    results = run_selftest(workers=_workers(args), only=args.only)
     if args.format == "json-lines":
         for r in results:
             print(json.dumps({"criterion": r.number, "name": r.name,
@@ -268,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--workers", type=int)
-    st.add_argument("--only", help="comma-separated criterion numbers")
+    st.add_argument("--only", type=_criteria,
+                    help="comma-separated criterion numbers")
     st.set_defaults(handler=cmd_selftest)
     return parser
 

@@ -33,6 +33,22 @@ was found, and each proof is the one an eager build would have made.  The
 records hold terms, words and numbers, never the engine or a space, so a
 finished engine is freed by reference counting alone.
 
+`prove` stops saturating before a round (the first included) once the goal
+holds at its first admissible weakening context, the first one
+`_weakening_proof` tries.  The stop is exact, so the proof is the one a run
+to the round bound gives:
+
+  * union adds an edge only between two classes, so each space's edges form
+    a spanning forest, and `explain` returns the one tree path, which is
+    fixed from the round its ends meet;
+  * each rule-5 record keeps its premise space's edge count, so an edge's
+    proof is fixed when the edge is added;
+  * `_weakening_proof` takes the first admissible context at which the goal
+    holds, and once the first one holds no later round can change that.
+
+A goal that never holds at that context runs to the bound as before, so
+an unproved goal keeps its truncation flags.
+
 Three caches keep the engine from recomputing canonical forms; each leaves
 every derived equation and proof unchanged:
 
@@ -55,7 +71,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 
 from .context import Letter, Word, holds, terminal_context
 from .syntax import (
@@ -416,6 +432,11 @@ class SaturationResult:
 
 @dataclass
 class ProveResult:
+    """A proof of the goal, or None.  The truncation flags qualify only a
+    missing proof: they say which bounds cut the search that failed.  A
+    found proof may end saturation early, so its flags cover only the rounds
+    that ran, and a goal-directed stop never raises `rounds`."""
+
     proof: Optional[Proof]
     truncated: bool
     truncated_by: tuple[str, ...]
@@ -517,9 +538,17 @@ class _Saturator:
 
     # -- public knobs ------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self, stop: Optional[Callable[[], bool]] = None) -> None:
+        """Saturate round by round until nothing is pending, the round bound
+        is reached (flagged), or `stop()` holds before a round (not flagged:
+        the bound cut nothing)."""
         rounds = 0
-        while (self.frontier or self.new_terms) and rounds < self.bounds.max_rounds:
+        while self.frontier or self.new_terms:
+            if stop is not None and stop():
+                break
+            if rounds == self.bounds.max_rounds:
+                self.truncated_by.add("rounds")
+                break
             rounds += 1
             frontier = self.frontier
             fresh = self.new_terms
@@ -533,8 +562,6 @@ class _Saturator:
             for canon_ctx, a, b, why in candidates:
                 self._apply_merge(canon_ctx, a, b, why)
         self.rounds_used = rounds
-        if self.frontier or self.new_terms:
-            self.truncated_by.add("rounds")
 
     def proof_of(self, eq: Equation) -> Proof:
         canon_ctx, (a, b), mapping = _canonicalize(eq.ctx, [eq.lhs, eq.rhs])
@@ -907,8 +934,11 @@ def saturate(E: Theory, bounds: Bounds) -> SaturationResult:
         _engine=engine)
 
 
-def _weakening_proof(E: Theory, engine: _Saturator,
-                     goal: Equation) -> Optional[Proof]:
+def _weakening_contexts(E: Theory, goal: Equation) -> Iterator[Word]:
+    """The contexts a proof of the goal may be weakened from, in the order
+    `_weakening_proof` tries them: sizes ascending, letter subsets in
+    combinations order, orders in permutations order, each one governed by
+    the goal's context."""
     vars_needed = term_vars(goal.lhs) | term_vars(goal.rhs)
     letters = tuple(goal.ctx)
     for size in range(len(vars_needed), len(letters) + 1):
@@ -916,29 +946,42 @@ def _weakening_proof(E: Theory, engine: _Saturator,
             if not vars_needed <= set(subset):
                 continue
             for perm in itertools.permutations(subset):
-                if not holds(E.structure, goal.ctx, perm):
-                    continue
-                if not engine.holds_canonically(perm, goal.lhs, goal.rhs):
-                    continue
-                inner = engine.proof_of(
-                    equation("", goal.lhs, goal.rhs, perm))
-                if perm == goal.ctx:
-                    return inner
-                s = tuple((x, var(x)) for x in perm)
-                ws = tuple((x,) for x in perm)
-                sides = tuple(Refl(var(x), (x,)) for x in perm)
-                return Subst(s, s, goal.ctx, ws, inner, sides)
+                if holds(E.structure, goal.ctx, perm):
+                    yield perm
+
+
+def _weakening_proof(E: Theory, engine: _Saturator,
+                     goal: Equation) -> Optional[Proof]:
+    """The goal's proof, weakened from the first admissible context at
+    which the engine derived it."""
+    for perm in _weakening_contexts(E, goal):
+        if not engine.holds_canonically(perm, goal.lhs, goal.rhs):
+            continue
+        inner = engine.proof_of(equation("", goal.lhs, goal.rhs, perm))
+        if perm == goal.ctx:
+            return inner
+        s = tuple((x, var(x)) for x in perm)
+        ws = tuple((x,) for x in perm)
+        sides = tuple(Refl(var(x), (x,)) for x in perm)
+        return Subst(s, s, goal.ctx, ws, inner, sides)
     return None
 
 
 def prove(E: Theory, goal: Equation, bounds: Bounds) -> ProveResult:
-    """Search for the goal in the bounded closure; absence may be truncated."""
+    """Search for the goal in the bounded closure; absence may be truncated.
+
+    Saturation stops before a round once the goal holds at its first
+    admissible context, since no later round can change its proof."""
     from .syntax import validate_equation
 
     validate_equation(E.structure, goal)
     seeds = [(goal.ctx, goal.lhs), (goal.ctx, goal.rhs)]
     engine = _Saturator(E, bounds, extra_terms=seeds)
-    engine.run()
+    # The goal's own context governs its sides, so the generator yields at
+    # least that context.
+    first = next(_weakening_contexts(E, goal))
+    engine.run(stop=lambda: engine.holds_canonically(
+        first, goal.lhs, goal.rhs))
     proof = _weakening_proof(E, engine, goal)
     return ProveResult(proof,
                        truncated=bool(engine.truncated_by),

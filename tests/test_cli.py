@@ -77,6 +77,27 @@ def test_prove_trace_is_stable():
     assert ualg(*args).stdout == ualg(*args).stdout
 
 
+README_PROVE = """\
+proved
+subst w=[x:M y:M] s1={_v1->x, _v2->y} s2={_v1->x, _v2->y}
+  subst w=[_v1:M _v2:M] s1={_v1->mul(_v1, _v2)} s2={_v1->mul(_v1, _v2)}
+    subst w=[_v1:M] s1={x->_v1} s2={x->_v1}
+      axiom lunit: mul(e, x) ~ x ctx [x:M]
+      refl _v1 ctx [_v1:M]
+    refl mul(_v1, _v2) ctx [_v1:M _v2:M]
+  refl x ctx [x:M]
+  refl y ctx [y:M]
+"""
+
+
+def test_prove_readme_output():
+    """The README's prove command, its proof tree pinned line by line."""
+    p = ualg("prove", MONOID, "--goal",
+             "mul(e,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]", "--depth", "3")
+    assert p.returncode == 0
+    assert p.stdout == README_PROVE
+
+
 def test_prove_refuted_by_invariant():
     p = ualg("prove", PROJ_INJ, "--goal", "f(x,y) ~ x ctx [ x:A y:A ]",
              "--depth", "3")
@@ -88,7 +109,7 @@ def test_prove_inconclusive():
     p = ualg("prove", MONOID, "--goal",
              "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]", "--depth", "3")
     assert p.returncode == 1
-    assert p.stdout.startswith("inconclusive (truncated:")
+    assert p.stdout == "inconclusive (truncated: depth,instantiation)\n"
 
 
 def test_countermodel_found_and_none():
@@ -197,3 +218,14 @@ def test_selftest_subset():
     assert "criterion  2 [pass]" in p.stdout
     assert "criterion  4 [pass]" in p.stdout
     assert "all checks passed" in p.stdout
+
+
+def test_selftest_only_rejects_bad_criteria():
+    """A criterion number that is not an integer or not in 1-10 is a usage
+    error (exit 3, message on stderr), not a traceback or an empty pass."""
+    for fmt in ((), ("--format", "json-lines")):
+        for only in ("x", ",", "99", "0", "2,11"):
+            p = ualg(*fmt, "selftest", "--only", only)
+            assert p.returncode == 3, (fmt, only)
+            assert p.stdout == ""
+            assert "--only" in p.stderr and "Traceback" not in p.stderr

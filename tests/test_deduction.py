@@ -13,8 +13,8 @@ from ualg.context import (
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
-    canonical_triple, _pool_letter, _Saturator, _Space, check_proof,
-    proof_lines, prove, refute_by_invariant, saturate,
+    canonical_triple, _pool_letter, _Saturator, _Space, _weakening_proof,
+    check_proof, proof_lines, prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
     MONOID_TEXT, eckmann_hilton_theory, monoid_theory, projection_theory,
@@ -333,3 +333,87 @@ def test_eh_commutativity_proof_sizes():
         assert len(proof_lines(res.proof)) == lines
         concluded = check_proof(EH, res.proof)
         assert (concluded.lhs, concluded.rhs) == (goal.lhs, goal.rhs)
+
+
+def _prove_and_run_to_bound(E, goal, bounds, monkeypatch):
+    """prove()'s result and its engine, next to an engine with the same
+    seeds run to its bound with no stop, and the proof that one gives."""
+    engines = []
+
+    class Tracked(_Saturator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(deduction, "_Saturator", Tracked)
+        res = prove(E, goal, bounds)
+    full = _Saturator(E, bounds, extra_terms=[(goal.ctx, goal.lhs),
+                                              (goal.ctx, goal.rhs)])
+    full.run()
+    return res, engines[0], full, _weakening_proof(E, full, goal)
+
+
+def _proj(path, text):
+    theory = parse_theory((THEORIES / path).read_text())
+    return theory, parse_equation_text(theory.signature, text,
+                                       structure=theory.structure)
+
+
+def test_goal_directed_stop_is_exact(monoid, monkeypatch):
+    """prove() stops once the goal holds at its first admissible context;
+    its proof, or for an unproved goal its truncation flags, are what an
+    engine run to its bound gives."""
+    EH = eckmann_hilton_theory()
+    eh_goals = [(EH, parse_equation_text(EH.signature, text,
+                                         structure=EH.structure))
+                for text in ("o(x,y) ~ o(y,x) ctx [ x:M y:M ]",
+                             "star(x,y) ~ star(y,x) ctx [ x:M y:M ]")]
+    for E, goal in eh_goals:
+        res, engine, full, want = _prove_and_run_to_bound(
+            E, goal, Bounds(4, 4, 8), monkeypatch)
+        assert res.proved and want is not None
+        assert proof_lines(res.proof) == proof_lines(want)
+        assert engine.rounds_used < full.rounds_used  # the stop saved work
+
+    # [x y p] holds from the axiom before round 1, but the proof a full run
+    # gives is weakened from [x y], which holds only later.
+    E, goal = _proj("first_projection.ua", "f(x,y) ~ x ctx [ x:A y:A p:A ]")
+    res, engine, full, want = _prove_and_run_to_bound(
+        E, goal, Bounds(3, 3, 4), monkeypatch)
+    assert res.proved
+    assert proof_lines(res.proof) == proof_lines(want)
+    assert check_proof(E, want.premise).ctx == goal.ctx[:2]
+
+    # The first admissible context, [x y], never holds under the injective
+    # structure, so prove() runs to its bound and proves the goal at a
+    # later context.
+    E, goal = _proj("first_projection_injective.ua",
+                    "f(x,y) ~ x ctx [ p:A x:A y:A ]")
+    res, engine, full, want = _prove_and_run_to_bound(
+        E, goal, Bounds(3, 3, 4), monkeypatch)
+    assert res.proved
+    assert proof_lines(res.proof) == proof_lines(want)
+    assert engine.rounds_used == full.rounds_used
+    assert res.truncated_by == tuple(sorted(full.truncated_by))
+
+    goal = parse_equation_text(monoid.signature,
+                               "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]",
+                               structure=monoid.structure)
+    res, engine, full, want = _prove_and_run_to_bound(
+        monoid, goal, Bounds(3, 3, 4), monkeypatch)
+    assert not res.proved and want is None
+    assert res.truncated_by == tuple(sorted(full.truncated_by))
+    assert res.truncated_by
+
+
+def test_union_edges_form_a_spanning_forest():
+    """union() adds an edge only between two classes, so each space's edges
+    form a spanning forest: one edge fewer than terms per class.  A path
+    between two terms is then unique, and the goal-directed stop is exact."""
+    for path in sorted(THEORIES.glob("*.ua")):
+        theory = parse_theory(path.read_text())
+        sat = saturate(theory, Bounds(2, 3, 3))
+        for sp in sat._engine.spaces.values():
+            roots = sum(1 for t in sp.parent if sp.find(t) is t)
+            assert len(sp.why) == len(sp.parent) - roots, (path.name, sp.ctx)
