@@ -49,14 +49,32 @@ to the round bound gives:
 A goal that never holds at that context runs to the bound as before, so
 an unproved goal keeps its truncation flags.
 
-Three caches keep the engine from recomputing canonical forms; each leaves
-every derived equation and proof unchanged:
+The congruence sweep re-examines only what changed, and emits the
+candidates a walk of every parent would emit, in the same order:
+
+  * use-lists: `_register` records, for each argument of a new parent, the
+    parent's universe index.  A sweep recomputes every child's smallest mate
+    and walks, in universe order with positions ascending, only the parents
+    registered since the last sweep and those of children whose mate
+    changed.  A skipped pair is an old parent whose child kept its mate, so
+    the last sweep put (parent, pos, mate) into `_sweep_seen` and the full
+    walk would have skipped it too;
+  * per-sweep memos: candidates are merged only after the round's sweep
+    ends, so the spaces cannot change under it, and each child's smallest
+    mate and the side premise for swapping it in are computed once per
+    sweep;
+  * closed terms: a closed parent's children and their mates are closed, so
+    every per-child context is (), and the conclusion needs no template.
+    For closed sides the first-occurrence form, the context orders (just
+    (), which every structure admits) and canonicalization are the
+    identity, and are skipped.
+
+Further caches keep the engine from recomputing canonical forms; each
+leaves every derived equation and proof unchanged:
 
   * canonical views: a term's (canonical context, canonical term, letter
     order) for every letter order that governs it depends on the term alone,
-    so it is computed once per engine; and each child's smallest mate is
-    computed once per sweep, since candidates are merged only after the
-    round's sweep ends and the spaces cannot change under it;
+    so it is computed once per engine, as is each op's congruence template;
   * renamed conclusions: holds() and positional canonicalization commute
     with sort-preserving letter bijections, so a rule-5 conclusion whose
     (lhs, rhs, governed word) is a letter-renamed copy of an earlier one
@@ -467,6 +485,11 @@ class _Saturator:
         self.by_sort: dict[str, list[Term]] = {}
         self._tier_cache: dict[tuple[str, str], list[Term]] = {}
         self._sweep_seen: set[tuple[Term, int, Term]] = set()
+        self._uses: dict[Term, list[int]] = {}
+        self._swept = 0
+        self._mates: dict[Term, Term] = {}
+        self._sides: dict[Term, Optional[tuple[Word, int]]] = {}
+        self._templates: dict[str, tuple[Word, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
         self._concluded: set[tuple] = set()
         self.seen_merges: set[tuple] = set()
@@ -514,6 +537,12 @@ class _Saturator:
         if isinstance(t, App):
             for a in t.args:
                 self._register(a)
+            # Use-lists: each arg lists the universe index of its parents.
+            index = len(self.universe)
+            for a in t.args:
+                uses = self._uses.setdefault(a, [])
+                if not uses or uses[-1] != index:
+                    uses.append(index)
         self.in_universe.add(t)
         self.universe.append(t)
         self.by_sort.setdefault(t.sort, []).append(t)
@@ -536,7 +565,7 @@ class _Saturator:
         sides = tuple(Refl(var(mapping[x]), (mapping[x],)) for x in ctx)
         return Subst(s, s, w, ws, proof, sides)
 
-    # -- public knobs ------------------------------------------------------
+    # -- running the engine and reading it back -----------------------------
 
     def run(self, stop: Optional[Callable[[], bool]] = None) -> None:
         """Saturate round by round until nothing is pending, the round bound
@@ -754,8 +783,9 @@ class _Saturator:
                   s2: Mapping[Letter, Term], ws: tuple[Word, ...], u_cat: Word,
                   cong: Optional[tuple[App, int, Term, int]], out: list
                   ) -> None:
-        """Emit one rule-5 conclusion at every admissible target context,
-        justified by an `_Inst`, or by `_Cong(*cong, ...)` when given."""
+        """Emit s1(a) ~ s2(b) at every admissible target context, justified
+        by an `_Inst`, or by `_Cong(*cong, ...)` when given.  Closed sides
+        may come already substituted, with empty renamings."""
         distinct = tuple(dict.fromkeys(u_cat))
         if len(distinct) > self.bounds.max_ctx_len:
             self.truncated_by.add("ctx")
@@ -769,8 +799,12 @@ class _Saturator:
             return
         # holds() and positional canonicalization commute with letter
         # renaming, so a renamed repeat of an earlier call would meet only
-        # keys that call already put into seen_merges.
-        orbit = _first_occurrence_form(lhs, rhs, u_cat)
+        # keys that call already put into seen_merges.  Closed sides (an
+        # empty u_cat) have no letters: their first-occurrence form is
+        # themselves, () is their one context order, which every structure
+        # admits, and canonicalizing at () leaves them as they are.
+        orbit = _first_occurrence_form(lhs, rhs, u_cat) if u_cat \
+            else (lhs, rhs, ())
         if orbit in self._concluded:
             return
         self._concluded.add(orbit)
@@ -781,11 +815,13 @@ class _Saturator:
             # all twist variants; keep first-occurrence order only.
             self.truncated_by.add("ctx")
             orders = [distinct]
-        for perm in orders:
-            w = perm
-            if not holds(self.R, w, u_cat):
+        for w in orders:
+            if not u_cat:
+                canon_ctx, ca, cb = w, lhs, rhs
+            elif holds(self.R, w, u_cat):
+                canon_ctx, (ca, cb), _ = _canonicalize(w, [lhs, rhs])
+            else:
                 continue
-            canon_ctx, (ca, cb), _ = _canonicalize(w, [lhs, rhs])
             key = (canon_ctx, ca, cb) if _term_key(ca) <= _term_key(cb) \
                 else (canon_ctx, cb, ca)
             if key in self.seen_merges:
@@ -806,23 +842,47 @@ class _Saturator:
     def _congruence_sweep(self, out: list) -> None:
         """Rewrite every argument position toward its class's smallest
         member; iterated over rounds this is congruence closure with
-        explicit representative terms.  The spaces stay fixed until the round's
-        candidates are merged, so each child's mate is computed once."""
-        mates: dict[Term, Optional[Term]] = {}
-        for parent in list(self.universe):
-            if not isinstance(parent, App) or not parent.args:
+        explicit representative terms.
+
+        Only the parents that can swap are walked, in universe order with
+        positions ascending, as a walk of the whole universe would: those
+        registered since the last sweep, and those (found through the
+        use-lists) of children whose smallest mate changed.  Every mate is
+        recomputed, since the spaces changed; it is computed once per sweep,
+        since they stay fixed until the round's candidates merge.  A skipped
+        pair is an old parent whose child kept its mate, so the last sweep
+        recorded (parent, pos, mate) in `_sweep_seen` and the pair would
+        have been a memo hit.  The swaps, and so the candidates and their
+        order, are those of the full walk."""
+        universe = self.universe
+        dirty = bytearray(len(universe))
+        dirty[self._swept:] = b"\x01" * (len(universe) - self._swept)
+        last = self._mates
+        mates: dict[Term, Term] = {}
+        for child, uses in self._uses.items():
+            mate = self._smallest_mate(child)
+            if mate is None:
+                continue
+            mates[child] = mate
+            if last.get(child) is not mate:
+                for i in uses:
+                    dirty[i] = 1
+        self._mates = mates
+        self._swept = len(universe)
+        self._sides = {}
+        seen = self._sweep_seen
+        for i in itertools.compress(range(len(universe)), dirty):
+            parent = universe[i]
+            if not isinstance(parent, App):
                 continue
             for pos, child in enumerate(parent.args):
-                if child in mates:
-                    mate = mates[child]
-                else:
-                    mate = mates[child] = self._smallest_mate(child)
+                mate = mates.get(child)
                 if mate is None:
                     continue
                 memo_key = (parent, pos, mate)
-                if memo_key in self._sweep_seen:
+                if memo_key in seen:
                     continue
-                self._sweep_seen.add(memo_key)
+                seen.add(memo_key)
                 self._swap_child(parent, pos, mate, out)
 
     def _smallest_mate(self, u: Term) -> Optional[Term]:
@@ -834,8 +894,6 @@ class _Saturator:
                 continue
             small = sp.smallest(cu)
             if small is cu:
-                continue
-            if not set(tau(small)) <= set(canon_ctx):
                 continue
             sub = {y: var(x) for y, x in zip(canon_ctx, perm)}
             cand = apply_renaming(sub, small)
@@ -859,6 +917,9 @@ class _Saturator:
 
     def _swap_child(self, parent: App, pos: int, replacement: Term,
                     out: list) -> None:
+        """Emit parent with argument pos swapped for replacement, the
+        child's mate in this sweep; so the side premise, found at a fixed
+        state of the spaces, is memoized per child for the sweep."""
         old = parent.args[pos]
         if old is replacement or old.sort != replacement.sort:
             return
@@ -866,10 +927,23 @@ class _Saturator:
         # every parent with unit-style wrappers and never terminate.
         if not _term_key(replacement) < _term_key(old):
             return
-        found = self._known_equal(old, replacement)
+        if old in self._sides:
+            found = self._sides[old]
+        else:
+            found = self._sides[old] = self._known_equal(old, replacement)
         if found is None:
             return
         w_i, cut = found
+        cong = (parent, pos, replacement, cut)
+        if not tau(parent):
+            # A closed parent's children and their mates are closed, so each
+            # per-child context is (), and the substituted template is the
+            # parent itself: emit the sides directly.
+            args = list(parent.args)
+            args[pos] = replacement
+            self._conclude((), parent, app(self.sig, parent.op, args), {}, {},
+                           ((),) * len(args), (), cong, out)
+            return
         ws: list[Word] = []
         for j, child in enumerate(parent.args):
             if j == pos:
@@ -885,15 +959,19 @@ class _Saturator:
         s2 = dict(s1)
         s2[template_ctx[pos]] = replacement
         self._conclude(template_ctx, template, template, s1, s2,
-                       tuple(ws), u_cat, (parent, pos, replacement, cut), out)
+                       tuple(ws), u_cat, cong, out)
 
     def _template(self, parent: App) -> tuple[Word, Term]:
         """The congruence premise op(_p1, .., _pk) for parent's op, with its
-        context."""
-        template_ctx = tuple(_template_letter(c.sort, j)
-                             for j, c in enumerate(parent.args, start=1))
-        return template_ctx, app(self.sig, parent.op,
-                                 [var(x) for x in template_ctx])
+        context; built once per op."""
+        cached = self._templates.get(parent.op)
+        if cached is None:
+            template_ctx = tuple(_template_letter(c.sort, j)
+                                 for j, c in enumerate(parent.args, start=1))
+            cached = self._templates[parent.op] = (
+                template_ctx,
+                app(self.sig, parent.op, [var(x) for x in template_ctx]))
+        return cached
 
     def _known_equal(self, u: Term, v: Term) -> Optional[tuple[Word, int]]:
         """A context at which u ~ v is already derived, with the edge count

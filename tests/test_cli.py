@@ -159,6 +159,35 @@ def test_universal_monoid_rendering():
     assert [r["size"] for r in records] == [6, 1, 1, 1, 1, 1, 1]
 
 
+EH_HOM_D2 = """\
+12 classes
+class 0 (8 terms): op:o
+class 1 (8 terms): op:star
+class 2 (1 terms): act[2,1](op:o)
+class 3 (1 terms): act[2,1](op:star)
+class 4 (1 terms): comp(op:o, op:o, op:u)
+class 5 (1 terms): comp(op:o, op:star, op:u)
+class 6 (1 terms): comp(op:star, op:o, op:e)
+class 7 (1 terms): comp(op:star, op:star, op:e)
+class 8 (1 terms): comp(op:o, op:u, op:o)
+class 9 (1 terms): comp(op:o, op:u, op:star)
+class 10 (1 terms): comp(op:star, op:e, op:o)
+class 11 (1 terms): comp(op:star, op:e, op:star)
+truncated: ctx,instantiation
+"""
+
+
+def test_universal_eh_is_hash_seed_independent():
+    """The Eckmann-Hilton quotient prints the same classes whatever the
+    string hash seed: no set or dict order leaks into the sweep."""
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        p = ualg("universal", str(REPO / "theories" / "eckmann_hilton.ua"),
+                 "--hom", "M M -> M", "--depth", "2", env=env)
+        assert p.returncode == 0, seed
+        assert p.stdout == EH_HOM_D2, seed
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ua"
     bad.write_text("theory X\nstructure nonsense\n")

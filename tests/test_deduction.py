@@ -1,6 +1,7 @@
 """The bounded saturation engine, proof replay, and the refutation invariant."""
 
 import gc
+import itertools
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from ualg import deduction, universal
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, STRICT_INCREASING, SURJECTIVE, TRIVIAL,
-    Letter, terminal_context,
+    Letter, holds, terminal_context,
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
@@ -17,12 +18,14 @@ from ualg.deduction import (
     check_proof, proof_lines, prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
-    MONOID_TEXT, eckmann_hilton_theory, monoid_theory, projection_theory,
+    GOAL_LIST, MONOID_TEXT, eckmann_hilton_theory, monoid_theory,
+    projection_theory,
 )
 from ualg.syntax import (
-    Theory, app, equation, parse_equation_text, parse_theory, tau, var,
+    App, Theory, app, apply_renaming, equation, parse_equation_text,
+    parse_theory, tau, term_depth, var,
 )
-from ualg.universal import universal_hom
+from ualg.universal import default_sigma, internalize_term, universal_hom
 
 X, Y = Letter("M", "x"), Letter("M", "y")
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
@@ -417,3 +420,168 @@ def test_union_edges_form_a_spanning_forest():
         for sp in sat._engine.spaces.values():
             roots = sum(1 for t in sp.parent if sp.find(t) is t)
             assert len(sp.why) == len(sp.parent) - roots, (path.name, sp.ctx)
+
+
+# -- the incremental congruence sweep ------------------------------------------
+#
+# The full walk below is the sweep as it was before use-lists, side memos and
+# the closed-term path: every parent of the universe, every round, with no
+# shortcut for closed sides.  It is monkeypatched in as the reference.
+
+
+def _full_walk_sweep(self, out):
+    mates = {}
+    for parent in list(self.universe):
+        if not isinstance(parent, App) or not parent.args:
+            continue
+        for pos, child in enumerate(parent.args):
+            if child in mates:
+                mate = mates[child]
+            else:
+                mate = mates[child] = self._smallest_mate(child)
+            if mate is None:
+                continue
+            memo_key = (parent, pos, mate)
+            if memo_key in self._sweep_seen:
+                continue
+            self._sweep_seen.add(memo_key)
+            self._swap_child(parent, pos, mate, out)
+
+
+def _full_walk_swap_child(self, parent, pos, replacement, out):
+    old = parent.args[pos]
+    if old is replacement or old.sort != replacement.sort:
+        return
+    if not deduction._term_key(replacement) < deduction._term_key(old):
+        return
+    found = self._known_equal(old, replacement)
+    if found is None:
+        return
+    w_i, cut = found
+    ws = []
+    for j, child in enumerate(parent.args):
+        if j == pos:
+            ws.append(w_i)
+        else:
+            w_j = terminal_context(self.R, tau(child))
+            if w_j is None:
+                return
+            ws.append(w_j)
+    u_cat = tuple(y for w_j in ws for y in w_j)
+    template_ctx = tuple(deduction._template_letter(c.sort, j)
+                         for j, c in enumerate(parent.args, start=1))
+    template = app(self.sig, parent.op, [var(x) for x in template_ctx])
+    s1 = dict(zip(template_ctx, parent.args))
+    s2 = dict(s1)
+    s2[template_ctx[pos]] = replacement
+    self._conclude(template_ctx, template, template, s1, s2, tuple(ws),
+                   u_cat, (parent, pos, replacement, cut), out)
+
+
+def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
+    distinct = tuple(dict.fromkeys(u_cat))
+    if len(distinct) > self.bounds.max_ctx_len:
+        self.truncated_by.add("ctx")
+        return
+    lhs = apply_renaming(s1, a)
+    rhs = apply_renaming(s2, b)
+    if lhs is rhs:
+        return
+    if max(term_depth(lhs), term_depth(rhs)) > self.depth_cap:
+        self.truncated_by.add("depth")
+        return
+    orbit = deduction._first_occurrence_form(lhs, rhs, u_cat)
+    if orbit in self._concluded:
+        return
+    self._concluded.add(orbit)
+    if len(distinct) <= 4:
+        orders = itertools.permutations(distinct)
+    else:
+        self.truncated_by.add("ctx")
+        orders = [distinct]
+    for w in orders:
+        if not holds(self.R, w, u_cat):
+            continue
+        canon_ctx, (ca, cb), _ = deduction._canonicalize(w, [lhs, rhs])
+        key = (canon_ctx, ca, cb) \
+            if deduction._term_key(ca) <= deduction._term_key(cb) \
+            else (canon_ctx, cb, ca)
+        if key in self.seen_merges:
+            continue
+        self.seen_merges.add(key)
+        sp = self.spaces.get(canon_ctx)
+        if sp is not None and sp.same(ca, cb):
+            continue
+        if cong is None:
+            why = deduction._Inst(ctx, a, b, len(self.spaces[ctx].why),
+                                  tuple(s1[x] for x in ctx), w, ws)
+        else:
+            why = deduction._Cong(*cong, w, ws)
+        out.append((canon_ctx, ca, cb, why))
+
+
+def _why_record(why):
+    if isinstance(why, deduction._Inst):
+        return ("inst", why.ctx, why.a, why.b, why.cut, why.images, why.w,
+                why.ws)
+    if isinstance(why, deduction._Cong):
+        return ("cong", why.parent, why.pos, why.replacement, why.cut, why.w,
+                why.ws)
+    return ("proof", tuple(proof_lines(why)))
+
+
+def _engine_record(engine):
+    return (engine.events, sorted(engine.truncated_by), engine.rounds_used,
+            [(ctx, [_why_record(w) for w in sp.why])
+             for ctx, sp in engine.spaces.items()])
+
+
+def _sweep_workloads():
+    """(name, engine factory) for the four sample theories at two bounds and
+    the Eckmann-Hilton quotient with criterion 10's goal sides."""
+    runs = []
+    for path in sorted(THEORIES.glob("*.ua")):
+        theory = parse_theory(path.read_text())
+        for bounds in (Bounds(2, 3, 3), Bounds(3, 3, 4)):
+            runs.append((f"{path.name} {bounds}",
+                         lambda E=theory, b=bounds: saturate(E, b)._engine))
+
+    def eh_quotient():
+        EH = eckmann_hilton_theory()
+        hom = (("M", "M"), "M")
+        sigma = default_sigma(EH, hom)
+        extra = []
+        for key, text, _ in GOAL_LIST:
+            if key == "eh":
+                goal = parse_equation_text(EH.signature, text,
+                                           structure=EH.structure)
+                extra += [internalize_term(sigma, goal.ctx, goal.lhs),
+                          internalize_term(sigma, goal.ctx, goal.rhs)]
+        return universal_hom(EH, hom, Bounds(2, 3, 8), extra_terms=extra,
+                             sigma=sigma)._engine
+
+    runs.append(("eckmann_hilton universal_hom", eh_quotient))
+    return runs
+
+
+def test_incremental_sweep_matches_the_full_walk(monkeypatch):
+    """Use-lists, per-sweep side memos and the closed-term path change no
+    candidate and no candidate order: events, flags, rounds and every
+    union edge's justification equal the full walk's."""
+    runs = _sweep_workloads()
+    got = [_engine_record(make()) for _, make in runs]
+    monkeypatch.setattr(_Saturator, "_congruence_sweep", _full_walk_sweep)
+    monkeypatch.setattr(_Saturator, "_swap_child", _full_walk_swap_child)
+    monkeypatch.setattr(_Saturator, "_conclude", _full_walk_conclude)
+    for (name, make), record in zip(runs, got):
+        assert record == _engine_record(make()), name
+
+
+def test_space_terms_stay_inside_their_context():
+    """Every term of a space has its letters in that space's context, so a
+    class's smallest member can always be renamed back through a view."""
+    for name, make in _sweep_workloads():
+        for ctx, sp in make().spaces.items():
+            letters = set(ctx)
+            for t in sp.parent:
+                assert set(tau(t)) <= letters, (name, ctx, t)
