@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .context import ContextError, Letter, parse_structure
+from .context import (
+    ContextError, Letter, holds, parse_structure, terminal_context,
+)
 from .finord import FinOrdError, parse_family, verify_structure_category
 from .syntax import (
     Equation, TheoryError, Theory, parse_equation_text, parse_theory,
@@ -25,37 +25,9 @@ from .universal import sigma_term_str, universal_hom
 from .selftest import ALL_CHECKS, render_report, run_selftest
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on besides its input files."""
-
-    bounds: Bounds
-    max_size: int
-    workers: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-
-
-def run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        bounds=Bounds(getattr(args, "depth", 4), getattr(args, "ctx", 4),
-                      getattr(args, "rounds", 8)),
-        max_size=getattr(args, "max_size", 2),
-        workers=_workers(args))
-
-
-def _workers(args: argparse.Namespace) -> int:
-    env = os.environ.get("UALG_WORKERS")
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _bounds(args: argparse.Namespace) -> Bounds:
+    """The saturation bounds of `prove` and `universal`."""
+    return Bounds(args.depth, args.ctx, args.rounds)
 
 
 def _emit(records, args) -> None:
@@ -99,8 +71,6 @@ def cmd_ctx_rel(args) -> int:
     structure = parse_structure(args.structure)
     c = _parse_word(args.context)
     v = _parse_word(args.word)
-    from .context import holds
-
     value = holds(structure, c, v)
     _emit([{"line": "true" if value else "false",
             "structure": args.structure, "holds": value}], args)
@@ -110,8 +80,6 @@ def cmd_ctx_rel(args) -> int:
 def cmd_ctx_terminal(args) -> int:
     structure = parse_structure(args.structure)
     v = _parse_word(args.word)
-    from .context import terminal_context
-
     c = terminal_context(structure, v)
     if c is None:
         _emit([{"line": "none", "terminal": None}], args)
@@ -122,10 +90,9 @@ def cmd_ctx_terminal(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    config = run_config(args)
     theory = _load_theory(args.file)
     goal = _parse_goal(theory, args.goal)
-    result = prove(theory, goal, config.bounds)
+    result = prove(theory, goal, _bounds(args))
     if result.proved:
         if args.format == "json-lines":
             print(json.dumps({"proved": True, "goal": args.goal},
@@ -155,11 +122,9 @@ def cmd_prove(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
-    config = run_config(args)
     theory = _load_theory(args.file)
     goal = _parse_goal(theory, args.goal)
-    model = find_model(theory, config.max_size, avoid=goal,
-                       workers=config.workers)
+    model = find_model(theory, args.max_size, avoid=goal)
     if model is None:
         _emit([{"line": "none", "model": None}], args)
         return 1
@@ -179,7 +144,7 @@ def cmd_universal(args) -> int:
     if not sep:
         raise TheoryError("hom must look like '<S> <S> -> <S>'")
     hom = (tuple(doms_text.split()), result_sort.strip())
-    part = universal_hom(theory, hom, run_config(args).bounds)
+    part = universal_hom(theory, hom, _bounds(args))
     if args.format == "json-lines":
         for i, cls in enumerate(part.classes):
             print(json.dumps({
@@ -214,7 +179,7 @@ def _criteria(text: str) -> list[int]:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(workers=_workers(args), only=args.only)
+    results = run_selftest(only=args.only)
     if args.format == "json-lines":
         for r in results:
             print(json.dumps({"criterion": r.number, "name": r.name,

@@ -95,7 +95,7 @@ from .context import Letter, Word, holds, terminal_context
 from .syntax import (
     App, Equation, Term, Theory, TheoryError, Var, app, apply_renaming,
     const, ctx_str, equation, is_r_context, is_r_renaming, tau, term_depth,
-    term_str, term_vars, var,
+    term_str, term_vars, validate_equation, var,
 )
 
 
@@ -188,8 +188,9 @@ def _check_node(E: Theory, p: Proof
     R = E.structure
     if isinstance(p, Axiom):
         ax = E.axiom(p.name)
-        if _canonical_ordered(ax.ctx, ax.lhs, ax.rhs) != _canonical_ordered(
-                p.concluded.ctx, p.concluded.lhs, p.concluded.rhs):
+        c = p.concluded
+        if _canonicalize(ax.ctx, [ax.lhs, ax.rhs])[:2] != _canonicalize(
+                c.ctx, [c.lhs, c.rhs])[:2]:
             raise ProofError(
                 f"axiom node {p.name}: stated equation is not a context "
                 f"renaming of the axiom")
@@ -233,10 +234,10 @@ def _check_node(E: Theory, p: Proof
     raise ProofError(f"unknown proof node {type(p).__name__}")
 
 
-def proof_lines(p: Proof, indent: int = 0) -> list[str]:
+def proof_lines(p: Proof) -> list[str]:
     """Serialize a proof as an indented rule tree, one rule per line."""
     out: list[str] = []
-    stack = [(p, indent)]
+    stack = [(p, 0)]
     while stack:
         node, depth = stack.pop()
         pad = "  " * depth
@@ -294,11 +295,6 @@ def canonical_triple(ctx: Word, a: Term, b: Term):
     key_a, key_b = _term_key(ca), _term_key(cb)
     if key_b < key_a:
         ca, cb = cb, ca
-    return (canon_ctx, ca, cb)
-
-
-def _canonical_ordered(ctx: Word, a: Term, b: Term):
-    canon_ctx, (ca, cb), _ = _canonicalize(ctx, [a, b])
     return (canon_ctx, ca, cb)
 
 
@@ -1050,8 +1046,6 @@ def prove(E: Theory, goal: Equation, bounds: Bounds) -> ProveResult:
 
     Saturation stops before a round once the goal holds at its first
     admissible context, since no later round can change its proof."""
-    from .syntax import validate_equation
-
     validate_equation(E.structure, goal)
     seeds = [(goal.ctx, goal.lhs), (goal.ctx, goal.rhs)]
     engine = _Saturator(E, bounds, extra_terms=seeds)

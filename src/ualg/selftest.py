@@ -1,7 +1,7 @@
 """The acceptance suite: one check per criterion, shared by pytest and the
 command line.  Every check is deterministic and reports a pass/fail line; a
-report never contains wall-clock output, so two runs (with any worker
-counts) produce byte-identical text.
+report never contains wall-clock output, so two runs (in one process or
+in two, under any string hash seed) produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .context import (
     STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextStructure, Letter, Word,
     delta_of, holds, terminal_context,
 )
-from .syntax import Equation, Theory, parse_equation_text, parse_theory
+from .syntax import (
+    Equation, Theory, parse_equation_text, parse_theory, signature,
+)
 from .deduction import (
     Bounds, canonical_triple, check_proof, prove, refute_by_invariant,
     saturate,
@@ -114,7 +116,7 @@ STRUCTURE_FAMILY = {
 # 1. structure-category closure suite
 
 
-def check_structure_categories(workers: int = 1) -> CheckResult:
+def check_structure_categories() -> CheckResult:
     details: list[str] = []
     ok = True
     for token in STRUCTURE_FAMILY.values():
@@ -139,7 +141,7 @@ def check_structure_categories(workers: int = 1) -> CheckResult:
 # 2. the correspondence between relations and function families
 
 
-def check_family_correspondence(workers: int = 1) -> CheckResult:
+def check_family_correspondence() -> CheckResult:
     checked = 0
     for theta in all_functions(4):
         for structure in EIGHT_STRUCTURES:
@@ -175,7 +177,7 @@ def _all_contexts(letters: Sequence[Letter], max_len: int) -> list[Word]:
     return out
 
 
-def check_context_conditions(workers: int = 1) -> CheckResult:
+def check_context_conditions() -> CheckResult:
     letters = _letters(3)
     words4 = _all_words(letters, 4)
     ctxs = _all_contexts(letters, 4)
@@ -236,7 +238,7 @@ def check_context_conditions(workers: int = 1) -> CheckResult:
 # 4. terminal contexts
 
 
-def check_terminal_contexts(workers: int = 1) -> CheckResult:
+def check_terminal_contexts() -> CheckResult:
     letters = _letters(3)
     words = _all_words(letters, 4)
     ctxs = _all_contexts(letters, 4)
@@ -279,7 +281,7 @@ def _table_family(doms: tuple[int, ...], cod: int) -> list[MultiMap]:
     return out
 
 
-def check_action_axioms(workers: int = 1) -> CheckResult:
+def check_action_axioms() -> CheckResult:
     sizes = (1, 2, 3)
     fails: list[str] = []
 
@@ -454,7 +456,7 @@ def _canonical_morphism_fails() -> list[str]:
 # 6. soundness of saturation against enumerated models
 
 
-def check_soundness(workers: int = 1) -> CheckResult:
+def check_soundness() -> CheckResult:
     details = []
     for theory in (monoid_theory(), eckmann_hilton_theory()):
         sat = saturate(theory, Bounds(3, 4, 5))
@@ -482,7 +484,7 @@ def check_soundness(workers: int = 1) -> CheckResult:
 # 7. the two-operation commutativity derivation
 
 
-def check_eh_derivation(workers: int = 1) -> CheckResult:
+def check_eh_derivation() -> CheckResult:
     EH = eckmann_hilton_theory()
     bounds = Bounds(6, 4, 8)
     details = []
@@ -507,7 +509,7 @@ def check_eh_derivation(workers: int = 1) -> CheckResult:
 # 8. the padded-context counterexample
 
 
-def check_counterexample(workers: int = 1) -> CheckResult:
+def check_counterexample() -> CheckResult:
     details = []
     cart = projection_theory(CARTESIAN)
     goal = parse_equation_text(cart.signature,
@@ -539,14 +541,12 @@ def check_counterexample(workers: int = 1) -> CheckResult:
 # 9. countermodel search agrees with non-derivability
 
 
-def check_set_completeness(workers: int = 1) -> CheckResult:
-    from .syntax import signature as make_signature
-
-    sig = make_signature(["A"], {"f": (("A", "A"), "A")})
+def check_set_completeness() -> CheckResult:
+    sig = signature(["A"], {"f": (("A", "A"), "A")})
     E = Theory("Free", sig, CARTESIAN, ())
     goal = parse_equation_text(sig, "f(x,y) ~ f(y,x) ctx [ x:A y:A ]",
                                structure=CARTESIAN)
-    witness = find_model(E, 2, avoid=goal, workers=workers)
+    witness = find_model(E, 2, avoid=goal)
     if witness is None:
         return CheckResult(9, "countermodel vs derivability", False,
                            ["no countermodel found at size 2"])
@@ -575,7 +575,7 @@ GOAL_LIST: tuple[tuple[str, str, bool], ...] = (
 )
 
 
-def check_universal_agreement(workers: int = 1) -> CheckResult:
+def check_universal_agreement() -> CheckResult:
     theories = {
         "monoid": monoid_theory(),
         "eh": eckmann_hilton_theory(),
@@ -620,7 +620,7 @@ def check_universal_agreement(workers: int = 1) -> CheckResult:
 # runner
 
 
-ALL_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
+ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_structure_categories,
     check_family_correspondence,
     check_context_conditions,
@@ -634,22 +634,20 @@ ALL_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
 )
 
 
-def run_selftest(workers: int = 1,
-                 only: Optional[Sequence[int]] = None) -> list[CheckResult]:
+def run_selftest(only: Optional[Sequence[int]] = None) -> list[CheckResult]:
     results = []
     for number, fn in enumerate(ALL_CHECKS, start=1):
         if only is not None and number not in only:
             continue
-        results.append(fn(workers))
+        results.append(fn())
     return results
 
 
-def render_report(results: Sequence[CheckResult], verbose: bool = True) -> str:
+def render_report(results: Sequence[CheckResult]) -> str:
     lines = []
     for r in results:
         lines.append(r.line())
-        if verbose or not r.passed:
-            lines.extend("    " + d for d in r.details)
+        lines.extend("    " + d for d in r.details)
     status = "all checks passed" if all(r.passed for r in results) \
         else "FAILURES PRESENT"
     lines.append(status)

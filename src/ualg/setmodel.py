@@ -14,8 +14,7 @@ are taken in the order of the full product of all tables, so the complete
 tables are reached in that order, less those some axiom instance rules out:
 the first model found is the one the brute-force product gives first.  Each
 complete table is then confirmed by `satisfies_theory` and checked against
-`avoid` with `satisfies`, so the term semantics keeps the final word.  The
-search is sequential; a worker count is accepted and has no effect.
+`avoid` with `satisfies`, so the term semantics keeps the final word.
 """
 
 from __future__ import annotations
@@ -375,13 +374,9 @@ def iter_models(E: Theory, max_size: int,
             yield m
 
 
-def find_model(E: Theory, max_size: int, avoid: Optional[Equation] = None,
-               workers: int = 1) -> Optional[FinSetModel]:
-    """The first model of `iter_models`, or None within the bound.
-
-    The search is sequential: `workers` is accepted for compatibility and
-    ignored, so the witness never depends on it.
-    """
+def find_model(E: Theory, max_size: int, avoid: Optional[Equation] = None
+               ) -> Optional[FinSetModel]:
+    """The first model of `iter_models`, or None within the bound."""
     if max_size < 0:
         raise ModelError("max_size must be >= 0")
     return next(iter_models(E, max_size, avoid), None)

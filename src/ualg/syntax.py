@@ -416,7 +416,8 @@ def parse_equation_text(sig: Signature, text: str, *, name: str = "",
     ctx = _parse_ctx_block(ctx_part, line, sig)
     ctx_sorts = {x.name: x.sort for x in ctx}
     lhs = _TermParser(_tokenize_term(lhs_text, line, 0), line, sig, ctx_sorts).parse()
-    rhs = _TermParser(_tokenize_term(rhs_text, line, 0), line, sig, ctx_sorts).parse()
+    rhs = _TermParser(_tokenize_term(rhs_text, line, len(lhs_text) + 1), line,
+                      sig, ctx_sorts).parse()
     try:
         return equation(name, lhs, rhs, ctx, structure)
     except (TypingError, EquationContextError) as exc:

@@ -105,8 +105,6 @@ def term_model_satisfies(kind: str, E: Theory, eq: Equation,
     saturation.  The plain model quotients by derivability under the maximal
     structure; the balanced one needs a shared terminal context first."""
     if kind == PLAIN_E:
-        from .context import CARTESIAN
-
         cart = Theory(E.name, E.signature, CARTESIAN, E.equations)
         letters = tuple(dict.fromkeys(tau(eq.lhs) + tau(eq.rhs)))
         goal = equation("", eq.lhs, eq.rhs, letters)

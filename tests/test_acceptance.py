@@ -1,35 +1,52 @@
-"""The acceptance suite: every criterion runs once per worker count and the
-reports must agree byte for byte (criterion 11).  One printed line per
-criterion; run pytest with -s to watch them stream.
+"""The acceptance suite.  Criteria 1-10 run once in this process.  Criterion
+11 compares their report, byte for byte, with the one a cold
+`python -m ualg selftest` child prints under a different string hash seed,
+so no set or dict order over hashed strings and no state left in this
+process (intern tables, caches) can leak into a report.  One printed line
+per criterion; run pytest with -s to watch them stream.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import child_env
 from ualg.selftest import render_report, run_selftest
 
-
-@pytest.fixture(scope="module")
-def report_one_worker():
-    return run_selftest(workers=1)
+CHILD_TIMEOUT_S = 600
 
 
 @pytest.fixture(scope="module")
-def report_four_workers():
-    return run_selftest(workers=4)
+def selftest_runs():
+    """The in-process results, and the child's stdout, stderr and exit code.
+    The child starts first, so on a multi-core host the two runs overlap."""
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    with subprocess.Popen([sys.executable, "-m", "ualg", "selftest"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True,
+                          env=child_env(PYTHONHASHSEED=seed)) as child:
+        try:
+            results = run_selftest()
+            out, err = child.communicate(timeout=CHILD_TIMEOUT_S)
+        finally:
+            child.kill()  # does nothing once the child has exited
+    return results, out, err, child.returncode
 
 
 @pytest.mark.parametrize("number", range(1, 11))
-def test_criterion(number, report_one_worker):
-    result = next(r for r in report_one_worker if r.number == number)
+def test_criterion(number, selftest_runs):
+    result = next(r for r in selftest_runs[0] if r.number == number)
     print(result.line())
     assert result.passed, "\n".join([result.line()] + result.details)
 
 
-def test_criterion_11_determinism(report_one_worker, report_four_workers):
-    text_one = render_report(report_one_worker)
-    text_four = render_report(report_four_workers)
-    print("criterion 11 [pass] byte-identical reports across worker counts"
-          if text_one == text_four else
-          "criterion 11 [FAIL] reports differ across worker counts")
-    assert text_one == text_four
-    assert all(r.passed for r in report_one_worker)
+def test_criterion_11_determinism(selftest_runs):
+    results, out, err, code = selftest_runs
+    same = code == 0 and out == render_report(results)
+    print("criterion 11 [pass] byte-identical reports across processes and "
+          "hash seeds" if same else
+          "criterion 11 [FAIL] the child's report differs or it failed")
+    assert code == 0, err
+    assert out == render_report(results)

@@ -1,20 +1,22 @@
 """Command-line surface: exit codes, output formats, parse failures."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, child_env
+
 MONOID = str(REPO / "theories" / "monoid.ua")
 PROJ_INJ = str(REPO / "theories" / "first_projection_injective.ua")
 PROJ = str(REPO / "theories" / "first_projection.ua")
 
 
 def ualg(*args, env=None):
-    return subprocess.run([sys.executable, "-m", "ualg.cli", *args],
-                          capture_output=True, text=True, env=env)
+    """Run `python -m ualg` on this checkout; `env` adds or overrides
+    environment variables."""
+    return subprocess.run([sys.executable, "-m", "ualg", *args],
+                          capture_output=True, text=True,
+                          env=child_env(**(env or {})))
 
 
 def test_delta_check_pass():
@@ -181,9 +183,9 @@ def test_universal_eh_is_hash_seed_independent():
     """The Eckmann-Hilton quotient prints the same classes whatever the
     string hash seed: no set or dict order leaks into the sweep."""
     for seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
         p = ualg("universal", str(REPO / "theories" / "eckmann_hilton.ua"),
-                 "--hom", "M M -> M", "--depth", "2", env=env)
+                 "--hom", "M M -> M", "--depth", "2",
+                 env={"PYTHONHASHSEED": seed})
         assert p.returncode == 0, seed
         assert p.stdout == EH_HOM_D2, seed
 
@@ -226,12 +228,7 @@ def test_bad_context_letter_exit_code():
 
 
 def test_package_runs_as_a_module():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    p = subprocess.run([sys.executable, "-m", "ualg", "selftest", "--only",
-                        "2"], capture_output=True, text=True, env=env,
-                       cwd=REPO)
+    p = ualg("selftest", "--only", "2")
     assert p.returncode == 0
     assert "criterion  2 [pass]" in p.stdout
 
@@ -258,3 +255,24 @@ def test_selftest_only_rejects_bad_criteria():
             assert p.returncode == 3, (fmt, only)
             assert p.stdout == ""
             assert "--only" in p.stderr and "Traceback" not in p.stderr
+
+
+def test_workers_is_an_accepted_no_op():
+    """`--workers` and UALG_WORKERS are accepted and change nothing; a
+    non-integer `--workers` is still a usage error."""
+    subset = ("selftest", "--only", "2,4,8,9")
+    plain = ualg(*subset)
+    assert plain.returncode == 0
+    assert "all checks passed" in plain.stdout
+    for p in (ualg(*subset, "--workers", "4"),
+              ualg(*subset, env={"UALG_WORKERS": "4"})):
+        assert p.returncode == 0
+        assert p.stdout == plain.stdout
+    goal = ("countermodel", PROJ, "--goal", "f(x,y) ~ f(y,x) ctx [ x:A y:A ]")
+    plain = ualg(*goal)
+    assert plain.returncode == 0
+    assert ualg(*goal, "--workers", "4").stdout == plain.stdout
+    for args in (subset, goal):
+        p = ualg(*args, "--workers", "x")
+        assert p.returncode == 3, args
+        assert p.stdout == "" and "--workers" in p.stderr

@@ -44,6 +44,20 @@ def test_parse_errors_carry_location():
         parse_theory("theory T\nstructure nonsense\nsort M")
 
 
+@pytest.mark.parametrize("text, col, message", [
+    ("@ ~ x ctx [ x:M ]", 0, "unexpected character '@'"),
+    ("x ~ mul(x,@) ctx [ x:M ]", 10, "unexpected character '@'"),
+    ("x ~ mul(x,x) y ctx [ x:M ]", 13, "trailing input 'y'"),
+])
+def test_parse_error_column_counts_from_equation_start(monoid, text, col,
+                                                       message):
+    """Both sides report columns from the start of the equation text."""
+    with pytest.raises(ParseError) as err:
+        parse_equation_text(monoid.signature, text)
+    assert err.value.col == col
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("name", ["A=>B", "[M]", "M,N", "1M"])
 def test_non_identifier_sort_rejected(name):
     text = (f"theory T\nstructure cartesian\nsort {name}\n"
