@@ -9,7 +9,7 @@ and the correspondence with finite-ordinal function families live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .finord import FinFn, StructureMonoid, monoid_contains
 
@@ -21,22 +21,23 @@ class ContextError(ValueError):
 
 
 class Letter:
-    """A typed variable; identity is the (sort, name) pair."""
+    """A typed variable, interned per (sort, name): building the same pair
+    twice yields the same object, so letters compare and hash by identity."""
 
-    __slots__ = ("sort", "name", "_hash")
+    __slots__ = ("sort", "name")
+    _table: ClassVar[dict[tuple[str, str], Letter]] = {}
 
-    def __init__(self, sort: str, name: str):
-        self.sort = sort
-        self.name = name
-        self._hash = hash((sort, name))
+    def __new__(cls, sort: str, name: str) -> Letter:
+        x = cls._table.get((sort, name))
+        if x is None:
+            x = cls._table[(sort, name)] = super().__new__(cls)
+            x.sort = sort
+            x.name = name
+        return x
 
-    def __eq__(self, other: object) -> bool:
-        return (self is other
-                or (isinstance(other, Letter)
-                    and self.name == other.name and self.sort == other.sort))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple[type, tuple[str, str]]:
+        # Copies and unpickled letters go through __new__, so stay interned.
+        return (Letter, (self.sort, self.name))
 
     def __repr__(self) -> str:
         return f"Letter({self.sort!r}, {self.name!r})"

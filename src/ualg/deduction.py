@@ -79,8 +79,8 @@ leaves every derived equation and proof unchanged:
     with sort-preserving letter bijections, so a rule-5 conclusion whose
     (lhs, rhs, governed word) is a letter-renamed copy of an earlier one
     meets only keys the earlier one already recorded, and is skipped;
-  * interned letters: the _v pool letters and the _p template letters are
-    built once per (sort, index), so the cached forms share them.
+  * pool letters: the _v and _p letters are cached per (sort, index), which
+    only saves building their names, since every letter is interned.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def proof_lines(p: Proof) -> list[str]:
 
 @functools.cache
 def _pool_letter(sort: str, i: int) -> Letter:
-    """Interned, so the engine's caches share one Letter per (sort, i)."""
+    """Cached per (sort, i); letters are interned, so this saves the name."""
     return Letter(sort, f"_v{i}")
 
 

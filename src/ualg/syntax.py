@@ -1,8 +1,8 @@
 """Multi-sorted signatures, terms, equations, theories, and their DSL.
 
 Terms are interned: building the same tree twice yields the same object, so
-equality and hashing stay cheap inside the saturation engine.  The DSL is
-line-oriented; see `parse_theory` for the grammar.
+they compare and hash by identity, in C, inside the saturation engine.  The
+DSL is line-oriented; see `parse_theory` for the grammar.
 """
 
 from __future__ import annotations
@@ -76,11 +76,8 @@ def signature(sorts: Sequence[str],
 
 
 class Term:
-    __slots__ = ("sort", "_hash", "_depth", "_tau", "_repr")
+    __slots__ = ("sort", "_depth", "_tau", "_repr")
     sort: str
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         return self._repr  # type: ignore[attr-defined]
@@ -92,7 +89,6 @@ class Var(Term):
     def __init__(self, letter: Letter):
         self.letter = letter
         self.sort = letter.sort
-        self._hash = hash(("v", letter))
         self._depth = 1
         self._tau = (letter,)
         self._repr = letter.name
@@ -105,7 +101,6 @@ class App(Term):
         self.op = op
         self.sort = sort
         self.args = args
-        self._hash = hash(("a", op, args))
         self._depth = 1 + max((a._depth for a in args), default=0)
         self._tau = tuple(x for a in args for x in a._tau)
         if args:
@@ -313,9 +308,10 @@ def _tokenize_term(text: str, line: int, col0: int) -> list[tuple[str, int]]:
 
 
 class _TermParser:
-    def __init__(self, toks: list[tuple[str, int]], line: int,
+    def __init__(self, text: str, line: int, col0: int,
                  sig: Signature, ctx_sorts: Mapping[str, str]):
-        self.toks = toks
+        self.toks = _tokenize_term(text, line, col0)
+        self.end = col0 + len(text)
         self.pos = 0
         self.line = line
         self.sig = sig
@@ -327,8 +323,7 @@ class _TermParser:
     def take(self) -> tuple[str, int]:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of term", self.line,
-                             self.toks[-1][1] if self.toks else 0)
+            raise ParseError("unexpected end of term", self.line, self.end)
         self.pos += 1
         return tok
 
@@ -415,9 +410,8 @@ def parse_equation_text(sig: Signature, text: str, *, name: str = "",
         raise ParseError("equation needs '~' between its sides", line)
     ctx = _parse_ctx_block(ctx_part, line, sig)
     ctx_sorts = {x.name: x.sort for x in ctx}
-    lhs = _TermParser(_tokenize_term(lhs_text, line, 0), line, sig, ctx_sorts).parse()
-    rhs = _TermParser(_tokenize_term(rhs_text, line, len(lhs_text) + 1), line,
-                      sig, ctx_sorts).parse()
+    lhs = _TermParser(lhs_text, line, 0, sig, ctx_sorts).parse()
+    rhs = _TermParser(rhs_text, line, len(lhs_text) + 1, sig, ctx_sorts).parse()
     try:
         return equation(name, lhs, rhs, ctx, structure)
     except (TypingError, EquationContextError) as exc:

@@ -1,6 +1,8 @@
 """The eight context structures and their terminal contexts."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -23,6 +25,20 @@ def words(letters, max_len):
 def contexts(letters, max_len):
     for k in range(min(len(letters), max_len) + 1):
         yield from itertools.permutations(letters, k)
+
+
+def test_letters_are_interned():
+    assert Letter("M", "x") is Letter("M", "x")
+    assert Letter("M", "x") is not Letter("N", "x")
+    assert Letter("M", "x") != Letter("M", "y")
+
+
+def test_copied_and_unpickled_letters_stay_interned():
+    x = Letter("M", "x")
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.deepcopy((x, [x]))[1][0] is x
 
 
 def test_holds_examples_per_structure():

@@ -1,18 +1,24 @@
 """Signatures, terms, the DSL, and renaming validation."""
 
+import gc
 import itertools
+from pathlib import Path
 
 import pytest
 
 from ualg.context import BIJECTIVE, CARTESIAN, INJECTIVE, SURJECTIVE, Letter
+from ualg import syntax
+from ualg.deduction import Bounds
 from ualg.selftest import EIGHT_STRUCTURES, MONOID_TEXT
 from ualg.syntax import (
-    EquationContextError, ParseError, TypingError, app,
+    EquationContextError, ParseError, Term, TypingError, app,
     apply_renaming, const, equation, format_theory, is_r_context,
     is_r_renaming, parse_equation_text, parse_theory, signature, tau,
     term_depth, var,
 )
+from ualg.universal import universal_hom
 
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 X, Y = Letter("M", "x"), Letter("M", "y")
 A, B = Letter("M", "a"), Letter("M", "b")
 
@@ -48,6 +54,8 @@ def test_parse_errors_carry_location():
     ("@ ~ x ctx [ x:M ]", 0, "unexpected character '@'"),
     ("x ~ mul(x,@) ctx [ x:M ]", 10, "unexpected character '@'"),
     ("x ~ mul(x,x) y ctx [ x:M ]", 13, "trailing input 'y'"),
+    ("x ~  ctx [ x:M ]", 4, "unexpected end of term"),
+    ("x ~ mul(x, ctx [ x:M ]", 10, "unexpected end of term"),
 ])
 def test_parse_error_column_counts_from_equation_start(monoid, text, col,
                                                        message):
@@ -119,6 +127,30 @@ def test_terms_are_interned(monoid):
     t1 = app(sig, "mul", [var(X), var(Y)])
     t2 = app(sig, "mul", [var(X), var(Y)])
     assert t1 is t2
+
+
+def test_terms_and_letters_hash_by_identity():
+    """Interned values need no Python-level hash: both inherit object's."""
+    assert Term.__hash__ is object.__hash__
+    assert Letter.__hash__ is object.__hash__
+
+
+def test_parsed_letters_are_the_hand_built_ones(monoid):
+    eq = parse_equation_text(monoid.signature, "mul(x,y) ~ x ctx [ x:M y:M ]")
+    assert eq.ctx[0] is X and eq.ctx[1] is Y
+    assert eq.lhs is app(monoid.signature, "mul", [var(X), var(Y)])
+
+
+def test_repeated_universal_hom_builds_no_new_terms_or_letters():
+    """A second identical quotient reuses every interned term and letter."""
+    theory = parse_theory((THEORIES / "monoid.ua").read_text())
+    bounds = Bounds(2, 3, 8)
+    universal_hom(theory, (("M", "M"), "M"), bounds)
+    gc.collect()
+    sizes = (len(syntax._TERMS), len(Letter._table))
+    universal_hom(theory, (("M", "M"), "M"), bounds)
+    gc.collect()
+    assert (len(syntax._TERMS), len(Letter._table)) == sizes
 
 
 def test_interning_keeps_result_sorts_apart():
