@@ -56,9 +56,10 @@ candidates a walk of every parent would emit, in the same order:
     parent's universe index.  A sweep recomputes every child's smallest mate
     and walks, in universe order with positions ascending, only the parents
     registered since the last sweep and those of children whose mate
-    changed.  A skipped pair is an old parent whose child kept its mate, so
-    the last sweep put (parent, pos, mate) into `_sweep_seen` and the full
-    walk would have skipped it too;
+    changed.  In an old parent it skips the children that kept their mate.
+    A mate starts from the last one and never rises, so a skipped
+    (parent, pos, mate) was swapped before, and a full walk that swaps each
+    such triple once would have skipped it too;
   * per-sweep memos: candidates are merged only after the round's sweep
     ends, so the spaces cannot change under it, and each child's smallest
     mate and the side premise for swapping it in are computed once per
@@ -325,22 +326,22 @@ class _Space:
     Each union adds one edge, numbered in order; `why[i]` says why edge i
     holds: a built proof, or a rule-5 justification (`_Inst`, `_Cong`) that
     the engine turns into one on first use.  Edge lists only grow, so the
-    first n edges are exactly the edges the space had when it held n."""
+    first n edges are exactly the edges the space had when it held n.  A
+    union links the root with the larger `_term_key` under the smaller, so
+    each class's root is its least member."""
 
-    __slots__ = ("ctx", "parent", "edges", "why", "class_min")
+    __slots__ = ("ctx", "parent", "edges", "why")
 
     def __init__(self, ctx: Word):
         self.ctx = ctx
         self.parent: dict[Term, Term] = {}
         self.edges: dict[Term, list[tuple[Term, int, bool]]] = {}
         self.why: list = []
-        self.class_min: dict[Term, Term] = {}
 
     def add(self, t: Term) -> None:
         if t not in self.parent:
             self.parent[t] = t
             self.edges[t] = []
-            self.class_min[t] = t
 
     def find(self, t: Term) -> Term:
         root = t
@@ -356,17 +357,15 @@ class _Space:
         ra, rb = self.find(a), self.find(b)
         if ra is rb:
             return False
-        best = min(self.class_min.pop(rb), self.class_min[ra], key=_term_key)
-        self.parent[rb] = ra
-        self.class_min[ra] = best
+        if _term_key(ra) < _term_key(rb):
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
         edge = len(self.why)
         self.why.append(why)
         self.edges[a].append((b, edge, False))
         self.edges[b].append((a, edge, True))
         return True
-
-    def smallest(self, t: Term) -> Term:
-        return self.class_min[self.find(t)]
 
     def same(self, a: Term, b: Term) -> bool:
         if a not in self.parent or b not in self.parent:
@@ -480,7 +479,6 @@ class _Saturator:
         self.in_universe: set[Term] = set()
         self.by_sort: dict[str, list[Term]] = {}
         self._tier_cache: dict[tuple[str, str], list[Term]] = {}
-        self._sweep_seen: set[tuple[Term, int, Term]] = set()
         self._uses: dict[Term, list[int]] = {}
         self._swept = 0
         self._mates: dict[Term, Term] = {}
@@ -488,7 +486,6 @@ class _Saturator:
         self._templates: dict[str, tuple[Word, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
         self._concluded: set[tuple] = set()
-        self.seen_merges: set[tuple] = set()
         self.truncated_by: set[str] = set()
         self.events: list[tuple[Word, Term, Term]] = []
         self.rounds_used = 0
@@ -795,7 +792,7 @@ class _Saturator:
             return
         # holds() and positional canonicalization commute with letter
         # renaming, so a renamed repeat of an earlier call would meet only
-        # keys that call already put into seen_merges.  Closed sides (an
+        # pairs that call already emitted or found joined.  Closed sides (an
         # empty u_cat) have no letters: their first-occurrence form is
         # themselves, () is their one context order, which every structure
         # admits, and canonicalizing at () leaves them as they are.
@@ -818,11 +815,8 @@ class _Saturator:
                 canon_ctx, (ca, cb), _ = _canonicalize(w, [lhs, rhs])
             else:
                 continue
-            key = (canon_ctx, ca, cb) if _term_key(ca) <= _term_key(cb) \
-                else (canon_ctx, cb, ca)
-            if key in self.seen_merges:
-                continue
-            self.seen_merges.add(key)
+            # A pair emitted earlier is joined once its round merges; a repeat
+            # within the round finds one class in union and adds nothing.
             sp = self.spaces.get(canon_ctx)
             if sp is not None and sp.same(ca, cb):
                 continue
@@ -845,14 +839,16 @@ class _Saturator:
         registered since the last sweep, and those (found through the
         use-lists) of children whose smallest mate changed.  Every mate is
         recomputed, since the spaces changed; it is computed once per sweep,
-        since they stay fixed until the round's candidates merge.  A skipped
-        pair is an old parent whose child kept its mate, so the last sweep
-        recorded (parent, pos, mate) in `_sweep_seen` and the pair would
-        have been a memo hit.  The swaps, and so the candidates and their
-        order, are those of the full walk."""
+        since they stay fixed until the round's candidates merge.  In a
+        parent walked before (index below `swept`), a child that kept its
+        mate is skipped: mates never rise, so the pair was swapped toward
+        that mate in an earlier sweep.  Each (parent, pos, mate) is swapped
+        once, and the swaps, so the candidates and their order, are those
+        of a full walk that remembers which triples it swapped."""
         universe = self.universe
+        swept = self._swept
         dirty = bytearray(len(universe))
-        dirty[self._swept:] = b"\x01" * (len(universe) - self._swept)
+        dirty[swept:] = b"\x01" * (len(universe) - swept)
         last = self._mates
         mates: dict[Term, Term] = {}
         for child, uses in self._uses.items():
@@ -866,29 +862,27 @@ class _Saturator:
         self._mates = mates
         self._swept = len(universe)
         self._sides = {}
-        seen = self._sweep_seen
         for i in itertools.compress(range(len(universe)), dirty):
             parent = universe[i]
             if not isinstance(parent, App):
                 continue
+            old = i < swept
             for pos, child in enumerate(parent.args):
                 mate = mates.get(child)
-                if mate is None:
+                if mate is None or (old and last.get(child) is mate):
                     continue
-                memo_key = (parent, pos, mate)
-                if memo_key in seen:
-                    continue
-                seen.add(memo_key)
                 self._swap_child(parent, pos, mate, out)
 
     def _smallest_mate(self, u: Term) -> Optional[Term]:
-        """The least term provably equal to u, if smaller than u itself."""
-        best: Optional[Term] = None
+        """The least term known equal to u so far, if smaller than u itself.
+        It starts from the last sweep's mate, which is still equal to u, so
+        a mate never rises."""
+        best = self._mates.get(u)
         for canon_ctx, cu, perm in self._canonical_views(u):
             sp = self.spaces.get(canon_ctx)
             if sp is None or cu not in sp.parent:
                 continue
-            small = sp.smallest(cu)
+            small = sp.find(cu)
             if small is cu:
                 continue
             sub = {y: var(x) for y, x in zip(canon_ctx, perm)}

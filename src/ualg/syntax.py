@@ -93,6 +93,10 @@ class Var(Term):
         self._tau = (letter,)
         self._repr = letter.name
 
+    def __reduce__(self):
+        # Copies and unpickled terms are rebuilt through the intern table.
+        return (var, (self.letter,))
+
 
 class App(Term):
     __slots__ = ("op", "args")
@@ -107,6 +111,9 @@ class App(Term):
             self._repr = f"{op}({', '.join(a._repr for a in args)})"
         else:
             self._repr = op
+
+    def __reduce__(self):
+        return (_app, (self.op, self.sort, self.args))
 
 
 _TERMS: dict[object, Term] = {}
@@ -130,10 +137,16 @@ def app(sig: Signature, op: str, args: Sequence[Term] = ()) -> App:
         if a.sort != want:
             raise TypingError(
                 f"op {op}: argument {a!r} has sort {a.sort}, expected {want}")
-    key = ("a", op, decl.result, args)
+    return _app(op, decl.result, args)
+
+
+def _app(op: str, sort: str, args: tuple[Term, ...]) -> App:
+    """The interned application: the one place that builds its intern key,
+    which holds the result sort, as one op name may differ in it."""
+    key = ("a", op, sort, args)
     t = _TERMS.get(key)
     if t is None:
-        t = _TERMS[key] = App(op, decl.result, args)
+        t = _TERMS[key] = App(op, sort, args)
     return t  # type: ignore[return-value]
 
 
@@ -181,11 +194,7 @@ def apply_renaming(s: Mapping[Letter, Term], t: Term) -> Term:
     new_args = tuple(apply_renaming(s, a) for a in t.args)
     if new_args == t.args:
         return t
-    key = ("a", t.op, t.sort, new_args)
-    out = _TERMS.get(key)
-    if out is None:
-        out = _TERMS[key] = App(t.op, t.sort, new_args)
-    return out
+    return _app(t.op, t.sort, new_args)
 
 
 def is_r_context(R: ContextStructure, c: Word, t: Term) -> bool:

@@ -538,7 +538,9 @@ class HomPartition:
     _engine: _Saturator = field(repr=False)
 
     def merged(self, a: Term, b: Term) -> bool:
-        return self._engine.holds_canonically((), a, b)
+        """Whether the bounded quotient identifies two closed terms; a term
+        the quotient never met is still merged with itself."""
+        return a is b or self._engine.holds_canonically((), a, b)
 
 
 def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
@@ -598,8 +600,20 @@ def default_sigma(E: Theory, hom: tuple[Sequence[str], str]
     max_arity = max(
         [1, len(tuple(hom[0]))]
         + [len(d.arity) for d in E.signature.ops.values()]
-        + [len(ax.ctx) for ax in E.equations])
+        + [len(ax.ctx) for ax in E.equations]
+        + [_composition_width(E.structure, side)
+           for ax in E.equations for side in (ax.lhs, ax.rhs)])
     return build_sigma(E.signature, E.structure, max_arity, max_arity)
+
+
+def _composition_width(R: ContextStructure, t: Term) -> int:
+    """The longest word `internalize_term` composes at over t's subterms:
+    the concatenation of an application's children's terminal contexts."""
+    if not isinstance(t, App):
+        return 0
+    words = [terminal_context(R, tau(child)) or () for child in t.args]
+    return max([sum(map(len, words))]
+               + [_composition_width(R, child) for child in t.args])
 
 
 # ---------------------------------------------------------------------------

@@ -276,3 +276,16 @@ def test_workers_is_an_accepted_no_op():
         p = ualg(*args, "--workers", "x")
         assert p.returncode == 3, args
         assert p.stdout == "" and "--workers" in p.stderr
+
+
+def test_universal_accepts_a_non_linear_theory(tmp_path):
+    """An axiom that composes at a word longer than every op arity and
+    axiom context, (x)+(x,y) in mul(x,mul(x,y)), is in bounds."""
+    src = tmp_path / "nonlinear.ua"
+    src.write_text("theory NonLinear\nstructure cartesian\nsort M\n"
+                   "op mul : M M -> M\n"
+                   "eq k : mul(x,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]\n")
+    p = ualg("universal", str(src), "--hom", "M M -> M", "--depth", "2",
+             "--rounds", "2")
+    assert p.returncode == 0, p.stderr
+    assert "classes" in p.stdout

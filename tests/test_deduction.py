@@ -1,6 +1,7 @@
 """The bounded saturation engine, proof replay, and the refutation invariant."""
 
 import gc
+import hashlib
 import itertools
 import weakref
 from pathlib import Path
@@ -426,11 +427,46 @@ def test_union_edges_form_a_spanning_forest():
 #
 # The full walk below is the sweep as it was before use-lists, side memos and
 # the closed-term path: every parent of the universe, every round, with no
-# shortcut for closed sides.  It is monkeypatched in as the reference.
+# shortcut for closed sides.  It keeps its own memos, which the engine no
+# longer has: the (parent, pos, mate) triples it swapped, the canonical pairs
+# it emitted, and each child's mate computed afresh from the least member of
+# each class, found by scanning the space.  It is monkeypatched in as the
+# reference.
+
+
+def _least_members(sp):
+    """Each class's least member by `_term_key`, keyed by its root."""
+    least = {}
+    for t in sp.parent:
+        root = sp.find(t)
+        if root not in least or \
+                deduction._term_key(t) < deduction._term_key(least[root]):
+            least[root] = t
+    return least
+
+
+def _raw_smallest_mate(self, u, least):
+    key = deduction._term_key
+    best = None
+    for canon_ctx, cu, perm in self._canonical_views(u):
+        sp = self.spaces.get(canon_ctx)
+        if sp is None or cu not in sp.parent:
+            continue
+        if canon_ctx not in least:
+            least[canon_ctx] = _least_members(sp)
+        small = least[canon_ctx][sp.find(cu)]
+        if small is cu:
+            continue
+        cand = apply_renaming({y: var(x) for y, x in zip(canon_ctx, perm)},
+                              small)
+        if key(cand) < key(u) and (best is None or key(cand) < key(best)):
+            best = cand
+    return best
 
 
 def _full_walk_sweep(self, out):
-    mates = {}
+    sweep_seen = self.__dict__.setdefault("_sweep_seen", set())
+    mates, least = {}, {}
     for parent in list(self.universe):
         if not isinstance(parent, App) or not parent.args:
             continue
@@ -438,13 +474,13 @@ def _full_walk_sweep(self, out):
             if child in mates:
                 mate = mates[child]
             else:
-                mate = mates[child] = self._smallest_mate(child)
+                mate = mates[child] = _raw_smallest_mate(self, child, least)
             if mate is None:
                 continue
             memo_key = (parent, pos, mate)
-            if memo_key in self._sweep_seen:
+            if memo_key in sweep_seen:
                 continue
-            self._sweep_seen.add(memo_key)
+            sweep_seen.add(memo_key)
             self._swap_child(parent, pos, mate, out)
 
 
@@ -506,9 +542,10 @@ def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
         key = (canon_ctx, ca, cb) \
             if deduction._term_key(ca) <= deduction._term_key(cb) \
             else (canon_ctx, cb, ca)
-        if key in self.seen_merges:
+        seen_merges = self.__dict__.setdefault("seen_merges", set())
+        if key in seen_merges:
             continue
-        self.seen_merges.add(key)
+        seen_merges.add(key)
         sp = self.spaces.get(canon_ctx)
         if sp is not None and sp.same(ca, cb):
             continue
@@ -565,9 +602,10 @@ def _sweep_workloads():
 
 
 def test_incremental_sweep_matches_the_full_walk(monkeypatch):
-    """Use-lists, per-sweep side memos and the closed-term path change no
-    candidate and no candidate order: events, flags, rounds and every
-    union edge's justification equal the full walk's."""
+    """Use-lists, per-sweep side memos, the closed-term path, and reading
+    the memos off the union-find and the mates change no candidate and no
+    candidate order: events, flags, rounds and every union edge's
+    justification equal the full walk's."""
     runs = _sweep_workloads()
     got = [_engine_record(make()) for _, make in runs]
     monkeypatch.setattr(_Saturator, "_congruence_sweep", _full_walk_sweep)
@@ -575,6 +613,51 @@ def test_incremental_sweep_matches_the_full_walk(monkeypatch):
     monkeypatch.setattr(_Saturator, "_conclude", _full_walk_conclude)
     for (name, make), record in zip(runs, got):
         assert record == _engine_record(make()), name
+
+
+def test_roots_are_least_and_swaps_never_repeat(monkeypatch):
+    """Every class's root is its least member, which `_smallest_mate` reads
+    through `find`; and since mates never rise, no (parent, pos, mate)
+    reaches `_swap_child` twice, which is what lets the sweep skip without
+    remembering the triples."""
+    calls = []
+    swap_child = _Saturator._swap_child
+
+    def recording(self, parent, pos, replacement, out):
+        calls.append((parent, pos, replacement))
+        swap_child(self, parent, pos, replacement, out)
+
+    monkeypatch.setattr(_Saturator, "_swap_child", recording)
+    swaps = 0
+    for name, make in _sweep_workloads():
+        calls.clear()
+        engine = make()
+        swaps += len(calls)
+        assert len(set(calls)) == len(calls), name
+        for ctx, sp in engine.spaces.items():
+            for t in sp.parent:
+                assert deduction._term_key(sp.find(t)) <= \
+                    deduction._term_key(t), (name, ctx, t)
+    assert swaps
+
+
+def test_saturation_digest():
+    """A sha256 over the events, flags, rounds and every equation's proof
+    of `saturate` on the sample theories at two bounds; an engine change
+    that keeps outputs exact keeps it."""
+    h = hashlib.sha256()
+    for path in sorted(THEORIES.glob("*.ua")):
+        theory = parse_theory(path.read_text())
+        for bounds in (Bounds(2, 3, 3), Bounds(3, 3, 4)):
+            sat = saturate(theory, bounds)
+            h.update(f"{path.name} {bounds} {sat.truncated_by} "
+                     f"{sat.rounds_used}\n".encode())
+            for eq in sat.equations:
+                h.update(f"{eq}\n".encode())
+                for line in proof_lines(sat.proof_of(eq)):
+                    h.update(f"  {line}\n".encode())
+    assert h.hexdigest() == (
+        "3d0459cb62d2eaa80475269faf9500d95ee38cf63f09b4e2d2bbc0757ac111fb")
 
 
 def test_space_terms_stay_inside_their_context():

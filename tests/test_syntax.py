@@ -1,7 +1,9 @@
 """Signatures, terms, the DSL, and renaming validation."""
 
+import copy
 import gc
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -127,6 +129,19 @@ def test_terms_are_interned(monoid):
     t1 = app(sig, "mul", [var(X), var(Y)])
     t2 = app(sig, "mul", [var(X), var(Y)])
     assert t1 is t2
+
+
+def test_copied_and_unpickled_terms_stay_interned(monoid):
+    """Copies and unpickled terms are rebuilt through the intern table, so
+    equations and theories holding them still compare equal."""
+    eq = monoid.axiom("assoc")
+    t = eq.lhs
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(t.args[1]) is t.args[1]  # a variable
+    assert copy.deepcopy(eq) == eq
+    assert pickle.loads(pickle.dumps(monoid)) == monoid
 
 
 def test_terms_and_letters_hash_by_identity():

@@ -10,7 +10,7 @@ from ualg.selftest import (
 )
 from ualg.setmodel import FinSetModel, MultiMap, find_model, table_from
 from ualg.syntax import Theory, app, const, equation, parse_equation_text, \
-    signature, var
+    parse_theory, signature, var
 from ualg.universal import (
     BALANCED_E, BALANCED_R, PLAIN_E, PLAIN_R, UniversalError, build_sigma,
     categorization_axioms, default_sigma, enumerate_pure_terms, internalize,
@@ -260,3 +260,40 @@ def test_sigma_interpret_examples(monoid):
     lhs = sigma_interpret(S, xor, ints["int:lunit"].lhs)
     rhs = sigma_interpret(S, xor, ints["int:lunit"].rhs)
     assert lhs == rhs == MultiMap((2,), 2, (0, 1))
+
+
+NON_LINEAR = {
+    "cartesian": ("theory NonLinear\nstructure cartesian\nsort M\n"
+                  "op mul : M M -> M\n"
+                  "eq k : mul(x,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]\n",
+                  "M"),
+    "left-surjective": ("theory NonLinearLS\nstructure left-surjective\n"
+                        "sort A\nop f : A A -> A\n"
+                        "eq k : f(x,f(x,y)) ~ f(x,y) ctx [ x:A y:A ]\n",
+                        "A"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_LINEAR))
+def test_default_sigma_covers_non_linear_axioms(kind):
+    """mul(x,mul(x,y)) composes at (x)+(x,y), three letters, one more than
+    any op arity or axiom context: the extended signature must reach it."""
+    text, sort = NON_LINEAR[kind]
+    E = parse_theory(text)
+    hom = ((sort, sort), sort)
+    S = default_sigma(E, hom)
+    assert S.max_arity == 3
+    assert len(internalize(E, S)) == 1
+    part = universal_hom(E, hom, Bounds(2, 3, 2), sigma=S)
+    assert part.classes
+
+
+def test_merged_is_reflexive_outside_the_universe(monoid):
+    """A closed term the bounded quotient never met is merged with itself."""
+    eq = parse_equation_text(monoid.signature,
+                             "mul(mul(x,e),mul(y,e)) ~ mul(x,y) "
+                             "ctx [ x:M y:M ]", structure=monoid.structure)
+    part = universal_hom(monoid, (("M", "M"), "M"), Bounds(2, 3, 3))
+    t = internalize_term(part.sigma, eq.ctx, eq.lhs)
+    assert t not in part._engine.in_universe
+    assert part.merged(t, t)
