@@ -1,17 +1,16 @@
 """Context structures: which contexts govern which words of typed letters.
 
 A context is a repetition-free word of letters.  Each of the eight modelable
-structures is a decidable relation holds(R, c, v); the parametric variant
-checks letter multiplicities against a structure monoid.  Terminal contexts
-and the correspondence with finite-ordinal function families live here too.
+structures is a decidable relation holds(R, c, v).  Terminal contexts and the
+correspondence with finite-ordinal function families live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Optional
 
-from .finord import FinFn, StructureMonoid, monoid_contains
+from .finord import FinFn
 
 Word = tuple["Letter", ...]
 
@@ -54,7 +53,6 @@ SURJECTIVE_KIND = "surjective"
 LEFT_SURJECTIVE_KIND = "left-surjective"
 RIGHT_SURJECTIVE_KIND = "right-surjective"
 CARTESIAN_KIND = "cartesian"
-R_UPPER_KIND = "r-upper"
 
 MODELABLE_KINDS = (
     TRIVIAL_KIND, BIJECTIVE_KIND, STRICT_INCREASING_KIND, INJECTIVE_KIND,
@@ -66,26 +64,13 @@ MODELABLE_KINDS = (
 @dataclass(frozen=True)
 class ContextStructure:
     kind: str
-    monoid: Optional[StructureMonoid] = None
 
     def __post_init__(self) -> None:
-        if self.kind in MODELABLE_KINDS:
-            if self.monoid is not None:
-                raise ContextError(f"{self.kind} takes no monoid")
-        elif self.kind == R_UPPER_KIND:
-            if self.monoid is None:
-                raise ContextError("r-upper requires a monoid")
-        else:
+        if self.kind not in MODELABLE_KINDS:
             raise ContextError(f"unknown context structure {self.kind!r}")
 
-    @property
-    def modelable(self) -> bool:
-        return self.kind in MODELABLE_KINDS
-
     def __str__(self) -> str:
-        if self.monoid is None:
-            return self.kind
-        return f"{self.kind}:{self.monoid}"
+        return self.kind
 
 
 TRIVIAL = ContextStructure(TRIVIAL_KIND)
@@ -109,19 +94,11 @@ def parse_structure(token: str) -> ContextStructure:
         raise ContextError(f"unknown structure token {token!r}") from None
 
 
-def r_upper(m: StructureMonoid) -> ContextStructure:
-    return ContextStructure(R_UPPER_KIND, m)
-
-
 def check_context(c: Word) -> Word:
     if len(set(c)) != len(c):
         raise ContextError(
             "context letters must be distinct: " + " ".join(map(str, c)))
     return c
-
-
-def word_str(w: Word) -> str:
-    return " ".join(x.name for x in w) if w else "()"
 
 
 def _is_subsequence(v: Word, c: Word) -> bool:
@@ -156,15 +133,7 @@ def holds(R: ContextStructure, c: Word, v: Word) -> bool:
         return set(v) == set(c) and _first_occurrence_order(v) == c
     if kind == RIGHT_SURJECTIVE_KIND:
         return set(v) == set(c) and _last_occurrence_order(v) == c
-    if kind == CARTESIAN_KIND:
-        return set(v) <= set(c)
-    assert R.monoid is not None
-    if not set(v) <= set(c):
-        return False
-    for x in c:
-        if not monoid_contains(R.monoid, sum(1 for y in v if y == x)):
-            return False
-    return True
+    return set(v) <= set(c)  # cartesian
 
 
 def _letter_key(x: Letter) -> tuple[str, str]:
@@ -178,8 +147,6 @@ def terminal_context(R: ContextStructure, v: Word) -> Optional[Word]:
     under the four substitution-free structures).  The canonical choice is
     first-occurrence order, except last-occurrence for right-surjective.
     """
-    if not R.modelable:
-        raise ContextError(f"terminal contexts undefined for {R}")
     kind = R.kind
     if kind in (TRIVIAL_KIND, BIJECTIVE_KIND, STRICT_INCREASING_KIND,
                 INJECTIVE_KIND):
@@ -189,33 +156,12 @@ def terminal_context(R: ContextStructure, v: Word) -> Optional[Word]:
     return _first_occurrence_order(v)
 
 
-def modelable_decompose(
-        R: ContextStructure, c: Word, vs: Sequence[Word]
-) -> Optional[list[Word]]:
-    """Split a governed concatenation into per-component terminal contexts."""
-    flat = tuple(x for v in vs for x in v)
-    if not holds(R, c, flat):
-        raise ContextError(
-            f"context {word_str(c)} does not govern {word_str(flat)} under {R}")
-    out: list[Word] = []
-    for v in vs:
-        t = terminal_context(R, v)
-        if t is None:
-            return None
-        out.append(t)
-    if not holds(R, c, tuple(x for t in out for x in t)):
-        return None
-    return out
-
-
 def delta_of(R: ContextStructure, theta: FinFn) -> bool:
     """Whether theta belongs to the function family matching R.
 
     Uses fresh letters c1..cn of a dummy sort and asks whether the context
     c1..cn governs the reindexed word c_{theta(1)}..c_{theta(m)}.
     """
-    if not R.modelable:
-        raise ContextError(f"delta_of requires a modelable structure, got {R}")
     letters = tuple(Letter("_s", f"_c{i}") for i in range(1, theta.cod + 1))
     image = tuple(letters[theta(i) - 1] for i in range(1, theta.dom + 1))
     return holds(R, letters, image)

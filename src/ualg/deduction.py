@@ -19,7 +19,9 @@ contexts and depth-2 terms at 2-letter contexts; derived equations and longer
 contexts take variables and constants, with a per-equation budget that falls
 back to constants alone.  Anything the tiers or the depth/context caps skip
 sets the truncation flag, so a missing goal is reported inconclusive rather
-than refuted.
+than refuted.  Conclusions are emitted only at orders of the letters they
+use, so the engine never weakens an equation into a context with more
+letters; `prove` flags that gap too (`weakening`) when it could matter.
 
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
@@ -92,7 +94,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 
-from .context import Letter, Word, holds, terminal_context
+from .context import Letter, Word, delta_of, holds, terminal_context
+from .finord import FinFn
 from .syntax import (
     App, Equation, Term, Theory, TheoryError, Var, app, apply_renaming,
     const, ctx_str, equation, is_r_context, is_r_renaming, tau, term_depth,
@@ -446,9 +449,10 @@ class SaturationResult:
 @dataclass
 class ProveResult:
     """A proof of the goal, or None.  The truncation flags qualify only a
-    missing proof: they say which bounds cut the search that failed.  A
-    found proof may end saturation early, so its flags cover only the rounds
-    that ran, and a goal-directed stop never raises `rounds`."""
+    missing proof: they say which bounds cut the search that failed, and
+    `weakening` that the search skipped weakenings that might reach the
+    goal.  A found proof may end saturation early, so its flags cover only
+    the rounds that ran, and a goal-directed stop never raises `rounds`."""
 
     proof: Optional[Proof]
     truncated: bool
@@ -1035,6 +1039,25 @@ def _weakening_proof(E: Theory, engine: _Saturator,
     return None
 
 
+# [0] -> [1]: a context may hold a letter its word does not use.
+_DROP_LETTER = FinFn(0, 1, ())
+
+
+def _truncation_flags(E: Theory, engine: _Saturator, goal: Equation,
+                      proved: bool) -> tuple[str, ...]:
+    """The engine's truncation flags, plus `weakening` for an unproved goal
+    when the structure lets a context drop a letter and some space over
+    fewer letters than the goal's context holds an edge: the engine never
+    weakens that edge's equation into a larger context, so a proof through
+    such a weakening would go unseen."""
+    flags = set(engine.truncated_by)
+    if (not proved and delta_of(E.structure, _DROP_LETTER)
+            and any(sp.why and len(ctx) < len(goal.ctx)
+                    for ctx, sp in engine.spaces.items())):
+        flags.add("weakening")
+    return tuple(sorted(flags))
+
+
 def prove(E: Theory, goal: Equation, bounds: Bounds) -> ProveResult:
     """Search for the goal in the bounded closure; absence may be truncated.
 
@@ -1049,9 +1072,8 @@ def prove(E: Theory, goal: Equation, bounds: Bounds) -> ProveResult:
     engine.run(stop=lambda: engine.holds_canonically(
         first, goal.lhs, goal.rhs))
     proof = _weakening_proof(E, engine, goal)
-    return ProveResult(proof,
-                       truncated=bool(engine.truncated_by),
-                       truncated_by=tuple(sorted(engine.truncated_by)))
+    flags = _truncation_flags(E, engine, goal, proof is not None)
+    return ProveResult(proof, truncated=bool(flags), truncated_by=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -211,36 +211,6 @@ def satisfies_theory(m: FinSetModel, E: Theory) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Morphisms
-
-
-@dataclass(frozen=True)
-class ModelMorphism:
-    maps: Mapping[str, tuple[int, ...]]  # per sort: image of each element
-
-
-def check_morphism(f: ModelMorphism, m: FinSetModel, n: FinSetModel) -> bool:
-    """Does f commute with every op table?  Checked by full enumeration."""
-    if m.signature is not n.signature and m.signature != n.signature:
-        raise ModelError("morphism endpoints use different signatures")
-    for s in m.signature.sorts:
-        fs = f.maps.get(s)
-        if fs is None or len(fs) != m.carriers[s]:
-            raise ModelError(f"morphism component for sort {s} has wrong size")
-        if any(not 0 <= e < n.carriers[s] for e in fs):
-            raise ModelError(f"morphism component for sort {s} out of range")
-    for name, decl in m.signature.ops.items():
-        mt = m.op_tables[name]
-        nt = n.op_tables[name]
-        fb = f.maps[decl.result]
-        comps = [f.maps[s] for s in decl.arity]
-        for args in itertools.product(*(range(m.carriers[s]) for s in decl.arity)):
-            if fb[mt(*args)] != nt(*(c[a] for c, a in zip(comps, args))):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Model search
 #
 # The cells of all op tables form one flat list `val`: ops in signature order,

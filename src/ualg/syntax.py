@@ -498,15 +498,3 @@ def parse_theory(text: str) -> Theory:
                             structure=structure)
         for eq_name, body, lineno in raw_eqs)
     return Theory(name, sig, structure, eqs)
-
-
-def format_theory(t: Theory) -> str:
-    out = [f"theory {t.name}", f"structure {t.structure.kind}"]
-    if t.signature.sorts:
-        out.append("sort " + " ".join(t.signature.sorts))
-    for op_name, decl in t.signature.ops.items():
-        arity = (" ".join(decl.arity) + " ") if decl.arity else ""
-        out.append(f"op {op_name} : {arity}-> {decl.result}")
-    for eq in t.equations:
-        out.append(f"eq {eq.name} : {eq}")
-    return "\n".join(out) + "\n"

@@ -1,4 +1,4 @@
-"""Term algebras with provability quotients and the universal-model build.
+"""The extended signature and the bounded universal-model quotient.
 
 The extended signature has one sort per (argument word, result sort) pair and
 four symbol families: composition, identities, reindexing actions for every
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .context import (
-    CARTESIAN, ContextStructure, Letter, Word, delta_of, holds,
-    terminal_context,
+    CARTESIAN, ContextStructure, Letter, Word, delta_of, terminal_context,
 )
 from .finord import (
     FinFn, all_functions, compose as fn_compose, coproduct,
@@ -33,95 +32,11 @@ from .syntax import (
     App, Equation, OpDecl, Signature, Term, Theory, TheoryError, Var, app,
     equation, tau, term_depth, term_str, var,
 )
-from .deduction import Bounds, _Saturator, prove
+from .deduction import Bounds, _Saturator
 
 
 class UniversalError(TheoryError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Term algebras over a signature
-
-
-BALANCED_R = "balanced-r"
-PLAIN_R = "plain-r"
-BALANCED_E = "balanced-e"
-PLAIN_E = "plain-e"
-
-
-def term_algebra_eval(kind: str, E: Theory, t: Term, v: Word, args: Sequence):
-    """Evaluate t in the term algebra at the point given by args (one entry
-    per context letter).  Plain algebras take terms; balanced ones take
-    (word, term) pairs and thread the words along variable occurrences."""
-    if kind in (PLAIN_R, PLAIN_E):
-        assignment = dict(zip(v, args))
-
-        def ev(u: Term) -> Term:
-            if isinstance(u, Var):
-                try:
-                    return assignment[u.letter]
-                except KeyError:
-                    raise UniversalError(
-                        f"no argument for variable {u.letter.name}") from None
-            assert isinstance(u, App)
-            if not u.args:
-                return u
-            return app(E.signature, u.op, [ev(x) for x in u.args])
-
-        return ev(t)
-    if kind in (BALANCED_R, BALANCED_E):
-        assignment = dict(zip(v, args))
-
-        def evb(u: Term) -> tuple[Word, Term]:
-            if isinstance(u, Var):
-                try:
-                    w, inner = assignment[u.letter]
-                except KeyError:
-                    raise UniversalError(
-                        f"no argument for variable {u.letter.name}") from None
-                return tuple(w), inner
-            assert isinstance(u, App)
-            if not u.args:
-                return (), u
-            parts = [evb(x) for x in u.args]
-            word = tuple(x for w, _ in parts for x in w)
-            return word, app(E.signature, u.op, [inner for _, inner in parts])
-
-        return evb(t)
-    raise UniversalError(f"unknown term algebra kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class SatisfactionResult:
-    value: bool
-    truncated: bool
-    truncated_by: tuple[str, ...] = ()
-
-
-def term_model_satisfies(kind: str, E: Theory, eq: Equation,
-                         bounds: Bounds) -> SatisfactionResult:
-    """Whether the quotient term model satisfies eq, decided by bounded
-    saturation.  The plain model quotients by derivability under the maximal
-    structure; the balanced one needs a shared terminal context first."""
-    if kind == PLAIN_E:
-        cart = Theory(E.name, E.signature, CARTESIAN, E.equations)
-        letters = tuple(dict.fromkeys(tau(eq.lhs) + tau(eq.rhs)))
-        goal = equation("", eq.lhs, eq.rhs, letters)
-        res = prove(cart, goal, bounds)
-        return SatisfactionResult(res.proved, res.truncated, res.truncated_by)
-    if kind == BALANCED_E:
-        w1 = terminal_context(E.structure, tau(eq.lhs))
-        w2 = terminal_context(E.structure, tau(eq.rhs))
-        if w1 is None or w2 is None:
-            return SatisfactionResult(False, False)
-        if not (holds(E.structure, w1, w2) and holds(E.structure, w2, w1)):
-            return SatisfactionResult(False, False)
-        goal = equation("", eq.lhs, eq.rhs, w1)
-        res = prove(E, goal, bounds)
-        return SatisfactionResult(res.proved, res.truncated, res.truncated_by)
-    raise UniversalError(
-        f"term_model_satisfies expects a quotient algebra kind, got {kind!r}")
 
 
 # ---------------------------------------------------------------------------

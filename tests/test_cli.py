@@ -111,7 +111,8 @@ def test_prove_inconclusive():
     p = ualg("prove", MONOID, "--goal",
              "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]", "--depth", "3")
     assert p.returncode == 1
-    assert p.stdout == "inconclusive (truncated: depth,instantiation)\n"
+    assert p.stdout == (
+        "inconclusive (truncated: depth,instantiation,weakening)\n")
 
 
 def test_countermodel_found_and_none():

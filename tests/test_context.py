@@ -9,9 +9,9 @@ import pytest
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, LEFT_SURJECTIVE, RIGHT_SURJECTIVE,
     STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextError, Letter, delta_of,
-    holds, modelable_decompose, parse_structure, r_upper, terminal_context,
+    holds, parse_structure, terminal_context,
 )
-from ualg.finord import fn, identity, in_family, monoid, parse_family
+from ualg.finord import fn, in_family, parse_family
 from ualg.selftest import EIGHT_STRUCTURES, STRUCTURE_FAMILY
 
 X, Y, Z = (Letter("s", n) for n in "xyz")
@@ -60,19 +60,6 @@ def test_holds_examples_per_structure():
     assert not holds(CARTESIAN, (X,), (Y,))
 
 
-def test_holds_rupper():
-    R = r_upper(monoid(0, 3, bound=10))
-    assert holds(R, (X, Y, Z), (Z, Z, Z, Y))
-    # sums of odd counts of odd members stay odd, so 2 is unreachable here
-    R3 = r_upper(monoid(3, bound=10))
-    assert holds(R3, (X, Y), (X, X, X, Y))
-    assert not holds(R3, (X, Y), (X, X, Y))
-    assert not holds(R3, (X, Y), (X,))  # y would need multiplicity 0
-    R2 = r_upper(monoid(0, 1, bound=10))
-    assert holds(R2, (X, Y, Z), (X, Z))
-    assert not holds(R2, (X, Y), (X, X))
-
-
 def test_holds_rejects_bad_context():
     with pytest.raises(ContextError):
         holds(CARTESIAN, (X, X), (X,))
@@ -99,30 +86,22 @@ def test_terminal_context_defining_property():
                 assert holds(R, w, c) == holds(R, w, v)
 
 
-def test_modelable_decompose():
-    got = modelable_decompose(CARTESIAN, (X, Y), [(X, X), (Y,)])
-    assert got == [(X,), (Y,)]
-    got = modelable_decompose(BIJECTIVE, (X, Y), [(Y,), (X,)])
-    assert got == [(Y,), (X,)]
-    got = modelable_decompose(SURJECTIVE, (X,), [(X, X)])
-    assert got == [(X,)]
-    with pytest.raises(ContextError):
-        modelable_decompose(BIJECTIVE, (X, Y), [(X, X), (Y,)])
-
-
 def test_modelable_decompose_components_governed():
+    """The decomposition lemma that evaluation and internalization rely on:
+    when c governs v1+v2, each v_i has a terminal context t_i, t_i governs
+    v_i, and c governs t1+t2."""
     letters = (X, Y)
     for R in EIGHT_STRUCTURES:
         for v1 in words(letters, 2):
             for v2 in words(letters, 2):
                 for c in contexts((X, Y, Z), 3):
-                    flat = v1 + v2
-                    if not holds(R, c, flat):
+                    if not holds(R, c, v1 + v2):
                         continue
-                    got = modelable_decompose(R, c, [v1, v2])
-                    assert got is not None
-                    assert holds(R, c, got[0] + got[1])
-                    assert holds(R, got[0], v1) and holds(R, got[1], v2)
+                    t1 = terminal_context(R, v1)
+                    t2 = terminal_context(R, v2)
+                    assert t1 is not None and t2 is not None
+                    assert holds(R, c, t1 + t2)
+                    assert holds(R, t1, v1) and holds(R, t2, v2)
 
 
 def test_delta_of_examples():
@@ -130,8 +109,6 @@ def test_delta_of_examples():
     assert not delta_of(STRICT_INCREASING, fn((1, 1), 1))
     assert delta_of(LEFT_SURJECTIVE, fn((1, 1, 2), 2))
     assert delta_of(CARTESIAN, fn((), 0))
-    with pytest.raises(ContextError):
-        delta_of(r_upper(monoid(bound=4)), identity(1))
 
 
 def test_delta_of_matches_family_at_three():

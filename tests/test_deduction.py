@@ -15,7 +15,8 @@ from ualg.context import (
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
-    canonical_triple, _pool_letter, _Saturator, _Space, _weakening_proof,
+    canonical_triple, _pool_letter, _Saturator, _Space, _truncation_flags,
+    _weakening_proof,
     check_proof, proof_lines, prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
@@ -255,6 +256,52 @@ def test_truncation_is_flagged(monoid):
     assert res.truncated and res.truncated_by
 
 
+WEAKENING_TEXT = """theory W
+structure {}
+sort A B
+op f : A -> B
+op a : -> A
+eq k : f(x) ~ f(a) ctx [ x:A ]
+"""
+
+
+@pytest.mark.parametrize("kind",
+                         ["cartesian", "injective", "strict-increasing"])
+def test_unseen_weakening_is_flagged(kind):
+    """f(x) ~ f(y) at [x y] is k weakened to [x y] at x -> x, then back at
+    x -> y.  The engine never weakens into more letters, so prove() misses
+    it, and must say its search was cut rather than saturated."""
+    E = parse_theory(WEAKENING_TEXT.format(kind))
+    goal = parse_equation_text(E.signature, "f(x) ~ f(y) ctx [ x:A y:A ]",
+                               structure=E.structure)
+    k = E.axiom("k")
+
+    def weakened(z):
+        s = ((k.ctx[0], var(z)),)
+        return Subst(s, s, goal.ctx, ((z,),), Axiom("k", k),
+                     (Refl(var(z), (z,)),))
+
+    x, y = goal.ctx
+    got = check_proof(E, Trans(weakened(x), Sym(weakened(y))))
+    assert (got.lhs, got.rhs, got.ctx) == (goal.lhs, goal.rhs, goal.ctx)
+    for bounds in (Bounds(3, 3, 8), Bounds(4, 4, 8)):
+        res = prove(E, goal, bounds)
+        assert not res.proved
+        assert res.truncated_by == ("weakening",)
+
+
+def test_weakening_flag_needs_a_smaller_edge():
+    """With no axioms no space holds an edge, so nothing could be weakened:
+    the free magma's commutativity stays saturated."""
+    free = parse_theory("theory Free\nstructure cartesian\nsort A\n"
+                        "op f : A A -> A\n")
+    goal = parse_equation_text(free.signature,
+                               "f(x,y) ~ f(y,x) ctx [ x:A y:A ]",
+                               structure=free.structure)
+    res = prove(free, goal, Bounds(3, 3, 4))
+    assert not res.proved and res.truncated_by == ()
+
+
 def test_eh_units_coincide():
     EH = eckmann_hilton_theory()
     goal = parse_equation_text(EH.signature, "e ~ u ctx [ ]",
@@ -399,7 +446,7 @@ def test_goal_directed_stop_is_exact(monoid, monkeypatch):
     assert res.proved
     assert proof_lines(res.proof) == proof_lines(want)
     assert engine.rounds_used == full.rounds_used
-    assert res.truncated_by == tuple(sorted(full.truncated_by))
+    assert res.truncated_by == _truncation_flags(E, full, goal, True)
 
     goal = parse_equation_text(monoid.signature,
                                "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]",
@@ -407,7 +454,7 @@ def test_goal_directed_stop_is_exact(monoid, monkeypatch):
     res, engine, full, want = _prove_and_run_to_bound(
         monoid, goal, Bounds(3, 3, 4), monkeypatch)
     assert not res.proved and want is None
-    assert res.truncated_by == tuple(sorted(full.truncated_by))
+    assert res.truncated_by == _truncation_flags(E, full, goal, False)
     assert res.truncated_by
 
 

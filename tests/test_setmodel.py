@@ -1,4 +1,4 @@
-"""Tables, term evaluation, morphisms, and the backtracking model search."""
+"""Tables, term evaluation, and the backtracking model search."""
 
 import itertools
 import math
@@ -10,9 +10,9 @@ from ualg.context import CARTESIAN, Letter
 from ualg.finord import fn, identity as fn_identity
 from ualg.selftest import eckmann_hilton_theory, monoid_theory
 from ualg.setmodel import (
-    FinSetModel, ModelError, ModelMorphism, MultiMap, check_morphism,
-    compose_multi, eval_term, find_model, format_model, identity_map,
-    iter_models, satisfies, satisfies_theory, table_from, theta_action,
+    FinSetModel, ModelError, MultiMap, compose_multi, eval_term, find_model,
+    format_model, identity_map, iter_models, satisfies, satisfies_theory,
+    table_from, theta_action,
 )
 from ualg.syntax import (
     Theory, app, const, equation, parse_equation_text, parse_theory,
@@ -146,20 +146,6 @@ def test_substitution_identity_tables(monoid, xor_model):
         eval_term(xor_model, (X, Y), t),
         [eval_term(xor_model, (X,), s[X]), eval_term(xor_model, (Y,), s[Y])])
     assert direct == inner
-
-
-def test_model_morphisms(monoid):
-    z4 = FinSetModel(monoid.signature, monoid.structure, {"M": 4},
-                     {"mul": table_from((4, 4), 4, lambda a, b: (a + b) % 4),
-                      "e": MultiMap((), 4, (0,))})
-    z2 = FinSetModel(monoid.signature, monoid.structure, {"M": 2},
-                     {"mul": table_from((2, 2), 2, lambda a, b: (a + b) % 2),
-                      "e": MultiMap((), 2, (0,))})
-    reduction = ModelMorphism({"M": (0, 1, 0, 1)})
-    assert check_morphism(reduction, z4, z2)
-    assert check_morphism(ModelMorphism({"M": (0, 1)}), z2, z2)
-    crooked = ModelMorphism({"M": (1, 0, 0, 1)})
-    assert not check_morphism(crooked, z4, z2)
 
 
 def test_term_naturality(monoid):

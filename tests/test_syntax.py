@@ -14,7 +14,7 @@ from ualg.deduction import Bounds
 from ualg.selftest import EIGHT_STRUCTURES, MONOID_TEXT
 from ualg.syntax import (
     EquationContextError, ParseError, Term, TypingError, app,
-    apply_renaming, const, equation, format_theory, is_r_context,
+    apply_renaming, const, equation, is_r_context,
     is_r_renaming, parse_equation_text, parse_theory, signature, tau,
     term_depth, var,
 )
@@ -36,10 +36,6 @@ def test_parse_monoid(monoid):
     assert set(monoid.signature.ops) == {"mul", "e"}
     assert len(monoid.equations) == 3
     assert monoid.axiom("lunit").lhs.op == "mul"
-
-
-def test_round_trip(monoid):
-    assert parse_theory(format_theory(monoid)) == monoid
 
 
 def test_parse_errors_carry_location():

@@ -1,21 +1,20 @@
-"""Term algebras, the extended signature, and the bounded initial model."""
+"""The extended signature and the bounded initial model."""
 
 import pytest
 
-from ualg.context import CARTESIAN, INJECTIVE, SURJECTIVE, TRIVIAL, Letter
-from ualg.deduction import Bounds
+from ualg.context import CARTESIAN, INJECTIVE, TRIVIAL, Letter
+from ualg.deduction import Bounds, check_proof
 from ualg.finord import fn, identity
 from ualg.selftest import (
     eckmann_hilton_theory, monoid_theory, projection_theory,
 )
-from ualg.setmodel import FinSetModel, MultiMap, find_model, table_from
-from ualg.syntax import Theory, app, const, equation, parse_equation_text, \
+from ualg.setmodel import FinSetModel, MultiMap, iter_models, table_from
+from ualg.syntax import Theory, app, equation, parse_equation_text, \
     parse_theory, signature, var
 from ualg.universal import (
-    BALANCED_E, BALANCED_R, PLAIN_E, PLAIN_R, UniversalError, build_sigma,
-    categorization_axioms, default_sigma, enumerate_pure_terms, internalize,
-    internalize_term, sigma_interpret, sigma_term_str, term_algebra_eval,
-    term_model_satisfies, universal_hom,
+    UniversalError, build_sigma, categorization_axioms, default_sigma,
+    enumerate_pure_terms, internalize, internalize_term, sigma_interpret,
+    sigma_term_str, sigma_theory, universal_hom,
 )
 
 X, Y = Letter("M", "x"), Letter("M", "y")
@@ -24,86 +23,6 @@ X, Y = Letter("M", "x"), Letter("M", "y")
 @pytest.fixture(scope="module")
 def monoid():
     return monoid_theory()
-
-
-def test_term_algebra_plain(monoid):
-    sig = monoid.signature
-    u1 = app(sig, "mul", [var(X), const(sig, "e")])
-    u2 = var(Y)
-    assert term_algebra_eval(PLAIN_R, monoid, var(X), (X,), [u1]) is u1
-    t = app(sig, "mul", [var(X), var(Y)])
-    got = term_algebra_eval(PLAIN_R, monoid, t, (X, Y), [u1, u2])
-    assert got == app(sig, "mul", [u1, u2])
-    with pytest.raises(UniversalError):
-        term_algebra_eval(PLAIN_R, monoid, t, (X,), [u1])
-
-
-def test_term_algebra_plain_matches_substitution(monoid):
-    from ualg.syntax import apply_renaming
-
-    sig = monoid.signature
-    e = const(sig, "e")
-    pool = [var(X), var(Y), e, app(sig, "mul", [var(X), var(Y)]),
-            app(sig, "mul", [e, var(X)])]
-    terms = [var(X), app(sig, "mul", [var(X), var(Y)]),
-             app(sig, "mul", [var(X), var(X)]),
-             app(sig, "mul", [e, var(Y)])]
-    for t in terms:
-        for u1 in pool:
-            for u2 in pool:
-                got = term_algebra_eval(PLAIN_R, monoid, t, (X, Y), [u1, u2])
-                assert got == apply_renaming({X: u1, Y: u2}, t)
-
-
-def test_term_algebra_balanced(monoid):
-    sig = monoid.signature
-    t = app(sig, "mul", [var(X), var(Y)])
-    w1, u1 = (X, X), var(X)
-    w2, u2 = (Y,), app(sig, "mul", [var(Y), const(sig, "e")])
-    word, inner = term_algebra_eval(BALANCED_R, monoid, t, (X, Y),
-                                    [(w1, u1), (w2, u2)])
-    assert word == (X, X, Y)
-    assert inner == app(sig, "mul", [u1, u2])
-    word2, inner2 = term_algebra_eval(BALANCED_R, monoid, const(sig, "e"),
-                                      (X,), [((X,), var(X))])
-    assert word2 == () and inner2 is const(sig, "e")
-
-
-def test_term_model_satisfies(monoid):
-    bounds = Bounds(3, 3, 5)
-    lunit = monoid.axiom("lunit")
-    res = term_model_satisfies(PLAIN_E, monoid, lunit, bounds)
-    assert res.value
-
-    sig = signature(["A"], {"f": (("A", "A"), "A")})
-    free = Theory("Free", sig, CARTESIAN, ())
-    comm = parse_equation_text(sig, "f(x,y) ~ f(y,x) ctx [ x:A y:A ]")
-    assert not term_model_satisfies(PLAIN_E, free, comm, bounds).value
-
-    surj = Theory("F", sig, SURJECTIVE, ())
-    a, b = Letter("A", "x"), Letter("A", "y")
-    eq = equation("", app(sig, "f", [var(a), var(b)]), var(a), (a, b))
-    res = term_model_satisfies(BALANCED_E, surj, eq, bounds)
-    assert not res.value  # terminal contexts of the sides differ
-    with pytest.raises(UniversalError):
-        term_model_satisfies(PLAIN_R, monoid, lunit, bounds)
-
-
-def test_plain_e_agrees_with_cartesian_prove(monoid):
-    from ualg.deduction import prove
-
-    bounds = Bounds(3, 3, 5)
-    goals = [
-        ("mul(e,e) ~ e ctx [ ]", True),
-        ("mul(x,e) ~ x ctx [ x:M ]", True),
-        ("mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]", False),
-    ]
-    for text, expect in goals:
-        goal = parse_equation_text(monoid.signature, text,
-                                   structure=monoid.structure)
-        sat = term_model_satisfies(PLAIN_E, monoid, goal, bounds)
-        proved = prove(monoid, goal, bounds).proved
-        assert sat.value == proved == expect
 
 
 def test_build_sigma_counts(monoid):
@@ -237,18 +156,60 @@ def test_universal_hom_order_independence():
     assert sets1 == sets2
 
 
-def test_sigma_interpret_transport(monoid):
-    """Members of a merged class evaluate to the same table in a model."""
-    S = default_sigma(monoid, (("M", "M"), "M"))
-    model = find_model(monoid, 2)
-    assert model is not None
-    part = universal_hom(monoid, (("M", "M"), "M"), Bounds(2, 3, 6), sigma=S)
-    checked = 0
-    for cls in part.classes:
-        tables = {sigma_interpret(S, model, t).table for t in cls[:4]}
-        assert len(tables) == 1
-        checked += 1
-    assert checked >= 2
+NON_LINEAR = {
+    "cartesian": ("theory NonLinear\nstructure cartesian\nsort M\n"
+                  "op mul : M M -> M\n"
+                  "eq k : mul(x,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]\n",
+                  "M"),
+    "left-surjective": ("theory NonLinearLS\nstructure left-surjective\n"
+                        "sort A\nop f : A A -> A\n"
+                        "eq k : f(x,f(x,y)) ~ f(x,y) ctx [ x:A y:A ]\n",
+                        "A"),
+}
+
+
+SAMPLE_HOMS = {
+    "monoid": (monoid_theory(), (("M", "M"), "M")),
+    "eh": (eckmann_hilton_theory(), (("M", "M"), "M")),
+    "projection": (projection_theory(CARTESIAN), (("A", "A"), "A")),
+}
+
+
+@pytest.fixture(scope="module")
+def quotients():
+    """(theory, quotient) by name: the sample quotients at Bounds(2,3,8) and
+    the non-linear ones at Bounds(2,3,2), built once for the module."""
+    out = {key: (E, universal_hom(E, hom, Bounds(2, 3, 8)))
+           for key, (E, hom) in SAMPLE_HOMS.items()}
+    for kind, (text, sort) in NON_LINEAR.items():
+        E = parse_theory(text)
+        out[kind] = (E, universal_hom(E, ((sort, sort), sort),
+                                      Bounds(2, 3, 2)))
+    return out
+
+
+def test_sigma_interpret_transport(quotients):
+    """The quotient is certified.  Each merge's proof replays against the
+    sigma theory to exactly cls[0] ~ u at (), and every member of a class
+    has one table in every model up to size 2: the quotient maps to each
+    Set model, as the universal-model construction says."""
+    merges = classes = 0
+    for key, (E, part) in quotients.items():
+        S = part.sigma
+        theory = sigma_theory(S, E)
+        models = list(iter_models(E, 2))
+        assert models, key
+        for cls in part.classes:
+            for u in cls[1:]:
+                proof = part._engine.proof_of(equation("", cls[0], u, ()))
+                got = check_proof(theory, proof)
+                assert (got.lhs, got.rhs, got.ctx) == (cls[0], u, ()), key
+                merges += 1
+            for m in models:
+                assert len({sigma_interpret(S, m, t) for t in cls}) == 1, (
+                    key, sigma_term_str(S, cls[0]))
+                classes += 1
+    assert merges >= 26 and classes >= 101
 
 
 def test_sigma_interpret_examples(monoid):
@@ -262,29 +223,13 @@ def test_sigma_interpret_examples(monoid):
     assert lhs == rhs == MultiMap((2,), 2, (0, 1))
 
 
-NON_LINEAR = {
-    "cartesian": ("theory NonLinear\nstructure cartesian\nsort M\n"
-                  "op mul : M M -> M\n"
-                  "eq k : mul(x,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]\n",
-                  "M"),
-    "left-surjective": ("theory NonLinearLS\nstructure left-surjective\n"
-                        "sort A\nop f : A A -> A\n"
-                        "eq k : f(x,f(x,y)) ~ f(x,y) ctx [ x:A y:A ]\n",
-                        "A"),
-}
-
-
 @pytest.mark.parametrize("kind", sorted(NON_LINEAR))
-def test_default_sigma_covers_non_linear_axioms(kind):
+def test_default_sigma_covers_non_linear_axioms(kind, quotients):
     """mul(x,mul(x,y)) composes at (x)+(x,y), three letters, one more than
     any op arity or axiom context: the extended signature must reach it."""
-    text, sort = NON_LINEAR[kind]
-    E = parse_theory(text)
-    hom = ((sort, sort), sort)
-    S = default_sigma(E, hom)
-    assert S.max_arity == 3
-    assert len(internalize(E, S)) == 1
-    part = universal_hom(E, hom, Bounds(2, 3, 2), sigma=S)
+    E, part = quotients[kind]
+    assert part.sigma.max_arity == 3
+    assert len(internalize(E, part.sigma)) == 1
     assert part.classes
 
 
