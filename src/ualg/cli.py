@@ -101,12 +101,10 @@ def cmd_prove(args) -> int:
             print("proved")
             print("\n".join(proof_lines(result.proof)))
         return 0
-    refuted = False
-    if theory.structure.kind in ("injective", "strict-increasing"):
-        try:
-            refuted = refute_by_invariant(theory, goal)
-        except DeductionError:
-            refuted = False
+    try:
+        refuted = refute_by_invariant(theory, goal)
+    except DeductionError:
+        refuted = False
     if refuted:
         message = "refuted-by-invariant"
     elif result.truncated:

@@ -156,6 +156,13 @@ def terminal_context(R: ContextStructure, v: Word) -> Optional[Word]:
     return _first_occurrence_order(v)
 
 
+def embedding(v: Word, w: Word) -> FinFn:
+    """The function theta with w = v o theta: each letter of w goes to its
+    position in the context v.  A letter of w that v lacks is a KeyError."""
+    pos = {x: i for i, x in enumerate(v, start=1)}
+    return FinFn(len(w), len(v), tuple(pos[x] for x in w))
+
+
 def delta_of(R: ContextStructure, theta: FinFn) -> bool:
     """Whether theta belongs to the function family matching R.
 

@@ -26,25 +26,24 @@ letters; `prove` flags that gap too (`weakening`) when it could matter.
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
 data: an axiom edge its (cheap) proof, a rule-5 edge an `_Inst` or `_Cong`
-naming the premise, the substitution, the target contexts, and the edge
-count of the space that explains the premise (or the congruence side) at
-that moment.  `proof_of` turns the records it needs into proof trees, once
-per edge, on an explicit stack.  Edge lists only grow, so explaining from
-the first n edges walks exactly the edges the space had when the conclusion
-was found, and each proof is the one an eager build would have made.  The
-records hold terms, words and numbers, never the engine or a space, so a
-finished engine is freed by reference counting alone.
+naming the premise (or the congruence side), the substitution and the
+target contexts.  `proof_of` turns the records it needs into proof trees,
+once per edge, on an explicit stack.  Union adds an edge only between two
+classes, so each space's edges form a spanning forest, and `explain`
+returns the one tree path between two joined terms.  Later edges join other
+classes and never change that path, so a premise explained on first use
+gets the path it had when its conclusion was found, and each proof is the
+one an eager build would have made.  The records hold terms, words and
+positions, never the engine or a space, so a finished engine is freed by
+reference counting alone.
 
 `prove` stops saturating before a round (the first included) once the goal
 holds at its first admissible weakening context, the first one
 `_weakening_proof` tries.  The stop is exact, so the proof is the one a run
 to the round bound gives:
 
-  * union adds an edge only between two classes, so each space's edges form
-    a spanning forest, and `explain` returns the one tree path, which is
-    fixed from the round its ends meet;
-  * each rule-5 record keeps its premise space's edge count, so an edge's
-    proof is fixed when the edge is added;
+  * the forest path between two terms, and so every proof along it, is
+    fixed from the round they meet;
   * `_weakening_proof` takes the first admissible context at which the goal
     holds, and once the first one holds no later round can change that.
 
@@ -324,19 +323,19 @@ def _first_occurrence_form(lhs: Term, rhs: Term, word: Word
 
 
 class _Space:
-    """All equalities known at one canonical context.
+    """All equalities known at one canonical context, the key under which
+    the engine stores the space.
 
-    Each union adds one edge, numbered in order; `why[i]` says why edge i
+    Each union of two classes adds one edge, numbered in order, so the
+    edges form a spanning forest of the classes; `why[i]` says why edge i
     holds: a built proof, or a rule-5 justification (`_Inst`, `_Cong`) that
-    the engine turns into one on first use.  Edge lists only grow, so the
-    first n edges are exactly the edges the space had when it held n.  A
-    union links the root with the larger `_term_key` under the smaller, so
-    each class's root is its least member."""
+    the engine turns into one on first use.  A union links the root with
+    the larger `_term_key` under the smaller, so each class's root is its
+    least member."""
 
-    __slots__ = ("ctx", "parent", "edges", "why")
+    __slots__ = ("parent", "edges", "why")
 
-    def __init__(self, ctx: Word):
-        self.ctx = ctx
+    def __init__(self):
         self.parent: dict[Term, Term] = {}
         self.edges: dict[Term, list[tuple[Term, int, bool]]] = {}
         self.why: list = []
@@ -375,12 +374,9 @@ class _Space:
             return False
         return self.find(a) is self.find(b)
 
-    def explain(self, a: Term, b: Term, cut: Optional[int] = None
-                ) -> list[tuple[int, bool]]:
-        """The edges (number, walked backwards) of a path from a to b that
-        uses only the first `cut` edges (all of them by default)."""
-        if cut is None:
-            cut = len(self.why)
+    def explain(self, a: Term, b: Term) -> list[tuple[int, bool]]:
+        """The edges (number, walked backwards) of the forest path from a to
+        b, which later unions never change."""
         prev: dict[Term, tuple[Term, int, bool]] = {}
         queue = deque([a])
         seen = {a}
@@ -389,8 +385,6 @@ class _Space:
             if x is b:
                 break
             for y, edge, flipped in self.edges[x]:
-                if edge >= cut:
-                    break
                 if y not in seen:
                     seen.add(y)
                     prev[y] = (x, edge, flipped)
@@ -408,28 +402,28 @@ class _Space:
 
 class _Inst:
     """Rule 5 by instantiation: the letters of ctx become `images` in the
-    premise a ~ b, which ctx's space explains from its first `cut` edges;
-    the conclusion is stated at w with per-letter contexts ws."""
+    premise a ~ b, which ctx's space explains along its forest path; the
+    conclusion is stated at w with per-letter contexts ws."""
 
-    __slots__ = ("ctx", "a", "b", "cut", "images", "w", "ws")
+    __slots__ = ("ctx", "a", "b", "images", "w", "ws")
 
-    def __init__(self, ctx: Word, a: Term, b: Term, cut: int,
+    def __init__(self, ctx: Word, a: Term, b: Term,
                  images: tuple[Term, ...], w: Word, ws: tuple[Word, ...]):
-        self.ctx, self.a, self.b, self.cut = ctx, a, b, cut
+        self.ctx, self.a, self.b = ctx, a, b
         self.images, self.w, self.ws = images, w, ws
 
 
 class _Cong:
     """Rule 5 by congruence: argument pos of parent becomes replacement.  The
     side premise old ~ replacement holds at ws[pos], and its canonical space
-    explains it from its first `cut` edges."""
+    explains it along its forest path."""
 
-    __slots__ = ("parent", "pos", "replacement", "cut", "w", "ws")
+    __slots__ = ("parent", "pos", "replacement", "w", "ws")
 
-    def __init__(self, parent: App, pos: int, replacement: Term, cut: int,
+    def __init__(self, parent: App, pos: int, replacement: Term,
                  w: Word, ws: tuple[Word, ...]):
         self.parent, self.pos, self.replacement = parent, pos, replacement
-        self.cut, self.w, self.ws = cut, w, ws
+        self.w, self.ws = w, ws
 
 
 @dataclass
@@ -486,7 +480,7 @@ class _Saturator:
         self._uses: dict[Term, list[int]] = {}
         self._swept = 0
         self._mates: dict[Term, Term] = {}
-        self._sides: dict[Term, Optional[tuple[Word, int]]] = {}
+        self._sides: dict[Term, Optional[Word]] = {}
         self._templates: dict[str, tuple[Word, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
         self._concluded: set[tuple] = set()
@@ -494,8 +488,6 @@ class _Saturator:
         self.events: list[tuple[Word, Term, Term]] = []
         self.rounds_used = 0
         self.depth_cap = bounds.max_term_depth
-        self.frontier: list[tuple[Word, Term, Term]] = []
-        self.new_terms: list[Term] = []
 
         for sort in self.sig.sorts:
             for i in range(1, bounds.max_ctx_len + 1):
@@ -504,14 +496,11 @@ class _Saturator:
             self._register(const(self.sig, name))
 
         seeds: list[tuple[Word, Term, Term, Proof]] = []
-        self.axiom_seeds: set[tuple[Word, Term, Term]] = set()
         for ax in E.equations:
             canon_ctx, (a, b), mapping = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
             base = Axiom(ax.name, ax)
             proof = self._reletter(base, ax.ctx, mapping)
             seeds.append((canon_ctx, a, b, proof))
-            self.axiom_seeds.add((canon_ctx, a, b))
-            self.axiom_seeds.add((canon_ctx, b, a))
         for ctx, t in extra_terms:
             canon_ctx, (ct,), _ = _canonicalize(ctx, [t])
             self.depth_cap = max(self.depth_cap, term_depth(ct))
@@ -543,12 +532,11 @@ class _Saturator:
         self.in_universe.add(t)
         self.universe.append(t)
         self.by_sort.setdefault(t.sort, []).append(t)
-        self.new_terms.append(t)
 
     def _space(self, canon_ctx: Word) -> _Space:
         sp = self.spaces.get(canon_ctx)
         if sp is None:
-            sp = self.spaces[canon_ctx] = _Space(canon_ctx)
+            sp = self.spaces[canon_ctx] = _Space()
         return sp
 
     def _reletter(self, proof: Proof, ctx: Word,
@@ -567,24 +555,23 @@ class _Saturator:
     def run(self, stop: Optional[Callable[[], bool]] = None) -> None:
         """Saturate round by round until nothing is pending, the round bound
         is reached (flagged), or `stop()` holds before a round (not flagged:
-        the bound cut nothing)."""
-        rounds = 0
-        while self.frontier or self.new_terms:
+        the bound cut nothing).  A round instantiates the merges since the
+        last one (the first, the axiom seeds'), and sweeps the terms."""
+        rounds = merged = registered = 0
+        while len(self.events) > merged or len(self.universe) > registered:
             if stop is not None and stop():
                 break
             if rounds == self.bounds.max_rounds:
                 self.truncated_by.add("rounds")
                 break
             rounds += 1
-            frontier = self.frontier
-            fresh = self.new_terms
-            self.frontier = []
-            self.new_terms = []
-            if rounds > 1 and fresh:
+            if rounds > 1 and len(self.universe) > registered:
                 # Equations already instantiated never revisit these targets.
                 self.truncated_by.add("instantiation")
+            frontier = self.events[merged:]
+            merged, registered = len(self.events), len(self.universe)
             self._tier_cache = {}
-            candidates = self._round_candidates(frontier)
+            candidates = self._round_candidates(frontier, rounds == 1)
             for canon_ctx, a, b, why in candidates:
                 self._apply_merge(canon_ctx, a, b, why)
         self.rounds_used = rounds
@@ -632,8 +619,8 @@ class _Saturator:
             if isinstance(why, Proof):
                 continue
             if premise is None:
-                side_ctx, a, b, cut = self._premise_of(why)
-                path = self.spaces[side_ctx].explain(a, b, cut)
+                side_ctx, a, b = self._premise_of(why)
+                path = self.spaces[side_ctx].explain(a, b)
                 premise = (side_ctx, a, path)
                 side_why = self.spaces[side_ctx].why
                 todo = [(side_ctx, e, None) for e, _ in path
@@ -645,16 +632,15 @@ class _Saturator:
             self.spaces[key].why[edge] = self._rule5_proof(
                 why, self._chain(*premise))
 
-    def _premise_of(self, why: _Inst | _Cong
-                    ) -> tuple[Word, Term, Term, int]:
-        """The (space, a, b, cut) whose explanation a justification needs:
-        the premise of an instantiation, the side of a congruence."""
+    def _premise_of(self, why: _Inst | _Cong) -> tuple[Word, Term, Term]:
+        """The (space, a, b) whose explanation a justification needs: the
+        premise of an instantiation, the side of a congruence."""
         if isinstance(why, _Inst):
-            return why.ctx, why.a, why.b, why.cut
+            return why.ctx, why.a, why.b
         old = why.parent.args[why.pos]
         canon_ctx, (cu, cv), _ = _canonicalize(why.ws[why.pos],
                                                [old, why.replacement])
-        return canon_ctx, cu, cv, why.cut
+        return canon_ctx, cu, cv
 
     def _rule5_proof(self, why: _Inst | _Cong, explained: Proof) -> Proof:
         """The Subst node of a justification, relettered to canonical form;
@@ -694,14 +680,15 @@ class _Saturator:
         self._register(b)
         if sp.union(a, b, why):
             self.events.append((canon_ctx, a, b))
-            self.frontier.append((canon_ctx, a, b))
 
     # -- one round ---------------------------------------------------------
 
-    def _round_candidates(self, frontier):
+    def _round_candidates(self, frontier, axiom_level: bool):
+        """The round's candidates.  `axiom_level` holds in round 1 only,
+        whose frontier is exactly the axiom seeds' merges: a later merge
+        cannot repeat a seed pair, which is joined from the start."""
         out: list[tuple[Word, Term, Term, _Inst | _Cong]] = []
         for ctx, a, b in frontier:
-            axiom_level = (ctx, a, b) in self.axiom_seeds
             if axiom_level or max(term_depth(a), term_depth(b)) <= _CONG_TIER_DEPTH:
                 self._instantiate(ctx, a, b, axiom_level, out)
             else:
@@ -778,7 +765,7 @@ class _Saturator:
 
     def _conclude(self, ctx: Word, a: Term, b: Term, s1: Mapping[Letter, Term],
                   s2: Mapping[Letter, Term], ws: tuple[Word, ...], u_cat: Word,
-                  cong: Optional[tuple[App, int, Term, int]], out: list
+                  cong: Optional[tuple[App, int, Term]], out: list
                   ) -> None:
         """Emit s1(a) ~ s2(b) at every admissible target context, justified
         by an `_Inst`, or by `_Cong(*cong, ...)` when given.  Closed sides
@@ -825,8 +812,7 @@ class _Saturator:
             if sp is not None and sp.same(ca, cb):
                 continue
             if cong is None:
-                why = _Inst(ctx, a, b, len(self.spaces[ctx].why),
-                            tuple(s1[x] for x in ctx), w, ws)
+                why = _Inst(ctx, a, b, tuple(s1[x] for x in ctx), w, ws)
             else:
                 why = _Cong(*cong, w, ws)
             out.append((canon_ctx, ca, cb, why))
@@ -922,13 +908,12 @@ class _Saturator:
         if not _term_key(replacement) < _term_key(old):
             return
         if old in self._sides:
-            found = self._sides[old]
+            w_i = self._sides[old]
         else:
-            found = self._sides[old] = self._known_equal(old, replacement)
-        if found is None:
+            w_i = self._sides[old] = self._known_equal(old, replacement)
+        if w_i is None:
             return
-        w_i, cut = found
-        cong = (parent, pos, replacement, cut)
+        cong = (parent, pos, replacement)
         if not tau(parent):
             # A closed parent's children and their mates are closed, so each
             # per-child context is (), and the substituted template is the
@@ -967,9 +952,8 @@ class _Saturator:
                 app(self.sig, parent.op, [var(x) for x in template_ctx]))
         return cached
 
-    def _known_equal(self, u: Term, v: Term) -> Optional[tuple[Word, int]]:
-        """A context at which u ~ v is already derived, with the edge count
-        of its canonical space, which explains u ~ v from those edges."""
+    def _known_equal(self, u: Term, v: Term) -> Optional[Word]:
+        """A context at which u ~ v is already derived."""
         distinct = tuple(dict.fromkeys(tau(u) + tau(v)))
         for perm in itertools.permutations(distinct):
             if not holds(self.R, perm, tau(u)) or not holds(self.R, perm, tau(v)):
@@ -977,7 +961,7 @@ class _Saturator:
             canon_ctx, (cu, cv), _ = _canonicalize(perm, [u, v])
             sp = self.spaces.get(canon_ctx)
             if sp is not None and sp.same(cu, cv):
-                return perm, len(sp.why)
+                return perm
         return None
 
 

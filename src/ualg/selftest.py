@@ -17,7 +17,7 @@ from .finord import (
 from .context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, LEFT_SURJECTIVE, RIGHT_SURJECTIVE,
     STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextStructure, Letter, Word,
-    delta_of, holds, terminal_context,
+    delta_of, embedding, holds, terminal_context,
 )
 from .syntax import (
     Equation, Theory, parse_equation_text, parse_theory, signature,
@@ -399,9 +399,7 @@ def _canonical_morphism_fails() -> list[str]:
     ctxs = [c for c in _all_contexts(letters, 3) if c]
 
     def act(f: MultiMap, v: Word, w: Word) -> MultiMap:
-        pos = {x: i for i, x in enumerate(v, start=1)}
-        theta = FinFn(len(w), len(v), tuple(pos[x] for x in w))
-        return theta_action(f, theta, tuple(carrier[x] for x in v))
+        return theta_action(f, embedding(v, w), tuple(carrier[x] for x in v))
 
     for v in ctxs:
         doms = tuple(carrier[x] for x in v)

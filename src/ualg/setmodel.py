@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .context import ContextStructure, Letter, Word, terminal_context
+from .context import (
+    ContextStructure, Letter, Word, embedding, terminal_context,
+)
 from .finord import FinFn
 from .syntax import (
     App, Equation, Signature, Term, Theory, TheoryError, Var, is_r_context,
@@ -175,21 +177,14 @@ def eval_term(m: FinSetModel, v: Word, t: Term) -> MultiMap:
     return _eval(m, v, t)
 
 
-def _embedding(v: Word, w: Word) -> FinFn:
-    """The function with w = v o theta; contexts have distinct letters."""
-    pos = {x: i for i, x in enumerate(v, start=1)}
-    return FinFn(len(w), len(v), tuple(pos[x] for x in w))
-
-
 def _eval(m: FinSetModel, v: Word, t: Term) -> MultiMap:
     target = m.carrier_word(v)
     if isinstance(t, Var):
-        theta = _embedding(v, (t.letter,))
+        theta = embedding(v, (t.letter,))
         return theta_action(identity_map(m.carriers[t.sort]), theta, target)
     assert isinstance(t, App)
     if not t.args:
-        theta = FinFn(0, len(v), ())
-        return theta_action(m.op_tables[t.op], theta, target)
+        return theta_action(m.op_tables[t.op], embedding(v, ()), target)
     subs: list[MultiMap] = []
     concat: list[Letter] = []
     for child in t.args:
@@ -199,7 +194,7 @@ def _eval(m: FinSetModel, v: Word, t: Term) -> MultiMap:
         subs.append(_eval(m, w_i, child))
         concat.extend(w_i)
     inner = compose_multi(m.op_tables[t.op], subs)
-    return theta_action(inner, _embedding(v, tuple(concat)), target)
+    return theta_action(inner, embedding(v, tuple(concat)), target)
 
 
 def satisfies(m: FinSetModel, eq: Equation) -> bool:

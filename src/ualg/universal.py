@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .context import (
-    CARTESIAN, ContextStructure, Letter, Word, delta_of, terminal_context,
+    CARTESIAN, ContextStructure, Letter, Word, delta_of, embedding,
+    terminal_context,
 )
 from .finord import (
     FinFn, all_functions, compose as fn_compose, coproduct,
@@ -32,7 +33,7 @@ from .syntax import (
     App, Equation, OpDecl, Signature, Term, Theory, TheoryError, Var, app,
     equation, tau, term_depth, term_str, var,
 )
-from .deduction import Bounds, _Saturator
+from .deduction import Bounds, _Saturator, _term_key
 
 
 class UniversalError(TheoryError):
@@ -57,9 +58,7 @@ class SigmaSignature:
     base: Signature
     structure: ContextStructure
     max_arity: int
-    max_theta: int
     signature: Signature = field(compare=False)
-    hom_sorts: tuple[tuple[tuple[str, ...], str], ...] = field(compare=False)
     sym_info: Mapping[str, tuple] = field(compare=False)
     hom_of: Mapping[str, tuple[tuple[str, ...], str]] = field(compare=False)
     name_of: Mapping[tuple, str] = field(compare=False)
@@ -98,10 +97,11 @@ def _words(sorts: Sequence[str], max_len: int):
         yield from itertools.product(sorts, repeat=k)
 
 
-def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
-                max_theta: int) -> SigmaSignature:
-    """Generate the extended signature within the given bounds."""
-    if max_arity < 1 or max_theta < 1:
+def build_sigma(base: Signature, R: ContextStructure,
+                max_arity: int) -> SigmaSignature:
+    """Generate the extended signature within the arity bound, which also
+    bounds the reindexing functions."""
+    if max_arity < 1:
         raise UniversalError("bounds must be >= 1")
     S = base.sorts
     hom_of: dict[str, tuple[tuple[str, ...], str]] = {}
@@ -131,10 +131,8 @@ def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
                 f"op {f} has arity {len(decl.arity)} beyond bound {max_arity}")
         declare(f"op:{f}", ("op", f), (), hom(decl.arity, decl.result))
 
-    thetas = [theta for theta in all_functions(max_theta) if delta_of(R, theta)]
+    thetas = [theta for theta in all_functions(max_arity) if delta_of(R, theta)]
     for theta in thetas:
-        if theta.dom > max_arity or theta.cod > max_arity:
-            continue
         tag = ",".join(map(str, theta.images)) + f"->{theta.cod}"
         for b in itertools.product(S, repeat=theta.cod):
             b_theta = tuple(b[theta(i) - 1] for i in range(1, theta.dom + 1))
@@ -155,8 +153,7 @@ def build_sigma(base: Signature, R: ContextStructure, max_arity: int,
                             hom(flat, c))
 
     sig = Signature(tuple(hom_of), ops)
-    return SigmaSignature(base, R, max_arity, max_theta, sig,
-                          tuple(hom_of.values()), sym_info, hom_of, name_of,
+    return SigmaSignature(base, R, max_arity, sig, sym_info, hom_of, name_of,
                           tuple(thetas))
 
 
@@ -213,7 +210,7 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                             tuple(ctx), CARTESIAN))
 
     # identity laws and the unit action
-    for a, d in S.hom_sorts:
+    for a, d in S.hom_of.values():
         h = _hvar(S, "h", a, d)
         try:
             lhs = _comp(S, app(S.signature, S.id_name(d)), [h])
@@ -382,9 +379,8 @@ def internalize_term(S: SigmaSignature, v: Word, t: Term) -> Term:
         head = app(S.signature, S.op_name(t.op))
         inner = _comp(S, head, parts)
         inner_sorts = tuple(x.sort for x in w)
-    pos = {x: i for i, x in enumerate(v, start=1)}
     try:
-        theta = FinFn(len(w), len(v), tuple(pos[x] for x in w))
+        theta = embedding(v, w)
     except KeyError:
         raise UniversalError(
             f"context does not cover {term_str(t)}") from None
@@ -491,20 +487,15 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     engine = _Saturator(theory, engine_bounds, extra_terms=seeds,
                         inst_filter=inst_filter, inst_budget=500)
     engine.run()
-    space = engine.spaces.get((), None)
-    classes: list[list[Term]] = []
-    if space is not None:
-        hom_terms = {t for t in universe[hom_name]}
-        hom_terms.update(t for t in extra_terms if t.sort == hom_name)
-        grouped: dict[Term, list[Term]] = {}
-        for t in sorted(hom_terms, key=lambda t: (term_depth(t), repr(t))):
-            if t in space.parent:
-                grouped.setdefault(space.find(t), []).append(t)
-            else:
-                grouped.setdefault(t, []).append(t)
-        classes = sorted(grouped.values(),
-                         key=lambda c: (term_depth(c[0]), repr(c[0])))
-    return HomPartition(sigma, (tuple(hom[0]), hom[1]), classes,
+    # Every seed is in the closed space; a class is listed from its least
+    # member, and the classes in the order of their least members.
+    space = engine.spaces[()]
+    hom_terms = set(universe[hom_name])
+    hom_terms.update(t for t in extra_terms if t.sort == hom_name)
+    grouped: dict[Term, list[Term]] = {}
+    for t in sorted(hom_terms, key=_term_key):
+        grouped.setdefault(space.find(t), []).append(t)
+    return HomPartition(sigma, (tuple(hom[0]), hom[1]), list(grouped.values()),
                         truncated=bool(engine.truncated_by),
                         truncated_by=tuple(sorted(engine.truncated_by)),
                         _engine=engine)
@@ -518,7 +509,7 @@ def default_sigma(E: Theory, hom: tuple[Sequence[str], str]
         + [len(ax.ctx) for ax in E.equations]
         + [_composition_width(E.structure, side)
            for ax in E.equations for side in (ax.lhs, ax.rhs)])
-    return build_sigma(E.signature, E.structure, max_arity, max_arity)
+    return build_sigma(E.signature, E.structure, max_arity)
 
 
 def _composition_width(R: ContextStructure, t: Term) -> int:

@@ -15,7 +15,7 @@ from ualg.context import (
 )
 from ualg.deduction import (
     Axiom, Bounds, DeductionError, ProofError, Refl, Subst, Sym, Trans,
-    canonical_triple, _pool_letter, _Saturator, _Space, _truncation_flags,
+    canonical_triple, _pool_letter, _Saturator, _truncation_flags,
     _weakening_proof,
     check_proof, proof_lines, prove, refute_by_invariant, saturate,
 )
@@ -311,31 +311,6 @@ def test_eh_units_coincide():
     assert check_proof(EH, res.proof).ctx == ()
 
 
-def test_explanation_at_a_cut_keeps_its_path():
-    """explain(a, b, cut) walks only the first `cut` edges, so a proof
-    assembled later rests on the edges it had when it was justified.  union()
-    keeps the edges a spanning forest, so a later, shorter path can only be
-    added by hand; the cut must hide it all the same."""
-    a, b, c, d, e = (var(Letter("M", n)) for n in "abcde")
-    sp = _Space((X,))
-    for u, v in ((a, b), (b, c), (c, d)):
-        assert sp.union(u, v, ("why", u, v))
-    cut = len(sp.why)
-    old_path = [(0, False), (1, False), (2, False)]
-    assert sp.explain(a, d, cut) == old_path
-    assert sp.union(e, a, ("why", e, a))
-    shortcut = len(sp.why)
-    sp.why.append(("why", a, d))
-    sp.edges[a].append((d, shortcut, False))
-    sp.edges[d].append((a, shortcut, True))
-    assert sp.explain(a, d) == [(shortcut, False)]
-    assert sp.explain(a, d, cut) == old_path
-    assert sp.explain(d, a, cut) == [(2, True), (1, True), (0, True)]
-    assert sp.explain(a, a, cut) == []
-    with pytest.raises(DeductionError):
-        sp.explain(e, d, cut)  # e joined the class after the cut
-
-
 def test_engines_are_freed_by_reference_counting(monoid, monkeypatch):
     """Justifications hold terms and numbers, never the engine or a space,
     so a finished engine goes as soon as its result does, without the
@@ -458,16 +433,36 @@ def test_goal_directed_stop_is_exact(monoid, monkeypatch):
     assert res.truncated_by
 
 
-def test_union_edges_form_a_spanning_forest():
+def test_union_edges_form_a_spanning_forest(monkeypatch):
     """union() adds an edge only between two classes, so each space's edges
     form a spanning forest: one edge fewer than terms per class.  A path
-    between two terms is then unique, and the goal-directed stop is exact."""
-    for path in sorted(THEORIES.glob("*.ua")):
-        theory = parse_theory(path.read_text())
-        sat = saturate(theory, Bounds(2, 3, 3))
-        for sp in sat._engine.spaces.values():
+    between two terms is then unique, and later edges never change it, so
+    a proof assembled on first use is the one its edge was found with, and
+    the goal-directed stop is exact.  Checked on the sweep workloads and on
+    one prove() engine."""
+    def check(name, engine):
+        assert any(sp.why for sp in engine.spaces.values()), name
+        for ctx, sp in engine.spaces.items():
             roots = sum(1 for t in sp.parent if sp.find(t) is t)
-            assert len(sp.why) == len(sp.parent) - roots, (path.name, sp.ctx)
+            assert len(sp.why) == len(sp.parent) - roots, (name, ctx)
+
+    for name, make in _sweep_workloads():
+        check(name, make())
+
+    engines = []
+
+    class Tracked(_Saturator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    EH = eckmann_hilton_theory()
+    goal = parse_equation_text(EH.signature, "o(x,y) ~ o(y,x) ctx [ x:M y:M ]",
+                               structure=EH.structure)
+    with monkeypatch.context() as m:
+        m.setattr(deduction, "_Saturator", Tracked)
+        assert prove(EH, goal, Bounds(4, 4, 8)).proved
+    check("prove o-commutativity", engines[0])
 
 
 # -- the incremental congruence sweep ------------------------------------------
@@ -537,10 +532,9 @@ def _full_walk_swap_child(self, parent, pos, replacement, out):
         return
     if not deduction._term_key(replacement) < deduction._term_key(old):
         return
-    found = self._known_equal(old, replacement)
-    if found is None:
+    w_i = self._known_equal(old, replacement)
+    if w_i is None:
         return
-    w_i, cut = found
     ws = []
     for j, child in enumerate(parent.args):
         if j == pos:
@@ -558,7 +552,7 @@ def _full_walk_swap_child(self, parent, pos, replacement, out):
     s2 = dict(s1)
     s2[template_ctx[pos]] = replacement
     self._conclude(template_ctx, template, template, s1, s2, tuple(ws),
-                   u_cat, (parent, pos, replacement, cut), out)
+                   u_cat, (parent, pos, replacement), out)
 
 
 def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
@@ -597,8 +591,8 @@ def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
         if sp is not None and sp.same(ca, cb):
             continue
         if cong is None:
-            why = deduction._Inst(ctx, a, b, len(self.spaces[ctx].why),
-                                  tuple(s1[x] for x in ctx), w, ws)
+            why = deduction._Inst(ctx, a, b, tuple(s1[x] for x in ctx),
+                                  w, ws)
         else:
             why = deduction._Cong(*cong, w, ws)
         out.append((canon_ctx, ca, cb, why))
@@ -606,11 +600,9 @@ def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
 
 def _why_record(why):
     if isinstance(why, deduction._Inst):
-        return ("inst", why.ctx, why.a, why.b, why.cut, why.images, why.w,
-                why.ws)
+        return ("inst", why.ctx, why.a, why.b, why.images, why.w, why.ws)
     if isinstance(why, deduction._Cong):
-        return ("cong", why.parent, why.pos, why.replacement, why.cut, why.w,
-                why.ws)
+        return ("cong", why.parent, why.pos, why.replacement, why.w, why.ws)
     return ("proof", tuple(proof_lines(why)))
 
 

@@ -27,13 +27,13 @@ def monoid():
 
 def test_build_sigma_counts(monoid):
     sig1 = signature(["M"], {"mul": (("M", "M"), "M")})
-    S = build_sigma(sig1, CARTESIAN, 2, 2)
-    assert len(S.hom_sorts) == 3  # words of length 0,1,2 paired with M
-    assert {a for a, _ in S.hom_sorts} == {
+    S = build_sigma(sig1, CARTESIAN, 2)
+    assert len(S.hom_of) == 3  # words of length 0,1,2 paired with M
+    assert {a for a, _ in S.hom_of.values()} == {
         (), ("M",), ("M", "M")}
     assert len(S.thetas) == 11  # functions [m]->[n] with m,n <= 2
 
-    S_triv = build_sigma(sig1, TRIVIAL, 3, 3)
+    S_triv = build_sigma(sig1, TRIVIAL, 3)
     assert all(t.is_identity() for t in S_triv.thetas)
 
 
@@ -69,7 +69,7 @@ def test_sigma_action_outside_structure():
 
 
 def test_categorization_contains_named_schemas(monoid):
-    S = build_sigma(monoid.signature, CARTESIAN, 2, 2)
+    S = build_sigma(monoid.signature, CARTESIAN, 2)
     cat = categorization_axioms(S)
     families = {eq.name.split(":")[1] for eq in cat}
     assert {"idl", "idr", "actid", "actcomp", "actout", "actin",
@@ -102,7 +102,7 @@ def test_internalize_is_deterministic(monoid):
 
 
 def test_internalize_bound_overflow(monoid):
-    S = build_sigma(monoid.signature, CARTESIAN, 2, 2)
+    S = build_sigma(monoid.signature, CARTESIAN, 2)
     with pytest.raises(UniversalError) as err:
         internalize(monoid, S)  # assoc needs three-letter hom sorts
     assert "assoc" in str(err.value)
@@ -110,7 +110,7 @@ def test_internalize_bound_overflow(monoid):
 
 def test_enumerate_pure_terms(monoid):
     sig1 = signature(["M"], {})
-    S = build_sigma(sig1, CARTESIAN, 2, 2)
+    S = build_sigma(sig1, CARTESIAN, 2)
     universe = enumerate_pure_terms(S, 2)
     hom_mm = S.hom_sort_name(("M",), "M")
     terms = {sigma_term_str(S, t) for t in universe[hom_mm]}
@@ -143,7 +143,7 @@ def test_universal_hom_projection_split():
 def test_universal_hom_order_independence():
     sig1 = signature(["M"], {})
     E0 = Theory("E0", sig1, CARTESIAN, ())
-    S = build_sigma(sig1, CARTESIAN, 2, 2)
+    S = build_sigma(sig1, CARTESIAN, 2)
     universe = enumerate_pure_terms(S, 2)
     hom_mm = S.hom_sort_name(("M",), "M")
     extra = list(universe[hom_mm])
