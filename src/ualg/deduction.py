@@ -25,9 +25,12 @@ letters; `prove` flags that gap too (`weakening`) when it could matter.
 
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
-data: an axiom edge its (cheap) proof, a rule-5 edge an `_Inst` or `_Cong`
-naming the premise (or the congruence side), the substitution and the
-target contexts.  `proof_of` turns the records it needs into proof trees,
+data: an axiom edge its (cheap) proof, a rule-5 edge a `_Rule5`, the
+`Subst` node's data: the premise, the images of its letters on each side,
+and the target contexts.  Instantiation and congruence differ only in the
+premise (an event, or the op's template op(_p1, .., _pk), reflexive) and in
+the one side premise that is not reflexive (none, or the swapped argument).
+`proof_of` turns the records it needs into proof trees,
 once per edge, on an explicit stack.  Union adds an edge only between two
 classes, so each space's edges form a spanning forest, and `explain`
 returns the one tree path between two joined terms.  Later edges join other
@@ -65,11 +68,10 @@ candidates a walk of every parent would emit, in the same order:
     ends, so the spaces cannot change under it, and each child's smallest
     mate and the side premise for swapping it in are computed once per
     sweep;
-  * closed terms: a closed parent's children and their mates are closed, so
-    every per-child context is (), and the conclusion needs no template.
-    For closed sides the first-occurrence form, the context orders (just
-    (), which every structure admits) and canonicalization are the
-    identity, and are skipped.
+  * closed sides: a congruence's sides are its op applied to the images,
+    so no template is substituted.  For closed sides the first-occurrence
+    form, the context orders (just (), which every structure admits) and
+    canonicalization are the identity, and are skipped.
 
 Further caches keep the engine from recomputing canonical forms; each
 leaves every derived equation and proof unchanged:
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
@@ -96,7 +99,7 @@ from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 from .context import Letter, Word, delta_of, holds, terminal_context
 from .finord import FinFn
 from .syntax import (
-    App, Equation, Term, Theory, TheoryError, Var, app, apply_renaming,
+    App, Equation, Term, Theory, TheoryError, Var, _app, app, apply_renaming,
     const, ctx_str, equation, is_r_context, is_r_renaming, tau, term_depth,
     term_str, term_vars, validate_equation, var,
 )
@@ -328,8 +331,8 @@ class _Space:
 
     Each union of two classes adds one edge, numbered in order, so the
     edges form a spanning forest of the classes; `why[i]` says why edge i
-    holds: a built proof, or a rule-5 justification (`_Inst`, `_Cong`) that
-    the engine turns into one on first use.  A union links the root with
+    holds: a built proof, or a rule-5 record (`_Rule5`) that the engine
+    turns into one on first use.  A union links the root with
     the larger `_term_key` under the smaller, so each class's root is its
     least member."""
 
@@ -400,30 +403,26 @@ class _Space:
         return path
 
 
-class _Inst:
-    """Rule 5 by instantiation: the letters of ctx become `images` in the
-    premise a ~ b, which ctx's space explains along its forest path; the
-    conclusion is stated at w with per-letter contexts ws."""
+class _Rule5:
+    """A rule-5 step as plain data, the `Subst` node it becomes: the
+    letters of the premise (ctx, a, b) become images1 in a and images2 in b,
+    and the conclusion is stated at w with per-letter contexts ws.  Every
+    side premise is reflexive but side pos.
 
-    __slots__ = ("ctx", "a", "b", "images", "w", "ws")
+      * instantiation: pos is None and images1 is images2; the premise is an
+        event, which ctx's space explains along its forest path;
+      * congruence: the premise is the op's template, proved by reflexivity,
+        and images2 swaps argument pos of images1; the side premise
+        images1[pos] ~ images2[pos] holds at ws[pos], and its canonical
+        space explains it."""
 
-    def __init__(self, ctx: Word, a: Term, b: Term,
-                 images: tuple[Term, ...], w: Word, ws: tuple[Word, ...]):
-        self.ctx, self.a, self.b = ctx, a, b
-        self.images, self.w, self.ws = images, w, ws
+    __slots__ = ("premise", "images1", "images2", "w", "ws", "pos")
 
-
-class _Cong:
-    """Rule 5 by congruence: argument pos of parent becomes replacement.  The
-    side premise old ~ replacement holds at ws[pos], and its canonical space
-    explains it along its forest path."""
-
-    __slots__ = ("parent", "pos", "replacement", "w", "ws")
-
-    def __init__(self, parent: App, pos: int, replacement: Term,
-                 w: Word, ws: tuple[Word, ...]):
-        self.parent, self.pos, self.replacement = parent, pos, replacement
-        self.w, self.ws = w, ws
+    def __init__(self, premise: tuple[Word, Term, Term],
+                 images1: tuple[Term, ...], images2: tuple[Term, ...],
+                 w: Word, ws: tuple[Word, ...], pos: Optional[int]):
+        self.premise, self.images1, self.images2 = premise, images1, images2
+        self.w, self.ws, self.pos = w, ws, pos
 
 
 @dataclass
@@ -481,7 +480,7 @@ class _Saturator:
         self._swept = 0
         self._mates: dict[Term, Term] = {}
         self._sides: dict[Term, Optional[Word]] = {}
-        self._templates: dict[str, tuple[Word, Term]] = {}
+        self._templates: dict[str, tuple[Word, Term, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
         self._concluded: set[tuple] = set()
         self.truncated_by: set[str] = set()
@@ -632,47 +631,39 @@ class _Saturator:
             self.spaces[key].why[edge] = self._rule5_proof(
                 why, self._chain(*premise))
 
-    def _premise_of(self, why: _Inst | _Cong) -> tuple[Word, Term, Term]:
-        """The (space, a, b) whose explanation a justification needs: the
-        premise of an instantiation, the side of a congruence."""
-        if isinstance(why, _Inst):
-            return why.ctx, why.a, why.b
-        old = why.parent.args[why.pos]
-        canon_ctx, (cu, cv), _ = _canonicalize(why.ws[why.pos],
-                                               [old, why.replacement])
+    def _premise_of(self, why: _Rule5) -> tuple[Word, Term, Term]:
+        """The (space, a, b) whose explanation a step needs: its premise, or
+        its side pos in canonical form."""
+        pos = why.pos
+        if pos is None:
+            return why.premise
+        canon_ctx, (cu, cv), _ = _canonicalize(
+            why.ws[pos], [why.images1[pos], why.images2[pos]])
         return canon_ctx, cu, cv
 
-    def _rule5_proof(self, why: _Inst | _Cong, explained: Proof) -> Proof:
-        """The Subst node of a justification, relettered to canonical form;
+    def _rule5_proof(self, why: _Rule5, explained: Proof) -> Proof:
+        """The Subst node of a step, relettered to canonical form;
         `explained` proves what `_premise_of` asked for."""
-        if isinstance(why, _Inst):
-            s = tuple(sorted(zip(why.ctx, why.images), key=_letter_sort_key))
-            node = Subst(s, s, why.w, why.ws, explained,
-                         tuple(Refl(t, wi)
-                               for t, wi in zip(why.images, why.ws)))
+        ctx, a, _ = why.premise
+        pos = why.pos
+        sides = [Refl(t, wj) for t, wj in zip(why.images1, why.ws)]
+        if pos is None:
+            premise = explained
         else:
-            parent, pos = why.parent, why.pos
-            template_ctx, template = self._template(parent)
-            s1 = list(zip(template_ctx, parent.args))
-            s2 = list(s1)
-            s2[pos] = (template_ctx[pos], why.replacement)
-            side_ctx = why.ws[pos]
-            canon_ctx, _, mapping = _canonicalize(side_ctx, [])
+            premise = Refl(a, ctx)
+            canon_ctx, _, mapping = _canonicalize(why.ws[pos], [])
             back = {y: x for x, y in mapping.items()}
-            sides = tuple(
-                self._reletter(explained, canon_ctx, back) if j == pos
-                else Refl(child, wj)
-                for j, (child, wj) in enumerate(zip(parent.args, why.ws)))
-            node = Subst(tuple(sorted(s1, key=_letter_sort_key)),
-                         tuple(sorted(s2, key=_letter_sort_key)),
-                         why.w, why.ws, Refl(template, template_ctx), sides)
+            sides[pos] = self._reletter(explained, canon_ctx, back)
+        s1, s2 = (tuple(sorted(zip(ctx, images), key=_letter_sort_key))
+                  for images in (why.images1, why.images2))
+        node = Subst(s1, s2, why.w, why.ws, premise, tuple(sides))
         _, _, mapping = _canonicalize(why.w, [])
         return self._reletter(node, why.w, mapping)
 
     # -- merge bookkeeping -------------------------------------------------
 
     def _apply_merge(self, canon_ctx: Word, a: Term, b: Term,
-                     why: Proof | _Inst | _Cong) -> None:
+                     why: Proof | _Rule5) -> None:
         if a is b:
             return
         sp = self._space(canon_ctx)
@@ -687,10 +678,11 @@ class _Saturator:
         """The round's candidates.  `axiom_level` holds in round 1 only,
         whose frontier is exactly the axiom seeds' merges: a later merge
         cannot repeat a seed pair, which is joined from the start."""
-        out: list[tuple[Word, Term, Term, _Inst | _Cong]] = []
-        for ctx, a, b in frontier:
+        out: list[tuple[Word, Term, Term, _Rule5]] = []
+        for event in frontier:
+            _, a, b = event
             if axiom_level or max(term_depth(a), term_depth(b)) <= _CONG_TIER_DEPTH:
-                self._instantiate(ctx, a, b, axiom_level, out)
+                self._instantiate(event, axiom_level, out)
             else:
                 self.truncated_by.add("instantiation")
         self._congruence_sweep(out)
@@ -723,59 +715,56 @@ class _Saturator:
         self._tier_cache[(tier, sort)] = chosen
         return chosen
 
-    def _instantiate(self, ctx: Word, a: Term, b: Term, axiom_level: bool,
+    def _instantiate(self, event: tuple[Word, Term, Term], axiom_level: bool,
                      out: list) -> None:
+        ctx = event[0]
         n = len(ctx)
         if n == 0:
             return
         target_lists = [self._targets_for(n, x.sort, axiom_level) for x in ctx]
         if any(not lst for lst in target_lists):
             return
-        total = 1
-        for lst in target_lists:
-            total *= len(lst)
-        if total > self.inst_budget:
+        if math.prod(map(len, target_lists)) > self.inst_budget:
             # Long contexts over rich pools blow up combinatorially; keep the
             # closed instances (constants only) and flag the rest as skipped.
             self.truncated_by.add("instantiation")
             target_lists = [
                 [t for t in lst if isinstance(t, App) and not t.args]
                 for lst in target_lists]
-            if any(not lst for lst in target_lists):
-                return
-            total = 1
-            for lst in target_lists:
-                total *= len(lst)
-            if total > self.inst_budget:
+            if any(not lst for lst in target_lists) or \
+                    math.prod(map(len, target_lists)) > self.inst_budget:
                 return
         for combo in itertools.product(*target_lists):
-            s_map = dict(zip(ctx, combo))
             ws: list[Word] = []
-            ok = True
-            for x in ctx:
-                w_i = terminal_context(self.R, tau(s_map[x]))
+            for t in combo:
+                w_i = terminal_context(self.R, tau(t))
                 if w_i is None:
-                    ok = False
                     break
                 ws.append(w_i)
-            if not ok:
-                continue
-            u_cat = tuple(y for w_i in ws for y in w_i)
-            self._conclude(ctx, a, b, s_map, s_map, tuple(ws), u_cat, None, out)
+            else:
+                u_cat = tuple(y for w_i in ws for y in w_i)
+                self._conclude(event, combo, combo, tuple(ws), u_cat, None, out)
 
-    def _conclude(self, ctx: Word, a: Term, b: Term, s1: Mapping[Letter, Term],
-                  s2: Mapping[Letter, Term], ws: tuple[Word, ...], u_cat: Word,
-                  cong: Optional[tuple[App, int, Term]], out: list
-                  ) -> None:
-        """Emit s1(a) ~ s2(b) at every admissible target context, justified
-        by an `_Inst`, or by `_Cong(*cong, ...)` when given.  Closed sides
-        may come already substituted, with empty renamings."""
+    def _conclude(self, premise: tuple[Word, Term, Term],
+                  images1: tuple[Term, ...], images2: tuple[Term, ...],
+                  ws: tuple[Word, ...], u_cat: Word, pos: Optional[int],
+                  out: list) -> None:
+        """Emit the conclusion of a `_Rule5(premise, images1, images2, w, ws,
+        pos)` at every admissible target context w.  An instantiation
+        renames the premise's sides; a congruence's sides are its op
+        applied to each image tuple, so no template is substituted."""
         distinct = tuple(dict.fromkeys(u_cat))
         if len(distinct) > self.bounds.max_ctx_len:
             self.truncated_by.add("ctx")
             return
-        lhs = apply_renaming(s1, a)
-        rhs = apply_renaming(s2, b)
+        ctx, a, b = premise
+        if pos is None:
+            s = dict(zip(ctx, images1))
+            lhs = apply_renaming(s, a)
+            rhs = apply_renaming(s, b)
+        else:
+            lhs = _app(a.op, a.sort, images1)
+            rhs = _app(a.op, a.sort, images2)
         if lhs is rhs:
             return
         if max(term_depth(lhs), term_depth(rhs)) > self.depth_cap:
@@ -811,11 +800,8 @@ class _Saturator:
             sp = self.spaces.get(canon_ctx)
             if sp is not None and sp.same(ca, cb):
                 continue
-            if cong is None:
-                why = _Inst(ctx, a, b, tuple(s1[x] for x in ctx), w, ws)
-            else:
-                why = _Cong(*cong, w, ws)
-            out.append((canon_ctx, ca, cb, why))
+            out.append((canon_ctx, ca, cb,
+                        _Rule5(premise, images1, images2, w, ws, pos)))
 
     # -- rule 5, congruence flavour ------------------------------------------
 
@@ -898,30 +884,17 @@ class _Saturator:
     def _swap_child(self, parent: App, pos: int, replacement: Term,
                     out: list) -> None:
         """Emit parent with argument pos swapped for replacement, the
-        child's mate in this sweep; so the side premise, found at a fixed
-        state of the spaces, is memoized per child for the sweep."""
+        child's mate in this sweep: a strictly smaller member of its class,
+        so the rewrite goes downward only (upward it would pad every parent
+        with unit-style wrappers and never end).  The side premise, found
+        at a fixed state of the spaces, is memoized per child for the
+        sweep."""
         old = parent.args[pos]
-        if old is replacement or old.sort != replacement.sort:
-            return
-        # Rewrite children downward only; the upward direction would pad
-        # every parent with unit-style wrappers and never terminate.
-        if not _term_key(replacement) < _term_key(old):
-            return
         if old in self._sides:
             w_i = self._sides[old]
         else:
             w_i = self._sides[old] = self._known_equal(old, replacement)
         if w_i is None:
-            return
-        cong = (parent, pos, replacement)
-        if not tau(parent):
-            # A closed parent's children and their mates are closed, so each
-            # per-child context is (), and the substituted template is the
-            # parent itself: emit the sides directly.
-            args = list(parent.args)
-            args[pos] = replacement
-            self._conclude((), parent, app(self.sig, parent.op, args), {}, {},
-                           ((),) * len(args), (), cong, out)
             return
         ws: list[Word] = []
         for j, child in enumerate(parent.args):
@@ -933,23 +906,21 @@ class _Saturator:
                     return
                 ws.append(w_j)
         u_cat = tuple(y for w_j in ws for y in w_j)
-        template_ctx, template = self._template(parent)
-        s1 = dict(zip(template_ctx, parent.args))
-        s2 = dict(s1)
-        s2[template_ctx[pos]] = replacement
-        self._conclude(template_ctx, template, template, s1, s2,
-                       tuple(ws), u_cat, cong, out)
+        images = list(parent.args)
+        images[pos] = replacement
+        self._conclude(self._template(parent), parent.args, tuple(images),
+                       tuple(ws), u_cat, pos, out)
 
-    def _template(self, parent: App) -> tuple[Word, Term]:
-        """The congruence premise op(_p1, .., _pk) for parent's op, with its
-        context; built once per op."""
+    def _template(self, parent: App) -> tuple[Word, Term, Term]:
+        """The congruence premise op(_p1, .., _pk) ~ op(_p1, .., _pk) for
+        parent's op, with its context; built once per op."""
         cached = self._templates.get(parent.op)
         if cached is None:
             template_ctx = tuple(_template_letter(c.sort, j)
                                  for j, c in enumerate(parent.args, start=1))
+            template = app(self.sig, parent.op, [var(x) for x in template_ctx])
             cached = self._templates[parent.op] = (
-                template_ctx,
-                app(self.sig, parent.op, [var(x) for x in template_ctx]))
+                template_ctx, template, template)
         return cached
 
     def _known_equal(self, u: Term, v: Term) -> Optional[Word]:

@@ -209,31 +209,18 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
         out.append(equation(f"cat:{tag}:{next(counter)}", lhs, rhs,
                             tuple(ctx), CARTESIAN))
 
-    # identity laws and the unit action
+    # identity laws and the unit action: a hom word has at most max_arity
+    # letters, and every structure admits identities
     for a, d in S.hom_of.values():
         h = _hvar(S, "h", a, d)
-        try:
-            lhs = _comp(S, app(S.signature, S.id_name(d)), [h])
-        except UniversalError:
-            lhs = None
-        if lhs is not None:
-            emit("idl", lhs, h, (h.letter,))
-        try:
-            ids = [app(S.signature, S.id_name(c)) for c in a]
-            lhs = _comp(S, h, ids)
-        except UniversalError:
-            lhs = None
-        if lhs is not None:
-            emit("idr", lhs, h, (h.letter,))
-        theta = fn_identity(len(a))
-        try:
-            lhs = _act(S, theta, a, d, h)
-        except UniversalError:
-            lhs = None
-        if lhs is not None:
-            emit("actid", lhs, h, (h.letter,))
+        emit("idl", _comp(S, app(S.signature, S.id_name(d)), [h]), h,
+             (h.letter,))
+        emit("idr", _comp(S, h, [app(S.signature, S.id_name(c)) for c in a]),
+             h, (h.letter,))
+        emit("actid", _act(S, fn_identity(len(a)), a, d, h), h, (h.letter,))
 
-    # action composition: (phi . theta)* h = phi* (theta* h)
+    # action composition: (phi . theta)* h = phi* (theta* h); phi . theta
+    # stays in the family, which is closed under composition
     for phi in S.thetas:
         if phi.cod > A3:
             continue
@@ -247,12 +234,9 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                                  for i in range(1, theta.dom + 1))
                 for c in base_sorts:
                     h = _hvar(S, "h", dom_word, c)
-                    try:
-                        lhs = _act(S, comp_fn, b, c, h)
-                        rhs = _act(S, phi, b, c, _act(S, theta, b_phi, c, h))
-                    except UniversalError:
-                        continue
-                    emit("actcomp", lhs, rhs, (h.letter,))
+                    emit("actcomp", _act(S, comp_fn, b, c, h),
+                         _act(S, phi, b, c, _act(S, theta, b_phi, c, h)),
+                         (h.letter,))
 
     # interchange of action and composition, outer side:
     #   comp(theta* h, g_1..g_n) = theta'* comp(h, g_theta(1)..g_theta(m))
@@ -314,7 +298,8 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                         emit("actin", lhs, rhs,
                              (h.letter,) + tuple(g.letter for g in gs))
 
-    # associativity (bounded shapes)
+    # associativity (bounded shapes): every composition has at most A3
+    # slots and A3 letters
     for n in range(1, A3 + 1):
         for cs in itertools.product(base_sorts, repeat=n):
             for d in base_sorts:
@@ -332,18 +317,14 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                             flat_bs = [x for b in b_words for x in b]
                             fs = [_hvar(S, f"f{j + 1}", a_words[j], flat_bs[j])
                                   for j in range(sum(m_vec))]
-                            try:
-                                lhs = _comp(S, _comp(S, h, gs), fs)
-                                pos = 0
-                                inners = []
-                                for i in range(n):
-                                    k = m_vec[i]
-                                    inners.append(
-                                        _comp(S, gs[i], fs[pos:pos + k]))
-                                    pos += k
-                                rhs = _comp(S, h, inners)
-                            except UniversalError:
-                                continue
+                            lhs = _comp(S, _comp(S, h, gs), fs)
+                            pos = 0
+                            inners = []
+                            for i in range(n):
+                                k = m_vec[i]
+                                inners.append(_comp(S, gs[i], fs[pos:pos + k]))
+                                pos += k
+                            rhs = _comp(S, h, inners)
                             emit("assoc", lhs, rhs,
                                  (h.letter,) + tuple(g.letter for g in gs)
                                  + tuple(f.letter for f in fs))

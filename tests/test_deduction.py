@@ -158,10 +158,9 @@ def test_renamed_conclusion_is_skipped_exactly(monoid):
 
     def call(engine, images):
         out: list = []
-        s = dict(zip(v, images))
         ws = tuple(terminal_context(monoid.structure, tau(t)) for t in images)
         u_cat = tuple(q for wi in ws for q in wi)
-        engine._conclude(v, a, b, s, s, ws, u_cat, None, out)
+        engine._conclude((v, a, b), images, images, ws, u_cat, None, out)
         return {c[:3] for c in out}
 
     original = (app(sig, "mul", [var(x), var(y)]), var(z), var(w))
@@ -254,6 +253,22 @@ def test_truncation_is_flagged(monoid):
     res = prove(monoid, goal, Bounds(3, 3, 4))
     assert not res.proved
     assert res.truncated and res.truncated_by
+
+
+def test_instantiation_budget_keeps_the_closed_instances(monoid):
+    """Past the budget an equation is instantiated at constants only: the
+    rest is flagged as skipped, the closed instances are still derived,
+    and every event replays."""
+    engine = _Saturator(monoid, Bounds(2, 2, 2), inst_budget=2)
+    engine.run()
+    assert "instantiation" in engine.truncated_by
+    sig = monoid.signature
+    e = app(sig, "e")
+    assert engine.holds_canonically((), app(sig, "mul", [e, e]), e)
+    for ctx, a, b in engine.events:
+        concluded = check_proof(monoid,
+                                engine.proof_of(equation("", a, b, ctx)))
+        assert canon(concluded) == canonical_triple(ctx, a, b)
 
 
 WEAKENING_TEXT = """theory W
@@ -548,14 +563,16 @@ def _full_walk_swap_child(self, parent, pos, replacement, out):
     template_ctx = tuple(deduction._template_letter(c.sort, j)
                          for j, c in enumerate(parent.args, start=1))
     template = app(self.sig, parent.op, [var(x) for x in template_ctx])
-    s1 = dict(zip(template_ctx, parent.args))
-    s2 = dict(s1)
-    s2[template_ctx[pos]] = replacement
-    self._conclude(template_ctx, template, template, s1, s2, tuple(ws),
-                   u_cat, (parent, pos, replacement), out)
+    images = list(parent.args)
+    images[pos] = replacement
+    self._conclude((template_ctx, template, template), parent.args,
+                   tuple(images), tuple(ws), u_cat, pos, out)
 
 
-def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
+def _full_walk_conclude(self, premise, images1, images2, ws, u_cat, pos,
+                        out):
+    ctx, a, b = premise
+    s1, s2 = dict(zip(ctx, images1)), dict(zip(ctx, images2))
     distinct = tuple(dict.fromkeys(u_cat))
     if len(distinct) > self.bounds.max_ctx_len:
         self.truncated_by.add("ctx")
@@ -590,19 +607,14 @@ def _full_walk_conclude(self, ctx, a, b, s1, s2, ws, u_cat, cong, out):
         sp = self.spaces.get(canon_ctx)
         if sp is not None and sp.same(ca, cb):
             continue
-        if cong is None:
-            why = deduction._Inst(ctx, a, b, tuple(s1[x] for x in ctx),
-                                  w, ws)
-        else:
-            why = deduction._Cong(*cong, w, ws)
+        why = deduction._Rule5(premise, images1, images2, w, ws, pos)
         out.append((canon_ctx, ca, cb, why))
 
 
 def _why_record(why):
-    if isinstance(why, deduction._Inst):
-        return ("inst", why.ctx, why.a, why.b, why.images, why.w, why.ws)
-    if isinstance(why, deduction._Cong):
-        return ("cong", why.parent, why.pos, why.replacement, why.w, why.ws)
+    if isinstance(why, deduction._Rule5):
+        return ("rule5", why.premise, why.images1, why.images2, why.w,
+                why.ws, why.pos)
     return ("proof", tuple(proof_lines(why)))
 
 
@@ -663,6 +675,10 @@ def test_roots_are_least_and_swaps_never_repeat(monkeypatch):
     swap_child = _Saturator._swap_child
 
     def recording(self, parent, pos, replacement, out):
+        # the mate is a strictly smaller member of the child's class
+        old = parent.args[pos]
+        assert replacement.sort == old.sort
+        assert deduction._term_key(replacement) < deduction._term_key(old)
         calls.append((parent, pos, replacement))
         swap_child(self, parent, pos, replacement, out)
 

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ualg"
 
@@ -32,19 +33,28 @@ def _string_annotation_names(node: ast.AST) -> set[str]:
     return out
 
 
-def _used(tree: ast.Module) -> set[str]:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _quoted_names(tree: ast.Module) -> Iterator[tuple[str, int]]:
+    """Names inside the module's quoted forward references, with the line
+    of the node that holds each."""
     for node in ast.walk(tree):
         if isinstance(node, ast.arg) and node.annotation is not None:
-            used |= _string_annotation_names(node.annotation)
+            holder = node.annotation
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                 and node.returns is not None:
-            used |= _string_annotation_names(node.returns)
+            holder = node.returns
         elif isinstance(node, ast.AnnAssign):
-            used |= _string_annotation_names(node.annotation)
+            holder = node.annotation
         elif isinstance(node, ast.Subscript):
-            used |= _string_annotation_names(node.slice)
-    return used
+            holder = node.slice
+        else:
+            continue
+        yield from ((name, node.lineno)
+                    for name in _string_annotation_names(holder))
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return used | {name for name, _ in _quoted_names(tree)}
 
 
 def test_no_unused_imports():
@@ -67,3 +77,91 @@ def test_unused_import_check_sees_a_dead_name():
                      "import os\n"
                      "Word = tuple['Optional', ...]\n")
     assert set(_imported(tree)) - _used(tree) == {"Sequence", "os"}
+
+
+def _private_defs(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """Each private module-level name and private method, with the first
+    and last line of its definition."""
+    out = []
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    def visit(body: list[ast.stmt], in_class: bool) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign) and not in_class:
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and not in_class \
+                    and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out.extend((name, node.lineno, node.end_lineno)
+                       for name in names if private(name))
+            if isinstance(node, ast.ClassDef) and not in_class:
+                visit(node.body, True)
+
+    visit(tree.body, False)
+    return out
+
+
+def _references(tree: ast.Module) -> Iterator[tuple[str, int]]:
+    """Each name a module refers to, as a name, an attribute, an import or
+    a quoted annotation, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((a.name, node.lineno) for a in node.names)
+    yield from _quoted_names(tree)
+
+
+def _dead_names(modules: dict[str, ast.Module]) -> list[str]:
+    """The private definitions no module refers to outside the definition
+    itself, as `module:line: name`."""
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for path, tree in modules.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    dead = []
+    for path, tree in modules.items():
+        for name, first, last in _private_defs(tree):
+            if all(p == path and first <= line <= last
+                   for p, line in refs.get(name, ())):
+                dead.append(f"{path}:{first}: {name}")
+    return dead
+
+
+def test_no_dead_private_names():
+    """Every private module-level name and private method in the package
+    is used somewhere in it, so a deletion takes its helpers with it."""
+    modules = {path.name: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    dead = _dead_names(modules)
+    assert not dead, "unused private names:\n" + "\n".join(dead)
+
+
+def test_dead_name_check_sees_a_dead_name():
+    a = ast.parse("_LIMIT = 3\n"
+                  "_unused: int = 0\n"
+                  "def _live(n):\n"
+                  "    return n < _LIMIT\n"
+                  "def _recursive(n):\n"
+                  "    return _recursive(n - 1)\n"
+                  "class _Box:\n"
+                  "    def __init__(self):\n"
+                  "        self._kept()\n"
+                  "    def _kept(self):\n"
+                  "        pass\n"
+                  "    def _dropped(self):\n"
+                  "        pass\n")
+    b = ast.parse("from a import _Box, _live\n"
+                  "def f(x: '_Box'):\n"
+                  "    return _live(1)\n")
+    assert _dead_names({"a.py": a, "b.py": b}) == [
+        "a.py:2: _unused", "a.py:5: _recursive", "a.py:12: _dropped"]

@@ -1,9 +1,11 @@
 """The extended signature and the bounded initial model."""
 
+import hashlib
+
 import pytest
 
 from ualg.context import CARTESIAN, INJECTIVE, TRIVIAL, Letter
-from ualg.deduction import Bounds, check_proof
+from ualg.deduction import Bounds, check_proof, proof_lines
 from ualg.finord import fn, identity
 from ualg.selftest import (
     eckmann_hilton_theory, monoid_theory, projection_theory,
@@ -210,6 +212,24 @@ def test_sigma_interpret_transport(quotients):
                     key, sigma_term_str(S, cls[0]))
                 classes += 1
     assert merges >= 26 and classes >= 101
+
+
+def test_quotient_proof_digest(quotients):
+    """A sha256 over the classes, the flags and the proof of every 7th event
+    of the three sample quotients, over open and closed spaces; an engine
+    change that keeps outputs exact keeps it."""
+    h = hashlib.sha256()
+    for key in SAMPLE_HOMS:
+        _, part = quotients[key]
+        h.update(f"{key} {part.truncated_by}\n".encode())
+        for cls in part.classes:
+            h.update(f"{cls}\n".encode())
+        engine = part._engine
+        for ctx, a, b in engine.events[::7]:
+            for line in proof_lines(engine.proof_of(equation("", a, b, ctx))):
+                h.update(f"  {line}\n".encode())
+    assert h.hexdigest() == (
+        "a89b0c165da07404f1c0ce71cf1658236c3596c2aca87def954821775fb48205")
 
 
 def test_sigma_interpret_examples(monoid):
