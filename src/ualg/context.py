@@ -167,8 +167,7 @@ def delta_of(R: ContextStructure, theta: FinFn) -> bool:
     """Whether theta belongs to the function family matching R.
 
     Uses fresh letters c1..cn of a dummy sort and asks whether the context
-    c1..cn governs the reindexed word c_{theta(1)}..c_{theta(m)}.
+    c1..cn governs the reindexed word theta.pull(c1..cn).
     """
     letters = tuple(Letter("_s", f"_c{i}") for i in range(1, theta.cod + 1))
-    image = tuple(letters[theta(i) - 1] for i in range(1, theta.dom + 1))
-    return holds(R, letters, image)
+    return holds(R, letters, theta.pull(letters))

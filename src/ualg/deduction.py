@@ -96,12 +96,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 
-from .context import Letter, Word, delta_of, holds, terminal_context
+from .context import Letter, Word, delta_of, holds
 from .finord import FinFn
 from .syntax import (
     App, Equation, Term, Theory, TheoryError, Var, _app, app, apply_renaming,
-    const, ctx_str, equation, is_r_context, is_r_renaming, tau, term_depth,
-    term_str, term_vars, validate_equation, var,
+    arg_contexts, const, ctx_str, equation, is_r_context, is_r_renaming, tau,
+    term_depth, term_str, term_vars, validate_equation, var,
 )
 
 
@@ -427,13 +427,14 @@ class _Rule5:
 
 @dataclass
 class SaturationResult:
-    theory: Theory
-    bounds: Bounds
     equations: list[Equation]
-    truncated: bool
     truncated_by: tuple[str, ...]
     rounds_used: int
     _engine: "_Saturator" = field(repr=False)
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
     def proof_of(self, eq: Equation) -> Proof:
         return self._engine.proof_of(eq)
@@ -448,8 +449,11 @@ class ProveResult:
     the rounds that ran, and a goal-directed stop never raises `rounds`."""
 
     proof: Optional[Proof]
-    truncated: bool
     truncated_by: tuple[str, ...]
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
     @property
     def proved(self) -> bool:
@@ -735,15 +739,9 @@ class _Saturator:
                     math.prod(map(len, target_lists)) > self.inst_budget:
                 return
         for combo in itertools.product(*target_lists):
-            ws: list[Word] = []
-            for t in combo:
-                w_i = terminal_context(self.R, tau(t))
-                if w_i is None:
-                    break
-                ws.append(w_i)
-            else:
-                u_cat = tuple(y for w_i in ws for y in w_i)
-                self._conclude(event, combo, combo, tuple(ws), u_cat, None, out)
+            ws = arg_contexts(self.R, combo)
+            if ws is not None:
+                self._conclude(event, combo, combo, ws, sum(ws, ()), None, out)
 
     def _conclude(self, premise: tuple[Word, Term, Term],
                   images1: tuple[Term, ...], images2: tuple[Term, ...],
@@ -896,20 +894,13 @@ class _Saturator:
             w_i = self._sides[old] = self._known_equal(old, replacement)
         if w_i is None:
             return
-        ws: list[Word] = []
-        for j, child in enumerate(parent.args):
-            if j == pos:
-                ws.append(w_i)
-            else:
-                w_j = terminal_context(self.R, tau(child))
-                if w_j is None:
-                    return
-                ws.append(w_j)
-        u_cat = tuple(y for w_j in ws for y in w_j)
-        images = list(parent.args)
-        images[pos] = replacement
-        self._conclude(self._template(parent), parent.args, tuple(images),
-                       tuple(ws), u_cat, pos, out)
+        others = arg_contexts(self.R, parent.args[:pos] + parent.args[pos + 1:])
+        if others is None:
+            return
+        ws = others[:pos] + (w_i,) + others[pos:]
+        images = parent.args[:pos] + (replacement,) + parent.args[pos + 1:]
+        self._conclude(self._template(parent), parent.args, images, ws,
+                       sum(ws, ()), pos, out)
 
     def _template(self, parent: App) -> tuple[Word, Term, Term]:
         """The congruence premise op(_p1, .., _pk) ~ op(_p1, .., _pk) for
@@ -954,11 +945,8 @@ def saturate(E: Theory, bounds: Bounds) -> SaturationResult:
     engine.run()
     eqs = [equation("", a, b, ctx) for ctx, a, b in engine.events]
     return SaturationResult(
-        E, bounds, eqs,
-        truncated=bool(engine.truncated_by),
-        truncated_by=tuple(sorted(engine.truncated_by)),
-        rounds_used=engine.rounds_used,
-        _engine=engine)
+        eqs, truncated_by=tuple(sorted(engine.truncated_by)),
+        rounds_used=engine.rounds_used, _engine=engine)
 
 
 def _weakening_contexts(E: Theory, goal: Equation) -> Iterator[Word]:
@@ -1028,7 +1016,7 @@ def prove(E: Theory, goal: Equation, bounds: Bounds) -> ProveResult:
         first, goal.lhs, goal.rhs))
     proof = _weakening_proof(E, engine, goal)
     flags = _truncation_flags(E, engine, goal, proof is not None)
-    return ProveResult(proof, truncated=bool(flags), truncated_by=flags)
+    return ProveResult(proof, truncated_by=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class FinOrdError(ValueError):
@@ -39,6 +39,10 @@ class FinFn:
         if not 1 <= i <= self.dom:
             raise FinOrdError(f"argument {i} outside 1..{self.dom}")
         return self.images[i - 1]
+
+    def pull(self, xs: Sequence) -> tuple:
+        """The word xs o self: entry i is xs[self(i)], counting from 1."""
+        return tuple(xs[e - 1] for e in self.images)
 
     def __str__(self) -> str:
         return f"{self.dom} {self.cod} : " + " ".join(map(str, self.images))
@@ -90,8 +94,7 @@ def similarity_component(theta: FinFn, ks: Sequence[int]) -> FinFn:
     for k in ks:
         prefix.append(prefix[-1] + k)  # prefix[j] = K_j
     images: list[int] = []
-    for i in range(1, theta.dom + 1):
-        j = theta(i)
+    for j in theta.images:
         base = prefix[j - 1]
         images.extend(base + x for x in range(1, ks[j - 1] + 1))
     return FinFn(len(images), prefix[-1], tuple(images))
@@ -269,14 +272,17 @@ def in_family(d: DeltaFamily, f: FinFn) -> bool:
     return True  # delta-upper
 
 
+def functions(m: int, n: int) -> Iterator[FinFn]:
+    """Every function [m] -> [n], with images in lexicographic order."""
+    for images in itertools.product(range(1, n + 1), repeat=m):
+        yield FinFn(m, n, images)
+
+
 def all_functions(max_n: int) -> Iterator[FinFn]:
     """Every function [m] -> [n] with m, n <= max_n, in a fixed order."""
     for n in range(max_n + 1):
         for m in range(max_n + 1):
-            if n == 0 and m > 0:
-                continue
-            for images in itertools.product(range(1, n + 1), repeat=m):
-                yield FinFn(m, n, images)
+            yield from functions(m, n)
 
 
 def family_members(d: DeltaFamily, max_n: int) -> list[FinFn]:
@@ -332,50 +338,36 @@ def verify_structure_category(d: DeltaFamily, max_n: int) -> CategoryReport:
         "identities", not missing,
         "" if not missing else f"id on [{missing[0]}] not in family"))
 
-    comp_bad = None
-    for f in members:
-        for g in by_dom.get(f.cod, ()):
-            h = compose(g, f)
-            if not in_family(d, h):
-                comp_bad = (f, g, h)
-                break
-        if comp_bad:
-            break
-    checks.append(CategoryCheck(
-        "composition", comp_bad is None,
-        "" if comp_bad is None else
-        f"f = {comp_bad[0]}\ng = {comp_bad[1]}\ng.f = {comp_bad[2]}  (not in family)"))
+    def closure(name: str, labels: str, pairs: Iterable[tuple], op: Callable,
+                show: Callable = str) -> None:
+        bad = _first_outside(d, pairs, op)
+        detail = ""
+        if bad is not None:
+            (a, b, c), (x, y, z) = labels.split(), bad
+            detail = f"{a} = {x}\n{b} = {show(y)}\n{c} = {z}  (not in family)"
+        checks.append(CategoryCheck(name, bad is None, detail))
 
-    cop_bad = None
-    for f in members:
-        for g in members:
-            h = coproduct([f, g])
-            if not in_family(d, h):
-                cop_bad = (f, g, h)
-                break
-        if cop_bad:
-            break
-    checks.append(CategoryCheck(
-        "coproduct", cop_bad is None,
-        "" if cop_bad is None else
-        f"f = {cop_bad[0]}\ng = {cop_bad[1]}\nf+g = {cop_bad[2]}  (not in family)"))
-
-    sim_bad = None
-    for theta in members:
-        for ks in itertools.product(range(max_n + 1), repeat=theta.cod):
-            comp = similarity_component(theta, ks)
-            if not in_family(d, comp):
-                sim_bad = (theta, ks, comp)
-                break
-        if sim_bad:
-            break
-    checks.append(CategoryCheck(
-        "similarity", sim_bad is None,
-        "" if sim_bad is None else
-        f"theta = {sim_bad[0]}\nks = {' '.join(map(str, sim_bad[1]))}\n"
-        f"component = {sim_bad[2]}  (not in family)"))
+    closure("composition", "f g g.f",
+            ((f, g) for f in members for g in by_dom.get(f.cod, ())),
+            lambda f, g: compose(g, f))
+    closure("coproduct", "f g f+g", itertools.product(members, repeat=2),
+            lambda f, g: coproduct([f, g]))
+    closure("similarity", "theta ks component",
+            ((theta, ks) for theta in members
+             for ks in itertools.product(range(max_n + 1), repeat=theta.cod)),
+            similarity_component, lambda ks: " ".join(map(str, ks)))
 
     return CategoryReport(d, max_n, len(members), tuple(checks))
+
+
+def _first_outside(d: DeltaFamily, pairs: Iterable[tuple], op: Callable
+                   ) -> Optional[tuple]:
+    """The first (x, y, op(x, y)) over pairs whose result is not in d."""
+    for x, y in pairs:
+        z = op(x, y)
+        if not in_family(d, z):
+            return x, y, z
+    return None
 
 
 def parse_family(token: str, *, bound: int = 64) -> DeltaFamily:

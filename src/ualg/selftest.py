@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .finord import (
-    FinFn, all_functions, compose, coproduct, identity, in_family,
+    all_functions, compose, coproduct, functions, identity, in_family,
     parse_family, similarity_component, verify_structure_category,
 )
 from .context import (
@@ -296,16 +296,11 @@ def check_action_axioms() -> CheckResult:
     for k in range(3):
         for m in range(3):
             for n in range(3):
-                for sig_img in itertools.product(range(1, m + 1), repeat=k):
-                    sigma = FinFn(k, m, sig_img)
-                    for tau_img in itertools.product(range(1, n + 1), repeat=m):
-                        tau_fn = FinFn(m, n, tau_img)
+                for sigma in functions(k, m):
+                    for tau_fn in functions(m, n):
                         for target in itertools.product((1, 2), repeat=n):
-                            mid = tuple(target[tau_fn(i) - 1]
-                                        for i in range(1, m + 1))
-                            doms = tuple(mid[sigma(i) - 1]
-                                         for i in range(1, k + 1))
-                            for f in _table_family(doms, 2):
+                            mid = tau_fn.pull(target)
+                            for f in _table_family(sigma.pull(mid), 2):
                                 lhs = theta_action(
                                     f, compose(tau_fn, sigma), target)
                                 rhs = theta_action(
@@ -318,27 +313,15 @@ def check_action_axioms() -> CheckResult:
     # axiom 3: g . (reindexed f_i) = coproduct-reindexed (g . f)
     for n in (1, 2):
         for sigmas in itertools.product(
-                [FinFn(m, c, img) for m in range(3) for c in range(1, 3)
-                 for img in itertools.product(range(1, c + 1), repeat=m)],
+                [f for m in range(3) for c in range(1, 3)
+                 for f in functions(m, c)],
                 repeat=n):
+            targets = [tuple((1, 2)[(i + j) % 2] for j in range(s.cod))
+                       for i, s in enumerate(sigmas)]
             for carriers in itertools.product((1, 2), repeat=n):
-                g_doms = carriers
-                for g in _table_family(tuple(g_doms), 2)[:2]:
-                    fs = []
-                    targets = []
-                    ok = True
-                    for i, s in enumerate(sigmas):
-                        a_i = tuple((1, 2)[(i + j) % 2] for j in range(s.cod))
-                        f_doms = tuple(a_i[s(j) - 1]
-                                       for j in range(1, s.dom + 1))
-                        fam = _table_family(f_doms, carriers[i])
-                        if not fam:
-                            ok = False
-                            break
-                        fs.append(fam[0])
-                        targets.append(a_i)
-                    if not ok:
-                        continue
+                fs = [_table_family(s.pull(a_i), c)[0]
+                      for s, a_i, c in zip(sigmas, targets, carriers)]
+                for g in _table_family(carriers, 2)[:2]:
                     lhs = compose_multi(
                         g, [theta_action(f, s, t)
                             for f, s, t in zip(fs, sigmas, targets)])
@@ -352,30 +335,18 @@ def check_action_axioms() -> CheckResult:
     # axiom 4: reindexed head composed equals similarity-reindexed composite
     for m in range(3):
         for n in range(1, 3):
-            for tau_img in itertools.product(range(1, n + 1), repeat=m):
-                tau_fn = FinFn(m, n, tau_img)
+            for tau_fn in functions(m, n):
                 for ks in itertools.product((1, 2), repeat=n):
                     a_words = [tuple((1, 2)[(i + j) % 2] for j in range(k))
                                for i, k in enumerate(ks)]
                     carriers = tuple((2, 1)[i % 2] for i in range(n))
-                    fs = []
-                    ok = True
-                    for i in range(n):
-                        fam = _table_family(a_words[i], carriers[i])
-                        if not fam:
-                            ok = False
-                            break
-                        fs.append(fam[0])
-                    if not ok:
-                        continue
-                    g_doms = tuple(carriers[tau_fn(i) - 1]
-                                   for i in range(1, m + 1))
-                    for g in _table_family(g_doms, 2)[:2]:
+                    fs = [_table_family(a, c)[0]
+                          for a, c in zip(a_words, carriers)]
+                    for g in _table_family(tau_fn.pull(carriers), 2)[:2]:
                         lhs = compose_multi(
                             theta_action(g, tau_fn, carriers), fs)
                         sim = similarity_component(tau_fn, ks)
-                        inner = compose_multi(
-                            g, [fs[tau_fn(i) - 1] for i in range(1, m + 1)])
+                        inner = compose_multi(g, tau_fn.pull(fs))
                         rhs = theta_action(
                             inner, sim, tuple(x for a in a_words for x in a))
                         if lhs != rhs:
@@ -423,7 +394,7 @@ def _canonical_morphism_fails() -> list[str]:
                             f"canonical morphism 2 fails at c={c} v={v} w={w}")
     # identities 3 and 4 are the table forms of action axioms 3 and 4,
     # re-checked here through context embeddings on one concrete shape
-    x, y, z = letters
+    x, y = letters[:2]
     c = (x, y)
     v1, w1 = (x,), (x, x)
     v2, w2 = (y,), ()

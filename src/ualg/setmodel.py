@@ -24,13 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .context import (
-    ContextStructure, Letter, Word, embedding, terminal_context,
-)
+from .context import ContextStructure, Letter, Word, embedding
 from .finord import FinFn
 from .syntax import (
-    App, Equation, Signature, Term, Theory, TheoryError, Var, is_r_context,
-    tau, term_str,
+    App, Equation, Signature, Term, Theory, TheoryError, Var, arg_contexts,
+    is_r_context, term_str,
 )
 
 
@@ -90,10 +88,10 @@ def identity_map(k: int) -> MultiMap:
 
 def theta_action(f: MultiMap, theta: FinFn,
                  target: Sequence[int]) -> MultiMap:
-    """Reindex a multimap along theta: result(x1..xn) = f(x_theta(1)..x_theta(m)).
+    """Reindex a multimap along theta: result(xs) = f(*theta.pull(xs)).
 
-    `target` gives the carrier sizes of the result's domain word; position i
-    of f's domain must match target[theta(i)-1].
+    `target` gives the carrier sizes of the result's domain word; f's
+    domain must be theta.pull(target).
     """
     target = tuple(target)
     if len(f.doms) != theta.dom:
@@ -102,14 +100,11 @@ def theta_action(f: MultiMap, theta: FinFn,
     if len(target) != theta.cod:
         raise ModelError(
             f"target word has {len(target)} carriers but theta.cod = {theta.cod}")
-    for i in range(1, theta.dom + 1):
-        if f.doms[i - 1] != target[theta(i) - 1]:
-            raise ModelError(
-                f"carrier mismatch at position {i}: {f.doms[i - 1]} vs "
-                f"{target[theta(i) - 1]}")
-    return table_from(
-        target, f.cod,
-        lambda *xs: f(*(xs[theta(i) - 1] for i in range(1, theta.dom + 1))))
+    if f.doms != theta.pull(target):
+        raise ModelError(
+            f"carrier mismatch: map has {f.doms}, theta pulls the target "
+            f"back to {theta.pull(target)}")
+    return table_from(target, f.cod, lambda *xs: f(*theta.pull(xs)))
 
 
 def compose_multi(g: MultiMap, fs: Sequence[MultiMap]) -> MultiMap:
@@ -185,16 +180,12 @@ def _eval(m: FinSetModel, v: Word, t: Term) -> MultiMap:
     assert isinstance(t, App)
     if not t.args:
         return theta_action(m.op_tables[t.op], embedding(v, ()), target)
-    subs: list[MultiMap] = []
-    concat: list[Letter] = []
-    for child in t.args:
-        w_i = terminal_context(m.structure, tau(child))
-        if w_i is None:
-            raise ModelError(f"subterm {term_str(child)} has no context")
-        subs.append(_eval(m, w_i, child))
-        concat.extend(w_i)
-    inner = compose_multi(m.op_tables[t.op], subs)
-    return theta_action(inner, embedding(v, tuple(concat)), target)
+    ws = arg_contexts(m.structure, t.args)
+    if ws is None:
+        raise ModelError(f"an argument of {term_str(t)} has no context")
+    inner = compose_multi(m.op_tables[t.op],
+                          [_eval(m, w, child) for w, child in zip(ws, t.args)])
+    return theta_action(inner, embedding(v, sum(ws, ())), target)
 
 
 def satisfies(m: FinSetModel, eq: Equation) -> bool:

@@ -12,7 +12,7 @@ from typing import Mapping, Optional, Sequence
 
 from .context import (
     ContextStructure, ContextError, Letter, Word, check_context, holds,
-    parse_structure,
+    parse_structure, terminal_context,
 )
 
 
@@ -195,6 +195,14 @@ def apply_renaming(s: Mapping[Letter, Term], t: Term) -> Term:
     if new_args == t.args:
         return t
     return _app(t.op, t.sort, new_args)
+
+
+def arg_contexts(R: ContextStructure, args: Sequence[Term]
+                 ) -> Optional[tuple[Word, ...]]:
+    """The terminal context of each argument, or None if one has none: an
+    application composes at these words and embeds at their concatenation."""
+    ws = tuple(terminal_context(R, a._tau) for a in args)
+    return None if None in ws else ws
 
 
 def is_r_context(R: ContextStructure, c: Word, t: Term) -> bool:

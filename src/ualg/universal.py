@@ -20,7 +20,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .context import (
     CARTESIAN, ContextStructure, Letter, Word, delta_of, embedding,
-    terminal_context,
 )
 from .finord import (
     FinFn, all_functions, compose as fn_compose, coproduct,
@@ -31,7 +30,7 @@ from .setmodel import (
 )
 from .syntax import (
     App, Equation, OpDecl, Signature, Term, Theory, TheoryError, Var, app,
-    equation, tau, term_depth, term_str, var,
+    arg_contexts, equation, tau, term_depth, term_str, var,
 )
 from .deduction import Bounds, _Saturator, _term_key
 
@@ -135,10 +134,10 @@ def build_sigma(base: Signature, R: ContextStructure,
     for theta in thetas:
         tag = ",".join(map(str, theta.images)) + f"->{theta.cod}"
         for b in itertools.product(S, repeat=theta.cod):
-            b_theta = tuple(b[theta(i) - 1] for i in range(1, theta.dom + 1))
             for c in S:
                 declare(f"act[{tag}]{{{' '.join(b)}|{c}}}",
-                        ("act", theta, b, c), (hom(b_theta, c),), hom(b, c))
+                        ("act", theta, b, c), (hom(theta.pull(b), c),),
+                        hom(b, c))
 
     for n in range(max_arity + 1):
         for bs in itertools.product(S, repeat=n):
@@ -229,9 +228,8 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                 continue
             comp_fn = fn_compose(phi, theta)
             for b in itertools.product(base_sorts, repeat=phi.cod):
-                b_phi = tuple(b[phi(i) - 1] for i in range(1, phi.dom + 1))
-                dom_word = tuple(b_phi[theta(i) - 1]
-                                 for i in range(1, theta.dom + 1))
+                b_phi = phi.pull(b)
+                dom_word = theta.pull(b_phi)
                 for c in base_sorts:
                     h = _hvar(S, "h", dom_word, c)
                     emit("actcomp", _act(S, comp_fn, b, c, h),
@@ -241,11 +239,11 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
     # interchange of action and composition, outer side:
     #   comp(theta* h, g_1..g_n) = theta'* comp(h, g_theta(1)..g_theta(m))
     for theta in S.thetas:
-        n, mlen = theta.cod, theta.dom
-        if n > A3 or mlen > A3:
+        n = theta.cod
+        if n > A3 or theta.dom > A3:
             continue
         for cs in itertools.product(base_sorts, repeat=n):
-            cs_theta = tuple(cs[theta(i) - 1] for i in range(1, mlen + 1))
+            cs_theta = theta.pull(cs)
             for d in base_sorts:
                 for b_words in _arg_splits(base_sorts, n, A3):
                     ks = tuple(len(b) for b in b_words)
@@ -256,8 +254,7 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                     flat = tuple(x for b in b_words for x in b)
                     try:
                         lhs = _comp(S, _act(S, theta, cs, d, h), gs)
-                        inner = _comp(S, h, [gs[theta(i) - 1]
-                                             for i in range(1, mlen + 1)])
+                        inner = _comp(S, h, theta.pull(gs))
                         rhs = _act(S, sim, flat, d, inner)
                     except UniversalError:
                         continue
@@ -277,11 +274,8 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                     for thetas in itertools.product(*theta_lists):
                         total = coproduct(list(thetas)) if thetas else None
                         h = _hvar(S, "h", cs, d)
-                        gs = []
-                        for i, (b, th) in enumerate(zip(b_words, thetas)):
-                            dom_word = tuple(b[th(j) - 1]
-                                             for j in range(1, th.dom + 1))
-                            gs.append(_hvar(S, f"g{i + 1}", dom_word, cs[i]))
+                        gs = [_hvar(S, f"g{i + 1}", th.pull(b), cs[i])
+                              for i, (b, th) in enumerate(zip(b_words, thetas))]
                         if all(t.is_identity() for t in thetas):
                             continue  # degenerate: both sides identical
                         try:
@@ -309,7 +303,6 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                     for b_words in _arg_splits(base_sorts, n, A3):
                         if tuple(len(b) for b in b_words) != m_vec:
                             continue
-                        flat_b = tuple(x for b in b_words for x in b)
                         for a_words in _arg_splits(base_sorts, sum(m_vec), A3):
                             h = _hvar(S, "h", cs, d)
                             gs = [_hvar(S, f"g{i + 1}", b_words[i], cs[i])
@@ -342,24 +335,17 @@ def internalize_term(S: SigmaSignature, v: Word, t: Term) -> Term:
     if isinstance(t, Var):
         w: Word = (t.letter,)
         inner = app(S.signature, S.id_name(t.sort))
-        inner_sorts: tuple[str, ...] = (t.sort,)
     elif not t.args:
         w = ()
         inner = app(S.signature, S.op_name(t.op))
-        inner_sorts = ()
     else:
-        parts = []
-        w_list: list[Letter] = []
-        for child in t.args:
-            w_i = terminal_context(S.structure, tau(child))
-            if w_i is None:
-                raise UniversalError(f"subterm {term_str(child)} has no context")
-            parts.append(internalize_term(S, w_i, child))
-            w_list.extend(w_i)
-        w = tuple(w_list)
+        ws = arg_contexts(S.structure, t.args)
+        if ws is None:
+            raise UniversalError(f"an argument of {term_str(t)} has no context")
+        w = sum(ws, ())
         head = app(S.signature, S.op_name(t.op))
-        inner = _comp(S, head, parts)
-        inner_sorts = tuple(x.sort for x in w)
+        inner = _comp(S, head, [internalize_term(S, w_i, child)
+                                for w_i, child in zip(ws, t.args)])
     try:
         theta = embedding(v, w)
     except KeyError:
@@ -423,11 +409,13 @@ def enumerate_pure_terms(S: SigmaSignature, depth: int
 @dataclass
 class HomPartition:
     sigma: SigmaSignature
-    hom: tuple[tuple[str, ...], str]
     classes: list[list[Term]]
-    truncated: bool
     truncated_by: tuple[str, ...]
     _engine: _Saturator = field(repr=False)
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
     def merged(self, a: Term, b: Term) -> bool:
         """Whether the bounded quotient identifies two closed terms; a term
@@ -476,8 +464,7 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     grouped: dict[Term, list[Term]] = {}
     for t in sorted(hom_terms, key=_term_key):
         grouped.setdefault(space.find(t), []).append(t)
-    return HomPartition(sigma, (tuple(hom[0]), hom[1]), list(grouped.values()),
-                        truncated=bool(engine.truncated_by),
+    return HomPartition(sigma, list(grouped.values()),
                         truncated_by=tuple(sorted(engine.truncated_by)),
                         _engine=engine)
 
@@ -495,10 +482,10 @@ def default_sigma(E: Theory, hom: tuple[Sequence[str], str]
 
 def _composition_width(R: ContextStructure, t: Term) -> int:
     """The longest word `internalize_term` composes at over t's subterms:
-    the concatenation of an application's children's terminal contexts."""
+    the concatenation of an application's `arg_contexts`."""
     if not isinstance(t, App):
         return 0
-    words = [terminal_context(R, tau(child)) or () for child in t.args]
+    words = arg_contexts(R, t.args) or ()
     return max([sum(map(len, words))]
                + [_composition_width(R, child) for child in t.args])
 

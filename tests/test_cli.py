@@ -290,3 +290,61 @@ def test_universal_accepts_a_non_linear_theory(tmp_path):
              "--rounds", "2")
     assert p.returncode == 0, p.stderr
     assert "classes" in p.stdout
+
+
+def _records(p):
+    return [json.loads(line) for line in p.stdout.splitlines()]
+
+
+def test_prove_json_lines():
+    """One record per goal: proved, or unproved with the text status."""
+    goal = "mul(e,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]"
+    p = ualg("--format", "json-lines", "prove", MONOID, "--goal", goal,
+             "--depth", "3")
+    assert p.returncode == 0
+    assert _records(p) == [{"goal": goal, "proved": True}]
+    goal = "f(x,y) ~ x ctx [ x:A y:A ]"
+    p = ualg("--format", "json-lines", "prove", PROJ_INJ, "--goal", goal)
+    assert p.returncode == 1
+    assert _records(p) == [{"goal": goal, "proved": False,
+                            "status": "refuted-by-invariant"}]
+
+
+def test_prove_not_derivable_when_saturated(tmp_path):
+    """The free magma saturates with no truncation, so a goal it never
+    derives is reported not derivable, not inconclusive."""
+    src = tmp_path / "magma.ua"
+    src.write_text("theory FreeMagma\nstructure cartesian\nsort A\n"
+                   "op f : A A -> A\n")
+    goal = "f(x,y) ~ f(y,x) ctx [ x:A y:A ]"
+    p = ualg("prove", str(src), "--goal", goal)
+    assert p.returncode == 1
+    assert p.stdout == "not-derivable (saturated)\n"
+    p = ualg("--format", "json-lines", "prove", str(src), "--goal", goal)
+    assert p.returncode == 1
+    assert _records(p) == [{"goal": goal, "proved": False,
+                            "status": "not-derivable (saturated)"}]
+
+
+def test_countermodel_json_lines():
+    p = ualg("--format", "json-lines", "countermodel", PROJ, "--goal",
+             "f(x,y) ~ f(y,x) ctx [ x:A y:A ]", "--max-size", "2")
+    assert p.returncode == 0
+    assert _records(p) == [{"carriers": {"A": 2},
+                            "tables": {"f": [0, 0, 1, 1]}}]
+
+
+def test_selftest_json_lines():
+    p = ualg("--format", "json-lines", "selftest", "--only", "2")
+    assert p.returncode == 0
+    assert _records(p) == [{
+        "criterion": 2, "details": ["3992 structure/function pairs agree"],
+        "name": "relation/family correspondence on [m],[n] <= 4",
+        "passed": True}]
+
+
+def test_universal_hom_without_arrow_exit_code():
+    p = ualg("universal", MONOID, "--hom", "M M M")
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == "error: hom must look like '<S> <S> -> <S>'\n"

@@ -9,9 +9,9 @@ import pytest
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, LEFT_SURJECTIVE, RIGHT_SURJECTIVE,
     STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextError, Letter, delta_of,
-    holds, parse_structure, terminal_context,
+    embedding, holds, parse_structure, terminal_context,
 )
-from ualg.finord import fn, in_family, parse_family
+from ualg.finord import all_functions, fn, in_family, parse_family
 from ualg.selftest import EIGHT_STRUCTURES, STRUCTURE_FAMILY
 
 X, Y, Z = (Letter("s", n) for n in "xyz")
@@ -111,9 +111,15 @@ def test_delta_of_examples():
     assert delta_of(CARTESIAN, fn((), 0))
 
 
-def test_delta_of_matches_family_at_three():
-    from ualg.finord import all_functions
+def test_embedding_inverts_pull():
+    """For a repetition-free v, theta is the embedding of v into the word
+    theta pulls v back to."""
+    for theta in all_functions(3):
+        v = (X, Y, Z)[:theta.cod]
+        assert embedding(v, theta.pull(v)) == theta
 
+
+def test_delta_of_matches_family_at_three():
     for theta in all_functions(3):
         for structure in EIGHT_STRUCTURES:
             family = parse_family(STRUCTURE_FAMILY[structure.kind])

@@ -6,8 +6,9 @@ import pytest
 
 from ualg.finord import (
     FinFn, FinOrdError, StructureMonoid, all_functions, compose,
-    coproduct, fiber_sizes, fn, identity, in_family, monoid, monoid_contains,
-    parse_family, similarity_component, verify_structure_category,
+    coproduct, fiber_sizes, fn, functions, identity, in_family, monoid,
+    monoid_contains, parse_family, similarity_component,
+    verify_structure_category,
 )
 
 
@@ -27,6 +28,33 @@ def test_compose_examples():
     assert compose(swap, swap) == identity(2)
     with pytest.raises(FinOrdError):
         compose(fn((1,), 1), fn((1,), 2))
+
+
+def test_pull_reindexes_a_word():
+    assert fn((2, 2, 1), 3).pull("abc") == ("b", "b", "a")
+    assert fn((), 2).pull("ab") == ()
+    for f in all_functions(3):
+        assert f.pull(range(1, f.cod + 1)) == f.images
+
+
+def test_pull_is_contravariant_in_composition():
+    """Pulling along g.f is pulling along g, then along f."""
+    fns3 = list(all_functions(3))
+    for f in fns3:
+        for g in (g for g in fns3 if g.dom == f.cod):
+            xs = tuple(f"x{i}" for i in range(1, g.cod + 1))
+            assert compose(g, f).pull(xs) == f.pull(g.pull(xs))
+
+
+def test_functions_enumerates_every_map_in_lexicographic_order():
+    for m in range(4):
+        for n in range(4):
+            maps = list(functions(m, n))
+            assert len(maps) == n ** m
+            assert [f.images for f in maps] == sorted(f.images for f in maps)
+            assert len(set(maps)) == len(maps)
+    assert list(all_functions(3)) == [
+        f for n in range(4) for m in range(4) for f in functions(m, n)]
 
 
 def test_compose_associativity_small():

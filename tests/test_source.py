@@ -165,3 +165,50 @@ def test_dead_name_check_sees_a_dead_name():
                   "    return _live(1)\n")
     assert _dead_names({"a.py": a, "b.py": b}) == [
         "a.py:2: _unused", "a.py:5: _recursive", "a.py:12: _dropped"]
+
+
+def _dead_locals(tree: ast.Module, path: str) -> list[str]:
+    """The names each top-level function or method stores but never loads,
+    as `module:line: name`; `_`-prefixed names are exempt.  A nested
+    function or comprehension counts as part of the function around it."""
+    dead = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef)):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            loaded = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+            stored: dict[str, int] = {}
+            for n in names:
+                if isinstance(n.ctx, ast.Store) and not n.id.startswith("_"):
+                    stored.setdefault(n.id, n.lineno)
+            dead += [f"{path}:{line}: {name}"
+                     for name, line in stored.items() if name not in loaded]
+    return dead
+
+
+def test_no_dead_locals():
+    """Every local a function assigns is read somewhere in it."""
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        dead += _dead_locals(ast.parse(path.read_text(), filename=str(path)),
+                             path.name)
+    assert not dead, "assigned but never read:\n" + "\n".join(dead)
+
+
+def test_dead_local_check_sees_a_dead_local():
+    tree = ast.parse("def f(xs):\n"
+                     "    total = 0\n"
+                     "    flat = [x for x in xs]\n"
+                     "    for i, _j in enumerate(xs):\n"
+                     "        total += i\n"
+                     "    def g():\n"
+                     "        return total\n"
+                     "    return g\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        a, b = 1, 2\n"
+                     "        return a\n")
+    assert _dead_locals(tree, "m.py") == ["m.py:3: flat", "m.py:11: b"]

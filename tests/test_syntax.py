@@ -14,7 +14,7 @@ from ualg.deduction import Bounds
 from ualg.selftest import EIGHT_STRUCTURES, MONOID_TEXT
 from ualg.syntax import (
     EquationContextError, ParseError, Term, TypingError, app,
-    apply_renaming, const, equation, is_r_context,
+    apply_renaming, arg_contexts, const, equation, is_r_context,
     is_r_renaming, parse_equation_text, parse_theory, signature, tau,
     term_depth, var,
 )
@@ -186,6 +186,17 @@ def test_interning_keeps_result_sorts_apart():
     for sig, sort in ((sig_aa, "A"), (sig_ab, "B")):
         renamed = apply_renaming({x: a0}, app(sig, "h_sorted", [var(x)]))
         assert renamed.sort == sort
+
+
+def test_arg_contexts(monoid):
+    sig = monoid.signature
+    e = const(sig, "e")
+    xy = app(sig, "mul", [var(X), var(Y)])
+    xx = app(sig, "mul", [var(X), var(X)])
+    assert arg_contexts(CARTESIAN, (xy, e, var(Y))) == ((X, Y), (), (Y,))
+    assert arg_contexts(CARTESIAN, (xx,)) == ((X,),)
+    assert arg_contexts(INJECTIVE, (xy, xx)) is None
+    assert arg_contexts(INJECTIVE, ()) == ()
 
 
 def test_is_r_context(monoid):
