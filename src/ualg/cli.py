@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each command returns its exit code and its output, built once as a list of
+`(text, record)` items; `main` hands the items to `_emit`, the one place
+that reads `--format`.  It prints each item's text, or each item's record
+as one JSON line; a `None` side prints nothing in its format.
+
 Exit codes: 0 success/proved, 1 inconclusive or refuted (the report says
 which), 2 a verification check failed, 3 usage, file, or parse errors.
 """
@@ -30,13 +35,13 @@ def _bounds(args: argparse.Namespace) -> Bounds:
     return Bounds(args.depth, args.ctx, args.rounds)
 
 
-def _emit(records, args) -> None:
-    if getattr(args, "format", "text") == "json-lines":
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
-    else:
-        for rec in records:
-            print(rec.get("line", ""))
+def _emit(args, items) -> None:
+    """Print each `(text, record)` item: its text in text mode, its record
+    as one JSON line under `--format json-lines`."""
+    as_json = args.format == "json-lines"
+    for text, record in items:
+        if (record if as_json else text) is not None:
+            print(json.dumps(record, sort_keys=True) if as_json else text)
 
 
 def _parse_word(text: str) -> tuple[Letter, ...]:
@@ -53,54 +58,42 @@ def _parse_goal(theory: Theory, text: str) -> Equation:
                                structure=theory.structure)
 
 
-def cmd_delta_check(args) -> int:
+Output = tuple[int, list[tuple[Optional[str], Optional[dict]]]]
+
+
+def cmd_delta_check(args) -> Output:
     family = parse_family(args.family, bound=max(64, args.max + 1))
     report = verify_structure_category(family, args.max)
-    if args.format == "json-lines":
-        for check in report.checks:
-            print(json.dumps({
-                "family": str(report.family), "max": report.max_n,
-                "check": check.name, "ok": check.ok,
-                "detail": check.detail}, sort_keys=True))
-    else:
-        print("\n".join(report.lines()))
-    return 0 if report.passed else 2
+    items = [("\n".join(report.lines()), None)] + [
+        (None, {"family": str(report.family), "max": report.max_n,
+                "check": check.name, "ok": check.ok, "detail": check.detail})
+        for check in report.checks]
+    return (0 if report.passed else 2), items
 
 
-def cmd_ctx_rel(args) -> int:
+def cmd_ctx_rel(args) -> Output:
     structure = parse_structure(args.structure)
-    c = _parse_word(args.context)
-    v = _parse_word(args.word)
-    value = holds(structure, c, v)
-    _emit([{"line": "true" if value else "false",
-            "structure": args.structure, "holds": value}], args)
-    return 0
+    value = holds(structure, _parse_word(args.context), _parse_word(args.word))
+    return 0, [("true" if value else "false",
+                {"structure": args.structure, "holds": value})]
 
 
-def cmd_ctx_terminal(args) -> int:
-    structure = parse_structure(args.structure)
-    v = _parse_word(args.word)
-    c = terminal_context(structure, v)
+def cmd_ctx_terminal(args) -> Output:
+    c = terminal_context(parse_structure(args.structure),
+                         _parse_word(args.word))
     if c is None:
-        _emit([{"line": "none", "terminal": None}], args)
-        return 1
-    _emit([{"line": " ".join(x.name for x in c),
-            "terminal": [x.name for x in c]}], args)
-    return 0
+        return 1, [("none", {"terminal": None})]
+    names = [x.name for x in c]
+    return 0, [(" ".join(names), {"terminal": names})]
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> Output:
     theory = _load_theory(args.file)
     goal = _parse_goal(theory, args.goal)
     result = prove(theory, goal, _bounds(args))
     if result.proved:
-        if args.format == "json-lines":
-            print(json.dumps({"proved": True, "goal": args.goal},
-                             sort_keys=True))
-        else:
-            print("proved")
-            print("\n".join(proof_lines(result.proof)))
-        return 0
+        return 0, [("proved", {"proved": True, "goal": args.goal}),
+                   ("\n".join(proof_lines(result.proof)), None)]
     try:
         refuted = refute_by_invariant(theory, goal)
     except DeductionError:
@@ -111,53 +104,37 @@ def cmd_prove(args) -> int:
         message = f"inconclusive (truncated: {','.join(result.truncated_by)})"
     else:
         message = "not-derivable (saturated)"
-    if args.format == "json-lines":
-        print(json.dumps({"proved": False, "status": message,
-                          "goal": args.goal}, sort_keys=True))
-    else:
-        print(message)
-    return 1
+    return 1, [(message, {"proved": False, "status": message,
+                          "goal": args.goal})]
 
 
-def cmd_countermodel(args) -> int:
+def cmd_countermodel(args) -> Output:
     theory = _load_theory(args.file)
     goal = _parse_goal(theory, args.goal)
     model = find_model(theory, args.max_size, avoid=goal)
     if model is None:
-        _emit([{"line": "none", "model": None}], args)
-        return 1
-    if args.format == "json-lines":
-        print(json.dumps({
-            "carriers": dict(model.carriers),
-            "tables": {k: list(v.table) for k, v in model.op_tables.items()},
-        }, sort_keys=True))
-    else:
-        print(format_model(model))
-    return 0
+        return 1, [("none", {"model": None})]
+    return 0, [(format_model(model), {
+        "carriers": dict(model.carriers),
+        "tables": {k: list(v.table) for k, v in model.op_tables.items()}})]
 
 
-def cmd_universal(args) -> int:
+def cmd_universal(args) -> Output:
     theory = _load_theory(args.file)
     doms_text, sep, result_sort = args.hom.partition("->")
     if not sep:
         raise TheoryError("hom must look like '<S> <S> -> <S>'")
     hom = (tuple(doms_text.split()), result_sort.strip())
     part = universal_hom(theory, hom, _bounds(args))
-    if args.format == "json-lines":
-        for i, cls in enumerate(part.classes):
-            print(json.dumps({
-                "class": i,
-                "size": len(cls),
-                "representative": sigma_term_str(part.sigma, cls[0]),
-            }, sort_keys=True))
-    else:
-        print(f"{len(part.classes)} classes")
-        for i, cls in enumerate(part.classes):
-            print(f"class {i} ({len(cls)} terms): "
-                  f"{sigma_term_str(part.sigma, cls[0])}")
-        if part.truncated:
-            print(f"truncated: {','.join(part.truncated_by)}")
-    return 0
+    items = [(f"{len(part.classes)} classes", None)]
+    for i, cls in enumerate(part.classes):
+        rep = sigma_term_str(part.sigma, cls[0])
+        items.append((f"class {i} ({len(cls)} terms): {rep}",
+                      {"class": i, "size": len(cls), "representative": rep}))
+    if part.truncated:
+        items.append((f"truncated: {','.join(part.truncated_by)}",
+                      {"truncated_by": list(part.truncated_by)}))
+    return 0, items
 
 
 def _criteria(text: str) -> list[int]:
@@ -176,16 +153,12 @@ def _criteria(text: str) -> list[int]:
     return numbers
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Output:
     results = run_selftest(only=args.only)
-    if args.format == "json-lines":
-        for r in results:
-            print(json.dumps({"criterion": r.number, "name": r.name,
-                              "passed": r.passed, "details": r.details},
-                             sort_keys=True))
-    else:
-        sys.stdout.write(render_report(results))
-    return 0 if all(r.passed for r in results) else 2
+    code = 0 if all(r.passed for r in results) else 2
+    return code, [(render_report(results).removesuffix("\n"), None)] + [
+        (None, {"criterion": r.number, "name": r.name, "passed": r.passed,
+                "details": r.details}) for r in results]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +230,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        code, items = args.handler(args)
     except (TheoryError, ContextError, FinOrdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    _emit(args, items)
+    return code
 
 
 if __name__ == "__main__":

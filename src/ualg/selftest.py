@@ -1,7 +1,10 @@
 """The acceptance suite: one check per criterion, shared by pytest and the
-command line.  Every check is deterministic and reports a pass/fail line; a
-report never contains wall-clock output, so two runs (in one process or
-in two, under any string hash seed) produce byte-identical text.
+command line.  `ALL_CHECKS` is the one table of criteria: entry n is
+criterion n, with the name its report line prints.  A check returns only
+whether it passed and its detail lines; `run_selftest` builds each
+`CheckResult` from the table.  Every check is deterministic and a report
+never contains wall-clock output, so two runs (in one process or in two,
+under any string hash seed) produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ class CheckResult:
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return f"criterion {self.number:2d} [{status}] {self.name}"
+
+
+# What a check returns: whether it passed, and the report lines under it.
+Outcome = tuple[bool, list[str]]
 
 
 MONOID_TEXT = """
@@ -113,10 +120,10 @@ STRUCTURE_FAMILY = {
 
 
 # ---------------------------------------------------------------------------
-# 1. structure-category closure suite
+# structure-category closure suite
 
 
-def check_structure_categories() -> CheckResult:
+def check_structure_categories() -> Outcome:
     details: list[str] = []
     ok = True
     for token in STRUCTURE_FAMILY.values():
@@ -134,29 +141,27 @@ def check_structure_categories() -> CheckResult:
     else:
         details.append("increasing: fails similarity as required")
         details.extend("  " + line for line in sim.detail.splitlines())
-    return CheckResult(1, "structure-category closure at max_n=4", ok, details)
+    return ok, details
 
 
 # ---------------------------------------------------------------------------
-# 2. the correspondence between relations and function families
+# the correspondence between relations and function families
 
 
-def check_family_correspondence() -> CheckResult:
+def check_family_correspondence() -> Outcome:
     checked = 0
     for theta in all_functions(4):
         for structure in EIGHT_STRUCTURES:
             family = parse_family(STRUCTURE_FAMILY[structure.kind])
             if delta_of(structure, theta) != in_family(family, theta):
-                return CheckResult(
-                    2, "relation/family correspondence", False,
-                    [f"mismatch at {structure.kind} for theta = {theta}"])
+                return False, [f"mismatch at {structure.kind} for theta = "
+                               f"{theta}"]
             checked += 1
-    return CheckResult(2, "relation/family correspondence on [m],[n] <= 4",
-                       True, [f"{checked} structure/function pairs agree"])
+    return True, [f"{checked} structure/function pairs agree"]
 
 
 # ---------------------------------------------------------------------------
-# 3. the four context-structure conditions
+# the four context-structure conditions
 
 
 def _letters(n: int) -> tuple[Letter, ...]:
@@ -177,25 +182,21 @@ def _all_contexts(letters: Sequence[Letter], max_len: int) -> list[Word]:
     return out
 
 
-def check_context_conditions() -> CheckResult:
+def check_context_conditions() -> Outcome:
     letters = _letters(3)
     words4 = _all_words(letters, 4)
     ctxs = _all_contexts(letters, 4)
     small_ctxs = [c for c in ctxs if len(c) <= 2]
-    two = letters[:2]
-    small_words = _all_words(two, 2)
+    small_words = _all_words(letters[:2], 2)
     details = []
     for R in EIGHT_STRUCTURES:
         for c in ctxs:
             if not holds(R, c, c):
-                return CheckResult(3, "context-structure conditions", False,
-                                   [f"{R}: reflexivity fails at {c}"])
+                return False, [f"{R}: reflexivity fails at {c}"]
         for c in ctxs:
             for v in words4:
                 if holds(R, c, v) and not set(v) <= set(c):
-                    return CheckResult(
-                        3, "context-structure conditions", False,
-                        [f"{R}: coverage fails at c={c} v={v}"])
+                    return False, [f"{R}: coverage fails at c={c} v={v}"]
         for c in ctxs:
             for v1 in small_ctxs:
                 for v2 in small_ctxs:
@@ -206,15 +207,13 @@ def check_context_conditions() -> CheckResult:
                             continue
                         for w2 in small_words:
                             if holds(R, v2, w2) and not holds(R, c, w1 + w2):
-                                return CheckResult(
-                                    3, "context-structure conditions", False,
-                                    [f"{R}: vertical composition fails at "
-                                     f"c={c} v=({v1},{v2}) w=({w1},{w2})"])
-        sub_words = _all_words(two, 2)
+                                return False, [
+                                    f"{R}: vertical composition fails at "
+                                    f"c={c} v=({v1},{v2}) w=({w1},{w2})"]
         for c in small_ctxs:
             if not c:
                 continue
-            for images in itertools.product(sub_words, repeat=len(c)):
+            for images in itertools.product(small_words, repeat=len(c)):
                 s = dict(zip(c, images))
                 sc = tuple(x for y in c for x in s[y])
                 for d in ctxs:
@@ -225,20 +224,17 @@ def check_context_conditions() -> CheckResult:
                             continue
                         sv = tuple(x for y in v for x in s[y])
                         if not holds(R, d, sv):
-                            return CheckResult(
-                                3, "context-structure conditions", False,
-                                [f"{R}: renaming stability fails at c={c} "
-                                 f"v={v} d={d}"])
+                            return False, [f"{R}: renaming stability fails "
+                                           f"at c={c} v={v} d={d}"]
         details.append(f"{R.kind}: conditions 1-4 hold")
-    return CheckResult(3, "context-structure conditions on 3 letters", True,
-                       details)
+    return True, details
 
 
 # ---------------------------------------------------------------------------
-# 4. terminal contexts
+# terminal contexts
 
 
-def check_terminal_contexts() -> CheckResult:
+def check_terminal_contexts() -> Outcome:
     letters = _letters(3)
     words = _all_words(letters, 4)
     ctxs = _all_contexts(letters, 4)
@@ -249,22 +245,19 @@ def check_terminal_contexts() -> CheckResult:
             if c is None:
                 for w in ctxs:
                     if holds(R, w, v):
-                        return CheckResult(
-                            4, "terminal contexts", False,
-                            [f"{R}: no terminal context for governed word {v}"])
+                        return False, [f"{R}: no terminal context for "
+                                       f"governed word {v}"]
                 continue
             count += 1
             for w in ctxs:
                 if holds(R, w, c) != holds(R, w, v):
-                    return CheckResult(
-                        4, "terminal contexts", False,
-                        [f"{R}: terminal context {c} of {v} fails at w={w}"])
-    return CheckResult(4, "terminal contexts govern exactly the governed",
-                       True, [f"{count} word/structure pairs verified"])
+                    return False, [f"{R}: terminal context {c} of {v} "
+                                   f"fails at w={w}"]
+    return True, [f"{count} word/structure pairs verified"]
 
 
 # ---------------------------------------------------------------------------
-# 5. the action axioms and canonical-morphism identities in finite sets
+# the action axioms and canonical-morphism identities in finite sets
 
 
 def _table_family(doms: tuple[int, ...], cod: int) -> list[MultiMap]:
@@ -281,7 +274,7 @@ def _table_family(doms: tuple[int, ...], cod: int) -> list[MultiMap]:
     return out
 
 
-def check_action_axioms() -> CheckResult:
+def check_action_axioms() -> Outcome:
     sizes = (1, 2, 3)
     fails: list[str] = []
 
@@ -353,11 +346,8 @@ def check_action_axioms() -> CheckResult:
                             fails.append(f"axiom 4 fails at tau={tau_fn} ks={ks}")
 
     fails.extend(_canonical_morphism_fails())
-    passed = not fails
-    details = fails[:8] if fails else [
+    return not fails, fails[:8] or [
         "action axioms 1-4 and canonical-morphism identities 1-4 hold"]
-    return CheckResult(5, "finite-set action axioms and canonical morphisms",
-                       passed, details)
 
 
 def _canonical_morphism_fails() -> list[str]:
@@ -378,16 +368,15 @@ def _canonical_morphism_fails() -> list[str]:
             if act(f, v, v) != f:  # identity 1
                 fails.append(f"canonical morphism 1 fails at v={v}")
     for c in ctxs:
-        for v_word in _all_words(c, 2):
-            v = v_word
+        for v in _all_words(c, 2):
             if not holds(R, c, v) or len(set(v)) != len(v):
                 continue
             for w in _all_words(v, 2):
-                if not holds(R, tuple(v), w):
+                if not holds(R, v, w):
                     continue
                 doms = tuple(carrier[x] for x in w)
                 for f in _table_family(doms, 2)[:1]:
-                    lhs = act(act(f, tuple(v), w), c, v)  # identity 2
+                    lhs = act(act(f, v, w), c, v)  # identity 2
                     rhs = act(f, c, w)
                     if lhs != rhs:
                         fails.append(
@@ -422,38 +411,31 @@ def _canonical_morphism_fails() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# 6. soundness of saturation against enumerated models
+# soundness of saturation against enumerated models
 
 
-def check_soundness() -> CheckResult:
+def check_soundness() -> Outcome:
     details = []
     for theory in (monoid_theory(), eckmann_hilton_theory()):
         sat = saturate(theory, Bounds(3, 4, 5))
         models = list(itertools.islice(iter_models(theory, 3), 3))
         if len(models) < 3:
-            return CheckResult(6, "soundness against found models", False,
-                               [f"{theory.name}: fewer than 3 models found"])
-        bad = 0
-        for eq in sat.equations:
-            for m in models:
-                if not satisfies(m, eq):
-                    bad += 1
-                    if bad <= 3:
-                        details.append(f"{theory.name}: {eq} fails in a model")
-        if bad:
-            return CheckResult(6, "soundness against found models", False,
-                               details)
+            return False, [f"{theory.name}: fewer than 3 models found"]
+        fails = [f"{theory.name}: {eq} fails in a model" for eq in sat.equations
+                 for m in models if not satisfies(m, eq)]
+        if fails:
+            return False, details + fails[:3]
         details.append(
             f"{theory.name}: {len(sat.equations)} derived equations hold in "
             f"{len(models)} models")
-    return CheckResult(6, "soundness against found models", True, details)
+    return True, details
 
 
 # ---------------------------------------------------------------------------
-# 7. the two-operation commutativity derivation
+# the two-operation commutativity derivation
 
 
-def check_eh_derivation() -> CheckResult:
+def check_eh_derivation() -> Outcome:
     EH = eckmann_hilton_theory()
     bounds = Bounds(6, 4, 8)
     details = []
@@ -462,75 +444,63 @@ def check_eh_derivation() -> CheckResult:
         goal = parse_equation_text(EH.signature, text, structure=EH.structure)
         res = prove(EH, goal, bounds)
         if not res.proved:
-            return CheckResult(7, "two-unital-ops commutativity", False,
-                               [f"not derived: {text}"])
+            return False, [f"not derived: {text}"]
         concluded = check_proof(EH, res.proof)
         if (concluded.lhs, concluded.rhs, concluded.ctx) != (
                 goal.lhs, goal.rhs, goal.ctx):
-            return CheckResult(7, "two-unital-ops commutativity", False,
-                               [f"replay mismatch for {text}"])
+            return False, [f"replay mismatch for {text}"]
         details.append(f"derived and replayed: {text}")
-    return CheckResult(7, "two-unital-ops commutativity at depth 6", True,
-                       details)
+    return True, details
 
 
 # ---------------------------------------------------------------------------
-# 8. the padded-context counterexample
+# the padded-context counterexample
 
 
-def check_counterexample() -> CheckResult:
+def check_counterexample() -> Outcome:
     details = []
     cart = projection_theory(CARTESIAN)
     goal = parse_equation_text(cart.signature,
                                "f(x,y) ~ x ctx [ x:A y:A ]",
                                structure=CARTESIAN)
-    res = prove(cart, goal, Bounds(2, 3, 4))
-    if not res.proved:
-        return CheckResult(8, "padded-context counterexample", False,
-                           ["cartesian derivation failed at depth 2"])
+    if not prove(cart, goal, Bounds(2, 3, 4)).proved:
+        return False, ["cartesian derivation failed at depth 2"]
     details.append("cartesian: f(x,y) ~ x derived at depth 2")
     want = canonical_triple(goal.ctx, goal.lhs, goal.rhs)
     for structure in (INJECTIVE, STRICT_INCREASING):
         theory = projection_theory(structure)
         if not refute_by_invariant(theory, goal):
-            return CheckResult(8, "padded-context counterexample", False,
-                               [f"{structure.kind}: invariant did not refute"])
+            return False, [f"{structure.kind}: invariant did not refute"]
         for depth in range(1, 5):
             sat = saturate(theory, Bounds(depth, 3, 4))
             if any(canonical_triple(e.ctx, e.lhs, e.rhs) == want
                    for e in sat.equations):
-                return CheckResult(
-                    8, "padded-context counterexample", False,
-                    [f"{structure.kind}: goal appeared at depth {depth}"])
+                return False, [f"{structure.kind}: goal appeared at depth "
+                               f"{depth}"]
         details.append(f"{structure.kind}: refuted, never derived to depth 4")
-    return CheckResult(8, "padded-context counterexample", True, details)
+    return True, details
 
 
 # ---------------------------------------------------------------------------
-# 9. countermodel search agrees with non-derivability
+# countermodel search agrees with non-derivability
 
 
-def check_set_completeness() -> CheckResult:
+def check_set_completeness() -> Outcome:
     sig = signature(["A"], {"f": (("A", "A"), "A")})
     E = Theory("Free", sig, CARTESIAN, ())
     goal = parse_equation_text(sig, "f(x,y) ~ f(y,x) ctx [ x:A y:A ]",
                                structure=CARTESIAN)
     witness = find_model(E, 2, avoid=goal)
     if witness is None:
-        return CheckResult(9, "countermodel vs derivability", False,
-                           ["no countermodel found at size 2"])
-    res = prove(E, goal, Bounds(3, 3, 4))
-    if res.proved:
-        return CheckResult(9, "countermodel vs derivability", False,
-                           ["commutativity derived from nothing"])
-    return CheckResult(
-        9, "countermodel vs derivability agree", True,
-        [f"countermodel table {witness.op_tables['f'].table}; "
-         f"derivation fails at depth 3"])
+        return False, ["no countermodel found at size 2"]
+    if prove(E, goal, Bounds(3, 3, 4)).proved:
+        return False, ["commutativity derived from nothing"]
+    return True, [f"countermodel table {witness.op_tables['f'].table}; "
+                  f"derivation fails at depth 3"]
 
 
 # ---------------------------------------------------------------------------
-# 10. bounded initial-model agreement on the fixed goal list
+# bounded initial-model agreement on the fixed goal list
 
 
 GOAL_LIST: tuple[tuple[str, str, bool], ...] = (
@@ -544,7 +514,7 @@ GOAL_LIST: tuple[tuple[str, str, bool], ...] = (
 )
 
 
-def check_universal_agreement() -> CheckResult:
+def check_universal_agreement() -> Outcome:
     theories = {
         "monoid": monoid_theory(),
         "eh": eckmann_hilton_theory(),
@@ -564,52 +534,45 @@ def check_universal_agreement() -> CheckResult:
     for key, goals in goals_by_theory.items():
         theory = theories[key]
         sigma = default_sigma(theory, hom_for[key])
-        extra = []
-        sides = []
-        for goal, _, _ in goals:
-            lhs = internalize_term(sigma, goal.ctx, goal.lhs)
-            rhs = internalize_term(sigma, goal.ctx, goal.rhs)
-            sides.append((lhs, rhs))
-            extra.extend((lhs, rhs))
+        sides = [(internalize_term(sigma, goal.ctx, goal.lhs),
+                  internalize_term(sigma, goal.ctx, goal.rhs))
+                 for goal, _, _ in goals]
         part = universal_hom(theory, hom_for[key], Bounds(3, 3, 8),
-                             extra_terms=extra, sigma=sigma)
+                             extra_terms=[t for pair in sides for t in pair],
+                             sigma=sigma)
         for (goal, expect, text), (lhs, rhs) in zip(goals, sides):
             proved = prove(theory, goal, bounds).proved
             merged = part.merged(lhs, rhs)
             if proved != merged or proved != expect:
-                return CheckResult(
-                    10, "initial-model agreement", False,
-                    [f"{key}: {text}: proved={proved} merged={merged} "
-                     f"expected={expect}"])
+                return False, [f"{key}: {text}: proved={proved} "
+                               f"merged={merged} expected={expect}"]
             details.append(f"{key}: {text}: proved = merged = {proved}")
-    return CheckResult(10, "initial-model agreement on 6 goals", True, details)
+    return True, details
 
 
 # ---------------------------------------------------------------------------
 # runner
 
 
-ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
-    check_structure_categories,
-    check_family_correspondence,
-    check_context_conditions,
-    check_terminal_contexts,
-    check_action_axioms,
-    check_soundness,
-    check_eh_derivation,
-    check_counterexample,
-    check_set_completeness,
-    check_universal_agreement,
+ALL_CHECKS: tuple[tuple[str, Callable[[], Outcome]], ...] = (
+    ("structure-category closure at max_n=4", check_structure_categories),
+    ("relation/family correspondence on [m],[n] <= 4",
+     check_family_correspondence),
+    ("context-structure conditions on 3 letters", check_context_conditions),
+    ("terminal contexts govern exactly the governed", check_terminal_contexts),
+    ("finite-set action axioms and canonical morphisms", check_action_axioms),
+    ("soundness against found models", check_soundness),
+    ("two-unital-ops commutativity at depth 6", check_eh_derivation),
+    ("padded-context counterexample", check_counterexample),
+    ("countermodel vs derivability agree", check_set_completeness),
+    ("initial-model agreement on 6 goals", check_universal_agreement),
 )
 
 
 def run_selftest(only: Optional[Sequence[int]] = None) -> list[CheckResult]:
-    results = []
-    for number, fn in enumerate(ALL_CHECKS, start=1):
-        if only is not None and number not in only:
-            continue
-        results.append(fn())
-    return results
+    return [CheckResult(number, name, *check())
+            for number, (name, check) in enumerate(ALL_CHECKS, start=1)
+            if only is None or number in only]
 
 
 def render_report(results: Sequence[CheckResult]) -> str:

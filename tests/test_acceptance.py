@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from conftest import child_env
+from ualg import selftest
 from ualg.selftest import render_report, run_selftest
 
 CHILD_TIMEOUT_S = 600
@@ -50,3 +51,14 @@ def test_criterion_11_determinism(selftest_runs):
           "criterion 11 [FAIL] the child's report differs or it failed")
     assert code == 0, err
     assert out == render_report(results)
+
+
+def test_failing_criterion_reports_under_its_one_name(monkeypatch):
+    """A criterion prints the name `ALL_CHECKS` gives it whether it passes
+    or fails; only the status and the details change."""
+    monkeypatch.setitem(selftest.STRUCTURE_FAMILY, "bijective", "identities")
+    (result,) = run_selftest(only=[2])
+    assert result.line() == ("criterion  2 [FAIL] relation/family "
+                             "correspondence on [m],[n] <= 4")
+    assert len(result.details) == 1
+    assert result.details[0].startswith("mismatch at bijective for theta = ")

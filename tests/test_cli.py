@@ -155,11 +155,12 @@ def test_universal_monoid_rendering():
     assert p.stdout == MONOID_HOM_D2
     p = ualg("--format", "json-lines", *args)
     assert p.returncode == 0
-    records = [json.loads(line) for line in p.stdout.splitlines()]
-    assert [r["representative"] for r in records] == [
+    *classes, last = [json.loads(line) for line in p.stdout.splitlines()]
+    assert [r["representative"] for r in classes] == [
         "op:mul", "act[](op:e)", "act[1,1](op:mul)", "act[1](id[M])",
         "act[2,1](op:mul)", "act[2,2](op:mul)", "act[2](id[M])"]
-    assert [r["size"] for r in records] == [6, 1, 1, 1, 1, 1, 1]
+    assert [r["size"] for r in classes] == [6, 1, 1, 1, 1, 1, 1]
+    assert last == {"truncated_by": ["ctx", "depth", "instantiation"]}
 
 
 EH_HOM_D2 = """\
@@ -332,6 +333,29 @@ def test_countermodel_json_lines():
     assert p.returncode == 0
     assert _records(p) == [{"carriers": {"A": 2},
                             "tables": {"f": [0, 0, 1, 1]}}]
+
+
+def test_ctx_json_lines():
+    """One record per query, with no text-mode key in it."""
+    p = ualg("--format", "json-lines", "ctx", "rel",
+             "--structure", "cartesian", "x y z", "y x y x x")
+    assert p.returncode == 0
+    assert _records(p) == [{"holds": True, "structure": "cartesian"}]
+    p = ualg("--format", "json-lines", "ctx", "terminal",
+             "--structure", "left-surjective", "x y x")
+    assert p.returncode == 0
+    assert _records(p) == [{"terminal": ["x", "y"]}]
+    p = ualg("--format", "json-lines", "ctx", "terminal",
+             "--structure", "injective", "x x")
+    assert p.returncode == 1
+    assert _records(p) == [{"terminal": None}]
+
+
+def test_countermodel_none_json_lines():
+    p = ualg("--format", "json-lines", "countermodel", MONOID, "--goal",
+             "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]", "--max-size", "2")
+    assert p.returncode == 1
+    assert _records(p) == [{"model": None}]
 
 
 def test_selftest_json_lines():

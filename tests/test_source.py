@@ -212,3 +212,44 @@ def test_dead_local_check_sees_a_dead_local():
                      "        a, b = 1, 2\n"
                      "        return a\n")
     assert _dead_locals(tree, "m.py") == ["m.py:3: flat", "m.py:11: b"]
+
+
+def _uses_outside(tree: ast.Module, owner: str, used) -> list[int]:
+    """The lines of the nodes `used` accepts that lie outside the top-level
+    function `owner`."""
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == owner)
+    return [n.lineno for n in ast.walk(tree) if used(n)
+            and not fn.lineno <= n.lineno <= fn.end_lineno]
+
+
+def _reads_format(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "format"
+
+
+def _builds_check_result(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "CheckResult"
+
+
+def test_one_output_path():
+    """Only `cli._emit` reads the output format, and only
+    `selftest.run_selftest` builds a `CheckResult`, so each criterion's
+    number and name come from the `ALL_CHECKS` table alone."""
+    def parse(name: str) -> ast.Module:
+        return ast.parse((SRC / name).read_text(), filename=name)
+
+    assert _uses_outside(parse("cli.py"), "_emit", _reads_format) == []
+    assert _uses_outside(parse("selftest.py"), "run_selftest",
+                         _builds_check_result) == []
+
+
+def test_output_path_check_sees_a_stray_use():
+    tree = ast.parse("def _emit(args):\n"
+                     "    return args.format\n"
+                     "def cmd(args):\n"
+                     "    if args.format == 'x':\n"
+                     "        return CheckResult(1, 'a', True)\n")
+    assert _uses_outside(tree, "_emit", _reads_format) == [4]
+    assert _uses_outside(tree, "cmd", _builds_check_result) == []
+    assert _uses_outside(tree, "_emit", _builds_check_result) == [5]
