@@ -98,14 +98,15 @@ def cmd_prove(args) -> Output:
         refuted = refute_by_invariant(theory, goal)
     except DeductionError:
         refuted = False
+    record = {"proved": False, "goal": args.goal}
     if refuted:
         message = "refuted-by-invariant"
     elif result.truncated:
         message = f"inconclusive (truncated: {','.join(result.truncated_by)})"
+        record["truncated_by"] = list(result.truncated_by)
     else:
         message = "not-derivable (saturated)"
-    return 1, [(message, {"proved": False, "status": message,
-                          "goal": args.goal})]
+    return 1, [(message, {**record, "status": message})]
 
 
 def cmd_countermodel(args) -> Output:

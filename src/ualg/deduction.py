@@ -23,6 +23,10 @@ than refuted.  Conclusions are emitted only at orders of the letters they
 use, so the engine never weakens an equation into a context with more
 letters; `prove` flags that gap too (`weakening`) when it could matter.
 
+A ground engine (`universal_hom`'s) instantiates at the closed terms its
+`ground` predicate accepts and sweeps closed parents only, so every event
+after the axiom seeds is closed, and the context caps never cut one.
+
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
 data: an axiom edge its (cheap) proof, a rule-5 edge a `_Rule5`, the
@@ -465,16 +469,16 @@ _INST_BUDGET = 20000  # per-equation cap on renaming combinations
 
 
 class _Saturator:
+    """The engine; a ground engine (see above) when `ground` is set."""
+
     def __init__(self, E: Theory, bounds: Bounds,
                  extra_terms: Sequence[tuple[Word, Term]] = (),
-                 inst_filter: Optional[Callable[[Term], bool]] = None,
-                 inst_budget: int = _INST_BUDGET):
+                 ground: Optional[Callable[[Term], bool]] = None):
         self.E = E
         self.R = E.structure
         self.sig = E.signature
         self.bounds = bounds
-        self.inst_filter = inst_filter
-        self.inst_budget = inst_budget
+        self.ground = ground
         self.spaces: dict[Word, _Space] = {}
         self.universe: list[Term] = []
         self.in_universe: set[Term] = set()
@@ -526,6 +530,7 @@ class _Saturator:
         if isinstance(t, App):
             for a in t.args:
                 self._register(a)
+        if self._sweeps(t):
             # Use-lists: each arg lists the universe index of its parents.
             index = len(self.universe)
             for a in t.args:
@@ -535,6 +540,10 @@ class _Saturator:
         self.in_universe.add(t)
         self.universe.append(t)
         self.by_sort.setdefault(t.sort, []).append(t)
+
+    def _sweeps(self, t: Term) -> bool:
+        """Whether the sweep walks t as a parent (if ground, closed only)."""
+        return isinstance(t, App) and (self.ground is None or not tau(t))
 
     def _space(self, canon_ctx: Word) -> _Space:
         sp = self.spaces.get(canon_ctx)
@@ -712,8 +721,8 @@ class _Saturator:
         else:
             chosen = [t for t in pool
                       if isinstance(t, Var) or (isinstance(t, App) and not t.args)]
-        if self.inst_filter is not None:
-            chosen = [t for t in chosen if self.inst_filter(t)]
+        if self.ground is not None:
+            chosen = [t for t in chosen if not tau(t) and self.ground(t)]
         if len(chosen) < len(pool):
             self.truncated_by.add("instantiation")
         self._tier_cache[(tier, sort)] = chosen
@@ -728,7 +737,7 @@ class _Saturator:
         target_lists = [self._targets_for(n, x.sort, axiom_level) for x in ctx]
         if any(not lst for lst in target_lists):
             return
-        if math.prod(map(len, target_lists)) > self.inst_budget:
+        if math.prod(map(len, target_lists)) > _INST_BUDGET:
             # Long contexts over rich pools blow up combinatorially; keep the
             # closed instances (constants only) and flag the rest as skipped.
             self.truncated_by.add("instantiation")
@@ -736,7 +745,7 @@ class _Saturator:
                 [t for t in lst if isinstance(t, App) and not t.args]
                 for lst in target_lists]
             if any(not lst for lst in target_lists) or \
-                    math.prod(map(len, target_lists)) > self.inst_budget:
+                    math.prod(map(len, target_lists)) > _INST_BUDGET:
                 return
         for combo in itertools.product(*target_lists):
             ws = arg_contexts(self.R, combo)
@@ -838,7 +847,7 @@ class _Saturator:
         self._sides = {}
         for i in itertools.compress(range(len(universe)), dirty):
             parent = universe[i]
-            if not isinstance(parent, App):
+            if not self._sweeps(parent):
                 continue
             old = i < swept
             for pos, child in enumerate(parent.args):

@@ -8,8 +8,9 @@ a structured key; code that needs a symbol's shape reads the key from the
 symbol table and never parses the name.  The categorization axioms make those
 symbols behave like a multicategory; internalizing a theory adds one closed
 equation per axiom.
-The initial model is then a congruence quotient of closed terms, which the
-shared saturation engine computes at bounded depth.
+The initial model is then the quotient of closed terms by the ground
+congruence closure of the closed axiom instances (Birkhoff), which the
+shared saturation engine, run ground, computes at bounded depth.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .setmodel import (
 )
 from .syntax import (
     App, Equation, OpDecl, Signature, Term, Theory, TheoryError, Var, app,
-    arg_contexts, equation, tau, term_depth, term_str, var,
+    arg_contexts, equation, term_depth, term_str, var,
 )
 from .deduction import Bounds, _Saturator, _term_key
 
@@ -427,10 +428,11 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
                   extra_terms: Sequence[Term] = (),
                   sigma: Optional[SigmaSignature] = None) -> HomPartition:
     """Quotient the enumerated closed terms of one hom sort by the bounded
-    congruence generated by the categorization and internalized axioms.
+    ground congruence closure of the categorization and internalized axioms.
 
-    Every equation of interest is closed, so instantiation targets are
-    closed terms; reindexing towers are skipped as targets (their collapses
+    By Birkhoff's completeness restricted to ground terms, two closed terms
+    are equal in every model iff that closure joins them, so the engine runs
+    ground.  Reindexing towers are skipped as targets (their collapses
     arrive through the action-composition axioms instead).  The enumeration
     frontier is depth 2 (or the depth bound, if smaller), with deeper terms
     entering as axiom subterms and derived conclusions, which keeps the
@@ -438,29 +440,17 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     """
     if sigma is None:
         sigma = default_sigma(E, hom)
-    theory = sigma_theory(sigma, E)
     universe = enumerate_pure_terms(sigma, min(2, bounds.max_term_depth))
     hom_name = sigma.hom_sort_name(tuple(hom[0]), hom[1])
-    seeds: list[tuple[Word, Term]] = []
-    for terms in universe.values():
-        seeds.extend(((), t) for t in terms)
-    for t in extra_terms:
-        seeds.append(((), t))
-    ctx_len = max([bounds.max_ctx_len]
-                  + [len(ax.ctx) for ax in theory.equations])
-    engine_bounds = Bounds(bounds.max_term_depth, ctx_len, bounds.max_rounds)
-
-    def inst_filter(t: Term) -> bool:
-        return not tau(t) and sigma.sym_info[t.op][0] != "act"
-
-    engine = _Saturator(theory, engine_bounds, extra_terms=seeds,
-                        inst_filter=inst_filter, inst_budget=500)
+    seeds = [((), t) for terms in (*universe.values(), extra_terms)
+             for t in terms]
+    engine = _Saturator(sigma_theory(sigma, E), bounds, extra_terms=seeds,
+                        ground=lambda t: sigma.sym_info[t.op][0] != "act")
     engine.run()
     # Every seed is in the closed space; a class is listed from its least
     # member, and the classes in the order of their least members.
     space = engine.spaces[()]
-    hom_terms = set(universe[hom_name])
-    hom_terms.update(t for t in extra_terms if t.sort == hom_name)
+    hom_terms = {t for _, t in seeds if t.sort == hom_name}
     grouped: dict[Term, list[Term]] = {}
     for t in sorted(hom_terms, key=_term_key):
         grouped.setdefault(space.find(t), []).append(t)

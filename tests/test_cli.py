@@ -143,7 +143,7 @@ class 3 (1 terms): act[1](id[M])
 class 4 (1 terms): act[2,1](op:mul)
 class 5 (1 terms): act[2,2](op:mul)
 class 6 (1 terms): act[2](id[M])
-truncated: ctx,depth,instantiation
+truncated: depth,instantiation
 """
 
 
@@ -160,7 +160,7 @@ def test_universal_monoid_rendering():
         "op:mul", "act[](op:e)", "act[1,1](op:mul)", "act[1](id[M])",
         "act[2,1](op:mul)", "act[2,2](op:mul)", "act[2](id[M])"]
     assert [r["size"] for r in classes] == [6, 1, 1, 1, 1, 1, 1]
-    assert last == {"truncated_by": ["ctx", "depth", "instantiation"]}
+    assert last == {"truncated_by": ["depth", "instantiation"]}
 
 
 EH_HOM_D2 = """\
@@ -177,7 +177,7 @@ class 8 (1 terms): comp(op:o, op:u, op:o)
 class 9 (1 terms): comp(op:o, op:u, op:star)
 class 10 (1 terms): comp(op:star, op:e, op:o)
 class 11 (1 terms): comp(op:star, op:e, op:star)
-truncated: ctx,instantiation
+truncated: instantiation
 """
 
 
@@ -298,7 +298,8 @@ def _records(p):
 
 
 def test_prove_json_lines():
-    """One record per goal: proved, or unproved with the text status."""
+    """One record per goal: proved, or unproved with the text status, and
+    with the truncation flags as a list exactly when it is inconclusive."""
     goal = "mul(e,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]"
     p = ualg("--format", "json-lines", "prove", MONOID, "--goal", goal,
              "--depth", "3")
@@ -309,6 +310,15 @@ def test_prove_json_lines():
     assert p.returncode == 1
     assert _records(p) == [{"goal": goal, "proved": False,
                             "status": "refuted-by-invariant"}]
+    goal = "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]"
+    p = ualg("--format", "json-lines", "prove", MONOID, "--goal", goal,
+             "--depth", "3")
+    assert p.returncode == 1
+    assert p.stdout == (
+        '{"goal": "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]", "proved": false, '
+        '"status": "inconclusive (truncated: '
+        'depth,instantiation,weakening)", '
+        '"truncated_by": ["depth", "instantiation", "weakening"]}\n')
 
 
 def test_prove_not_derivable_when_saturated(tmp_path):

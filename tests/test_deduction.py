@@ -255,11 +255,12 @@ def test_truncation_is_flagged(monoid):
     assert res.truncated and res.truncated_by
 
 
-def test_instantiation_budget_keeps_the_closed_instances(monoid):
+def test_instantiation_budget_keeps_the_closed_instances(monoid, monkeypatch):
     """Past the budget an equation is instantiated at constants only: the
     rest is flagged as skipped, the closed instances are still derived,
     and every event replays."""
-    engine = _Saturator(monoid, Bounds(2, 2, 2), inst_budget=2)
+    monkeypatch.setattr(deduction, "_INST_BUDGET", 2)
+    engine = _Saturator(monoid, Bounds(2, 2, 2))
     engine.run()
     assert "instantiation" in engine.truncated_by
     sig = monoid.signature
@@ -527,6 +528,8 @@ def _full_walk_sweep(self, out):
     for parent in list(self.universe):
         if not isinstance(parent, App) or not parent.args:
             continue
+        if self.ground is not None and tau(parent):
+            continue  # a ground engine walks closed parents only
         for pos, child in enumerate(parent.args):
             if child in mates:
                 mate = mates[child]

@@ -5,10 +5,10 @@ import hashlib
 import pytest
 
 from ualg.context import CARTESIAN, INJECTIVE, TRIVIAL, Letter
-from ualg.deduction import Bounds, check_proof, proof_lines
+from ualg.deduction import Bounds, _canonicalize, check_proof, proof_lines
 from ualg.finord import fn, identity
 from ualg.selftest import (
-    eckmann_hilton_theory, monoid_theory, projection_theory,
+    GOAL_LIST, eckmann_hilton_theory, monoid_theory, projection_theory,
 )
 from ualg.setmodel import FinSetModel, MultiMap, iter_models, table_from
 from ualg.syntax import Theory, app, equation, parse_equation_text, \
@@ -177,24 +177,44 @@ SAMPLE_HOMS = {
 }
 
 
+def _criterion_10_quotient(key):
+    """Criterion 10's quotient: the sample hom at Bounds(3,3,8), with the
+    internalized sides of the theory's goals as extra terms."""
+    E, hom = SAMPLE_HOMS[key]
+    sigma = default_sigma(E, hom)
+    extra = []
+    for goal_key, text, _ in GOAL_LIST:
+        if goal_key == key:
+            goal = parse_equation_text(E.signature, text,
+                                       structure=E.structure)
+            extra += [internalize_term(sigma, goal.ctx, side)
+                      for side in (goal.lhs, goal.rhs)]
+    return E, universal_hom(E, hom, Bounds(3, 3, 8), extra_terms=extra,
+                            sigma=sigma)
+
+
 @pytest.fixture(scope="module")
 def quotients():
-    """(theory, quotient) by name: the sample quotients at Bounds(2,3,8) and
-    the non-linear ones at Bounds(2,3,2), built once for the module."""
+    """(theory, quotient) by name: the sample quotients at Bounds(2,3,8),
+    the non-linear ones at Bounds(2,3,2) and criterion 10's three, built
+    once for the module."""
     out = {key: (E, universal_hom(E, hom, Bounds(2, 3, 8)))
            for key, (E, hom) in SAMPLE_HOMS.items()}
     for kind, (text, sort) in NON_LINEAR.items():
         E = parse_theory(text)
         out[kind] = (E, universal_hom(E, ((sort, sort), sort),
                                       Bounds(2, 3, 2)))
+    for key in SAMPLE_HOMS:
+        out[f"criterion 10 {key}"] = _criterion_10_quotient(key)
     return out
 
 
 def test_sigma_interpret_transport(quotients):
-    """The quotient is certified.  Each merge's proof replays against the
-    sigma theory to exactly cls[0] ~ u at (), and every member of a class
-    has one table in every model up to size 2: the quotient maps to each
-    Set model, as the universal-model construction says."""
+    """The quotient is certified, criterion 10's goal-side quotients
+    included.  Each merge's proof replays against the sigma theory to
+    exactly cls[0] ~ u at (), and every member of a class has one table in
+    every model up to size 2: the quotient maps to each Set model, as the
+    universal-model construction says."""
     merges = classes = 0
     for key, (E, part) in quotients.items():
         S = part.sigma
@@ -211,13 +231,34 @@ def test_sigma_interpret_transport(quotients):
                 assert len({sigma_interpret(S, m, t) for t in cls}) == 1, (
                     key, sigma_term_str(S, cls[0]))
                 classes += 1
-    assert merges >= 26 and classes >= 101
+    assert merges >= 61 and classes >= 279
+
+
+def test_quotient_is_ground(quotients):
+    """The engine derives closed equations only.  Every event with a
+    non-empty context is an axiom seed, so an open space holds the sides of
+    the canonicalized axioms at its context and nothing else; and no
+    conclusion meets the context cap, so `ctx` never truncates a
+    quotient."""
+    for key in ("monoid", "eh"):
+        E, part = quotients[key]
+        seeds = {(ctx, a, b) for ctx, (a, b), _ in (
+            _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
+            for ax in sigma_theory(part.sigma, E).equations) if ctx}
+        engine = part._engine
+        assert {event for event in engine.events if event[0]} <= seeds, key
+        for ctx, sp in engine.spaces.items():
+            if ctx:
+                sides = {t for c, a, b in seeds if c == ctx for t in (a, b)}
+                assert set(sp.parent) <= sides, (key, ctx)
+    for key, (_, part) in quotients.items():
+        assert "ctx" not in part.truncated_by, key
 
 
 def test_quotient_proof_digest(quotients):
     """A sha256 over the classes, the flags and the proof of every 7th event
-    of the three sample quotients, over open and closed spaces; an engine
-    change that keeps outputs exact keeps it."""
+    of the three sample quotients (the open spaces hold only the axiom
+    seeds); an engine change that keeps outputs exact keeps it."""
     h = hashlib.sha256()
     for key in SAMPLE_HOMS:
         _, part = quotients[key]
@@ -229,7 +270,7 @@ def test_quotient_proof_digest(quotients):
             for line in proof_lines(engine.proof_of(equation("", a, b, ctx))):
                 h.update(f"  {line}\n".encode())
     assert h.hexdigest() == (
-        "a89b0c165da07404f1c0ce71cf1658236c3596c2aca87def954821775fb48205")
+        "66848a0e46dbc6709c57825f8e87b0a1a2ae07675a63fc0cb2c0de1a0d732c3d")
 
 
 def test_sigma_interpret_examples(monoid):
