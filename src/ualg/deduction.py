@@ -13,19 +13,21 @@ by two rule-5 moves per round:
     equal to it, when per-child contexts exist that the parent context
     governs.
 
-Instantiation targets are tiered (the Herbrand-style truncation): axioms
-take every registered term up to the starting material's depth at 1-letter
-contexts and depth-2 terms at 2-letter contexts; derived equations and longer
-contexts take variables and constants, with a per-equation budget that falls
-back to constants alone.  Anything the tiers or the depth/context caps skip
-sets the truncation flag, so a missing goal is reported inconclusive rather
-than refuted.  Conclusions are emitted only at orders of the letters they
-use, so the engine never weakens an equation into a context with more
-letters; `prove` flags that gap too (`weakening`) when it could matter.
+Instantiation targets are bounded by depth (the Herbrand-style truncation):
+axioms take every registered term up to the starting material's depth at
+1-letter contexts and up to depth 2 at 2-letter contexts; derived equations
+and longer contexts take depth-1 terms (variables and constants), with a
+per-equation budget that falls back to constants alone.  Anything these
+bounds or the depth/context caps skip sets the truncation flag, so a missing
+goal is reported inconclusive rather than refuted.  Conclusions are emitted
+only at orders of the letters they use, so the engine never weakens an
+equation into a context with more letters; `prove` flags that gap too
+(`weakening`) when it could matter.
 
 A ground engine (`universal_hom`'s) instantiates at the closed terms its
 `ground` predicate accepts and sweeps closed parents only, so every event
-after the axiom seeds is closed, and the context caps never cut one.
+after the axiom seeds is closed, and the context caps never cut one.  It
+registers no pool letters, which only open targets would use.
 
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
@@ -57,21 +59,17 @@ to the round bound gives:
 A goal that never holds at that context runs to the bound as before, so
 an unproved goal keeps its truncation flags.
 
-The congruence sweep re-examines only what changed, and emits the
-candidates a walk of every parent would emit, in the same order:
+The congruence sweep walks every parent, in universe order with positions
+ascending, and emits the candidates of a walk that swaps each (parent, pos,
+mate) once, in the same order:
 
-  * use-lists: `_register` records, for each argument of a new parent, the
-    parent's universe index.  A sweep recomputes every child's smallest mate
-    and walks, in universe order with positions ascending, only the parents
-    registered since the last sweep and those of children whose mate
-    changed.  In an old parent it skips the children that kept their mate.
-    A mate starts from the last one and never rises, so a skipped
-    (parent, pos, mate) was swapped before, and a full walk that swaps each
-    such triple once would have skipped it too;
+  * old parents: in a parent walked by an earlier sweep, a child that kept
+    its smallest mate is skipped.  A mate starts from the last one and
+    never rises, so that (parent, pos, mate) was swapped before;
   * per-sweep memos: candidates are merged only after the round's sweep
     ends, so the spaces cannot change under it, and each child's smallest
     mate and the side premise for swapping it in are computed once per
-    sweep;
+    sweep, on first use;
   * closed sides: a congruence's sides are its op applied to the images,
     so no template is substituted.  For closed sides the first-occurrence
     form, the context orders (just (), which every structure admits) and
@@ -103,7 +101,7 @@ from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
 from .context import Letter, Word, delta_of, holds
 from .finord import FinFn
 from .syntax import (
-    App, Equation, Term, Theory, TheoryError, Var, _app, app, apply_renaming,
+    App, Equation, Term, Theory, TheoryError, _app, app, apply_renaming,
     arg_contexts, const, ctx_str, equation, is_r_context, is_r_renaming, tau,
     term_depth, term_str, term_vars, validate_equation, var,
 )
@@ -474,7 +472,6 @@ class _Saturator:
     def __init__(self, E: Theory, bounds: Bounds,
                  extra_terms: Sequence[tuple[Word, Term]] = (),
                  ground: Optional[Callable[[Term], bool]] = None):
-        self.E = E
         self.R = E.structure
         self.sig = E.signature
         self.bounds = bounds
@@ -483,10 +480,9 @@ class _Saturator:
         self.universe: list[Term] = []
         self.in_universe: set[Term] = set()
         self.by_sort: dict[str, list[Term]] = {}
-        self._tier_cache: dict[tuple[str, str], list[Term]] = {}
-        self._uses: dict[Term, list[int]] = {}
+        self._tier_cache: dict[tuple[int, str], list[Term]] = {}
         self._swept = 0
-        self._mates: dict[Term, Term] = {}
+        self._mates: dict[Term, Optional[Term]] = {}
         self._sides: dict[Term, Optional[Word]] = {}
         self._templates: dict[str, tuple[Word, Term, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
@@ -496,9 +492,10 @@ class _Saturator:
         self.rounds_used = 0
         self.depth_cap = bounds.max_term_depth
 
-        for sort in self.sig.sorts:
-            for i in range(1, bounds.max_ctx_len + 1):
-                self._register(var(_pool_letter(sort, i)))
+        if ground is None:
+            for sort in self.sig.sorts:
+                for i in range(1, bounds.max_ctx_len + 1):
+                    self._register(var(_pool_letter(sort, i)))
         for name in self.sig.constants():
             self._register(const(self.sig, name))
 
@@ -517,8 +514,8 @@ class _Saturator:
         for canon_ctx, a, b, proof in seeds:
             self.depth_cap = max(self.depth_cap, term_depth(a), term_depth(b))
             self._apply_merge(canon_ctx, a, b, proof)
-        # Rich instantiation reaches no deeper than the starting material;
-        # anything it skips is reported through the truncation flag.
+        # A 1-letter axiom is instantiated no deeper than the starting
+        # material; the truncation flag reports what that bound skips.
         self.rich_depth = max(
             [_CONG_TIER_DEPTH] + [term_depth(t) for t in self.universe])
 
@@ -530,20 +527,9 @@ class _Saturator:
         if isinstance(t, App):
             for a in t.args:
                 self._register(a)
-        if self._sweeps(t):
-            # Use-lists: each arg lists the universe index of its parents.
-            index = len(self.universe)
-            for a in t.args:
-                uses = self._uses.setdefault(a, [])
-                if not uses or uses[-1] != index:
-                    uses.append(index)
         self.in_universe.add(t)
         self.universe.append(t)
         self.by_sort.setdefault(t.sort, []).append(t)
-
-    def _sweeps(self, t: Term) -> bool:
-        """Whether the sweep walks t as a parent (if ground, closed only)."""
-        return isinstance(t, App) and (self.ground is None or not tau(t))
 
     def _space(self, canon_ctx: Word) -> _Space:
         sp = self.spaces.get(canon_ctx)
@@ -704,28 +690,24 @@ class _Saturator:
     # -- rule 5, instantiation flavour --------------------------------------
 
     def _targets_for(self, n: int, sort: str, axiom_level: bool) -> list[Term]:
-        if axiom_level and n <= 1:
-            tier = "rich"
-        elif axiom_level and n == 2:
-            tier = "mid"
+        """The registered terms of the sort an n-letter equation is
+        instantiated at: up to `rich_depth` for a 1-letter axiom, up to
+        `_CONG_TIER_DEPTH` for a 2-letter one, and otherwise the atoms
+        (variables and constants, depth 1)."""
+        if not axiom_level or n > 2:
+            depth = 1
         else:
-            tier = "atomic"
-        cached = self._tier_cache.get((tier, sort))
+            depth = self.rich_depth if n == 1 else _CONG_TIER_DEPTH
+        cached = self._tier_cache.get((depth, sort))
         if cached is not None:
             return cached
         pool = self.by_sort.get(sort, [])
-        if tier == "rich":
-            chosen = [t for t in pool if term_depth(t) <= self.rich_depth]
-        elif tier == "mid":
-            chosen = [t for t in pool if term_depth(t) <= _CONG_TIER_DEPTH]
-        else:
-            chosen = [t for t in pool
-                      if isinstance(t, Var) or (isinstance(t, App) and not t.args)]
+        chosen = [t for t in pool if term_depth(t) <= depth]
         if self.ground is not None:
             chosen = [t for t in chosen if not tau(t) and self.ground(t)]
         if len(chosen) < len(pool):
             self.truncated_by.add("instantiation")
-        self._tier_cache[(tier, sort)] = chosen
+        self._tier_cache[(depth, sort)] = chosen
         return chosen
 
     def _instantiate(self, event: tuple[Word, Term, Term], axiom_level: bool,
@@ -817,44 +799,32 @@ class _Saturator:
         member; iterated over rounds this is congruence closure with
         explicit representative terms.
 
-        Only the parents that can swap are walked, in universe order with
-        positions ascending, as a walk of the whole universe would: those
-        registered since the last sweep, and those (found through the
-        use-lists) of children whose smallest mate changed.  Every mate is
-        recomputed, since the spaces changed; it is computed once per sweep,
-        since they stay fixed until the round's candidates merge.  In a
-        parent walked before (index below `swept`), a child that kept its
-        mate is skipped: mates never rise, so the pair was swapped toward
-        that mate in an earlier sweep.  Each (parent, pos, mate) is swapped
-        once, and the swaps, so the candidates and their order, are those
-        of a full walk that remembers which triples it swapped."""
-        universe = self.universe
-        swept = self._swept
-        dirty = bytearray(len(universe))
-        dirty[swept:] = b"\x01" * (len(universe) - swept)
+        Every parent is walked, in universe order with positions ascending
+        (a ground engine walks closed parents only).  A child's smallest
+        mate is computed on first use and kept for the sweep, since the
+        spaces stay fixed until the round's candidates merge.  In a parent
+        walked before (index below `_swept`), a child that kept its mate is
+        skipped: mates never rise, so the pair was swapped toward that mate
+        in an earlier sweep.  Each (parent, pos, mate) is swapped once, and
+        the swaps, so the candidates and their order, are those of a walk
+        that remembers which triples it swapped."""
+        swept, self._swept = self._swept, len(self.universe)
         last = self._mates
-        mates: dict[Term, Term] = {}
-        for child, uses in self._uses.items():
-            mate = self._smallest_mate(child)
-            if mate is None:
-                continue
-            mates[child] = mate
-            if last.get(child) is not mate:
-                for i in uses:
-                    dirty[i] = 1
-        self._mates = mates
-        self._swept = len(universe)
+        mates: dict[Term, Optional[Term]] = {}
         self._sides = {}
-        for i in itertools.compress(range(len(universe)), dirty):
-            parent = universe[i]
-            if not self._sweeps(parent):
+        for i, parent in enumerate(self.universe):
+            if not isinstance(parent, App) or (
+                    self.ground is not None and tau(parent)):
                 continue
-            old = i < swept
             for pos, child in enumerate(parent.args):
-                mate = mates.get(child)
-                if mate is None or (old and last.get(child) is mate):
+                if child in mates:
+                    mate = mates[child]
+                else:
+                    mate = mates[child] = self._smallest_mate(child)
+                if mate is None or (i < swept and last.get(child) is mate):
                     continue
                 self._swap_child(parent, pos, mate, out)
+        self._mates = mates
 
     def _smallest_mate(self, u: Term) -> Optional[Term]:
         """The least term known equal to u so far, if smaller than u itself.

@@ -207,7 +207,7 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
 
     def emit(tag: str, lhs: Term, rhs: Term, ctx: Sequence[Letter]) -> None:
         out.append(equation(f"cat:{tag}:{next(counter)}", lhs, rhs,
-                            tuple(ctx), CARTESIAN))
+                            tuple(ctx)))
 
     # identity laws and the unit action: a hom word has at most max_arity
     # letters, and every structure admits identities
@@ -367,11 +367,13 @@ def internalize(E: Theory, S: SigmaSignature) -> list[Equation]:
             rhs = internalize_term(S, ax.ctx, ax.rhs)
         except UniversalError as exc:
             raise UniversalError(f"axiom {ax.name}: {exc}") from exc
-        out.append(equation(f"int:{ax.name}", lhs, rhs, (), CARTESIAN))
+        out.append(equation(f"int:{ax.name}", lhs, rhs, ()))
     return out
 
 
 def sigma_theory(S: SigmaSignature, E: Theory) -> Theory:
+    """The extended theory, under the maximal structure; `Theory` validates
+    each axiom's context once."""
     eqs = tuple(categorization_axioms(S)) + tuple(internalize(E, S))
     return Theory(f"{E.name}^", S.signature, CARTESIAN, eqs)
 
@@ -382,15 +384,13 @@ def sigma_theory(S: SigmaSignature, E: Theory) -> Theory:
 
 def enumerate_pure_terms(S: SigmaSignature, depth: int
                          ) -> dict[str, list[Term]]:
-    """All closed extended-signature terms up to the given depth, per sort."""
-    by_sort: dict[str, list[Term]] = {s: [] for s in S.signature.sorts}
+    """All closed extended-signature terms up to the given depth, per sort,
+    depth by depth."""
     by_depth: dict[str, list[list[Term]]] = {
         s: [[] for _ in range(depth + 1)] for s in S.signature.sorts}
     for name, decl in S.signature.ops.items():
         if not decl.arity:
-            t = app(S.signature, name)
-            by_sort[decl.result].append(t)
-            by_depth[decl.result][1].append(t)
+            by_depth[decl.result][1].append(app(S.signature, name))
     for d in range(2, depth + 1):
         for name, decl in S.signature.ops.items():
             if not decl.arity:
@@ -401,10 +401,10 @@ def enumerate_pure_terms(S: SigmaSignature, depth: int
             for combo in itertools.product(*pools):
                 if max(term_depth(t) for t in combo) != d - 1:
                     continue
-                t = app(S.signature, name, list(combo))
-                by_sort[decl.result].append(t)
-                by_depth[decl.result][d].append(t)
-    return by_sort
+                by_depth[decl.result][d].append(
+                    app(S.signature, name, list(combo)))
+    return {s: [t for level in levels[1:] for t in level]
+            for s, levels in by_depth.items()}
 
 
 @dataclass

@@ -483,13 +483,14 @@ def test_union_edges_form_a_spanning_forest(monkeypatch):
 
 # -- the incremental congruence sweep ------------------------------------------
 #
-# The full walk below is the sweep as it was before use-lists, side memos and
-# the closed-term path: every parent of the universe, every round, with no
-# shortcut for closed sides.  It keeps its own memos, which the engine no
-# longer has: the (parent, pos, mate) triples it swapped, the canonical pairs
-# it emitted, and each child's mate computed afresh from the least member of
-# each class, found by scanning the space.  It is monkeypatched in as the
-# reference.
+# The full walk below is the reference for the engine's sweep.  Both walk
+# every parent in universe order; the reference differs only in keeping the
+# set of (parent, pos, mate) triples it swapped, where the engine skips a
+# child of an old parent that kept its mate, and in finding each mate from
+# the least member of each class by scanning the space, where the engine
+# reads it off `find`.  Its swap and conclusion steps, monkeypatched in with
+# it, keep no side memo, take no shortcut for closed sides, and remember the
+# canonical pairs they emitted.
 
 
 def _least_members(sp):
@@ -656,10 +657,11 @@ def _sweep_workloads():
 
 
 def test_incremental_sweep_matches_the_full_walk(monkeypatch):
-    """Use-lists, per-sweep side memos, the closed-term path, and reading
-    the memos off the union-find and the mates change no candidate and no
-    candidate order: events, flags, rounds and every union edge's
-    justification equal the full walk's."""
+    """Skipping the children of old parents that kept their mates,
+    per-sweep mate and side memos, the closed-term path, and reading the
+    mates off the union-find change no candidate and no candidate order:
+    events, flags, rounds and every union edge's justification equal the
+    full walk's."""
     runs = _sweep_workloads()
     got = [_engine_record(make()) for _, make in runs]
     monkeypatch.setattr(_Saturator, "_congruence_sweep", _full_walk_sweep)

@@ -253,3 +253,61 @@ def test_output_path_check_sees_a_stray_use():
     assert _uses_outside(tree, "_emit", _reads_format) == [4]
     assert _uses_outside(tree, "cmd", _builds_check_result) == []
     assert _uses_outside(tree, "_emit", _builds_check_result) == [5]
+
+
+def _stored_attributes(tree: ast.Module) -> dict[str, int]:
+    """Each attribute a method stores on `self`, with the first line that
+    stores it."""
+    out: dict[str, int] = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) \
+                and isinstance(n.value, ast.Name) and n.value.id == "self":
+            out.setdefault(n.attr, n.lineno)
+    return out
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Each attribute name the module reads, an augmented store included."""
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and not isinstance(n.ctx, ast.Store)}
+    return read | {n.target.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.AugAssign)
+                   and isinstance(n.target, ast.Attribute)}
+
+
+def _dead_attributes(stores: dict[str, ast.Module],
+                     readers: list[ast.Module]) -> list[str]:
+    """The attributes stored on `self` in `stores` that no reader reads, as
+    `module:line: name`."""
+    read = set().union(*map(_read_attributes, readers))
+    return [f"{path}:{line}: {name}"
+            for path, tree in stores.items()
+            for name, line in _stored_attributes(tree).items()
+            if name not in read]
+
+
+def test_no_dead_attributes():
+    """Every attribute the package stores on `self` is read somewhere in
+    the package or its tests, so a deletion takes the state it fed."""
+    package = {path.name: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    tests = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(__file__).parent.glob("*.py"))]
+    dead = _dead_attributes(package, [*package.values(), *tests])
+    assert not dead, "stored but never read:\n" + "\n".join(dead)
+
+
+def test_dead_attribute_check_sees_a_dead_attribute():
+    a = ast.parse("class C:\n"
+                  "    def __init__(self):\n"
+                  "        self.kept = 1\n"
+                  "        self.counted = 0\n"
+                  "        self.dropped = 2\n"
+                  "        self.seen, self.lost = 3, 4\n"
+                  "    def bump(self):\n"
+                  "        self.counted += 1\n"
+                  "        return self.kept\n")
+    b = ast.parse("def f(c):\n"
+                  "    return c.seen\n")
+    assert _dead_attributes({"a.py": a}, [a, b]) == [
+        "a.py:5: dropped", "a.py:6: lost"]

@@ -255,6 +255,16 @@ def test_quotient_is_ground(quotients):
         assert "ctx" not in part.truncated_by, key
 
 
+def test_quotient_ignores_the_context_bound(monoid):
+    """A ground engine registers no pool letters, which only open targets
+    would use, so the context bound leaves its universe as it is."""
+    hom = (("M", "M"), "M")
+    sigma = default_sigma(monoid, hom)
+    short, long = (universal_hom(monoid, hom, Bounds(2, n, 8), sigma=sigma)
+                   for n in (1, 6))
+    assert short._engine.universe == long._engine.universe
+
+
 def test_quotient_proof_digest(quotients):
     """A sha256 over the classes, the flags and the proof of every 7th event
     of the three sample quotients (the open spaces hold only the axiom
