@@ -101,7 +101,7 @@ def cmd_prove(args) -> Output:
     record = {"proved": False, "goal": args.goal}
     if refuted:
         message = "refuted-by-invariant"
-    elif result.truncated:
+    elif result.truncated_by:
         message = f"inconclusive (truncated: {','.join(result.truncated_by)})"
         record["truncated_by"] = list(result.truncated_by)
     else:
@@ -132,7 +132,7 @@ def cmd_universal(args) -> Output:
         rep = sigma_term_str(part.sigma, cls[0])
         items.append((f"class {i} ({len(cls)} terms): {rep}",
                       {"class": i, "size": len(cls), "representative": rep}))
-    if part.truncated:
+    if part.truncated_by:
         items.append((f"truncated: {','.join(part.truncated_by)}",
                       {"truncated_by": list(part.truncated_by)}))
     return 0, items

@@ -1,12 +1,15 @@
 """Context structures: which contexts govern which words of typed letters.
 
 A context is a repetition-free word of letters.  Each of the eight modelable
-structures is a decidable relation holds(R, c, v).  Terminal contexts and the
-correspondence with finite-ordinal function families live here too.
+structures is a decidable relation holds(R, c, v).  Terminal contexts, the
+orders that govern a word, and the correspondence with finite-ordinal
+function families live here too.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -154,6 +157,25 @@ def terminal_context(R: ContextStructure, v: Word) -> Optional[Word]:
     if kind == RIGHT_SURJECTIVE_KIND:
         return _last_occurrence_order(v)
     return _first_occurrence_order(v)
+
+
+def governing_orders(R: ContextStructure, v: Word) -> list[Word]:
+    """The orders of v's letters that govern v, in permutation order.
+
+    Delta_R holds every bijection or only the identity, so these are every
+    order of the terminal context, or the terminal context alone; none when
+    v has no terminal context."""
+    if not v:  # closed: () is the one order, and every structure admits it
+        return [v]
+    c = terminal_context(R, v)
+    if c is None:
+        return []
+    return list(itertools.permutations(c)) if _has_swaps(R) else [c]
+
+
+@functools.cache
+def _has_swaps(R: ContextStructure) -> bool:
+    return delta_of(R, FinFn(2, 2, (2, 1)))
 
 
 def embedding(v: Word, w: Word) -> FinFn:

@@ -70,21 +70,25 @@ mate) once, in the same order:
     ends, so the spaces cannot change under it, and each child's smallest
     mate and the side premise for swapping it in are computed once per
     sweep, on first use;
-  * closed sides: a congruence's sides are its op applied to the images,
-    so no template is substituted.  For closed sides the first-occurrence
-    form, the context orders (just (), which every structure admits) and
-    canonicalization are the identity, and are skipped.
+  * op images: a congruence's sides are its op applied to the images, so
+    no template is substituted.
 
 Further caches keep the engine from recomputing canonical forms; each
 leaves every derived equation and proof unchanged:
 
   * canonical views: a term's (canonical context, canonical term, letter
-    order) for every letter order that governs it depends on the term alone,
-    so it is computed once per engine, as is each op's congruence template;
-  * renamed conclusions: holds() and positional canonicalization commute
-    with sort-preserving letter bijections, so a rule-5 conclusion whose
-    (lhs, rhs, governed word) is a letter-renamed copy of an earlier one
-    meets only keys the earlier one already recorded, and is skipped;
+    order) for each of its governing orders (`context.governing_orders`)
+    depends on the term alone, so it is computed once per engine, as is
+    each op's congruence template.  A side premise is looked up in the
+    child's views: a mate has only the child's letters, and a space holds
+    only terms its context governs;
+  * renamed conclusions: a rule-5 conclusion is keyed by its sides
+    canonicalized at the first-occurrence order of its governed word, the
+    conclusion at that order when that order governs.  holds() and
+    positional canonicalization commute with sort-preserving letter
+    bijections, and once some order governs the word, its orders depend on
+    the sides alone up to such a bijection.  So a conclusion whose key an
+    earlier one recorded meets only pairs that one emitted, and is skipped;
   * pool letters: the _v and _p letters are cached per (sort, index), which
     only saves building their names, since every letter is interned.
 """
@@ -96,9 +100,11 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterator, Optional, Sequence
 
-from .context import Letter, Word, delta_of, holds
+from .context import (
+    Letter, Word, delta_of, governing_orders, holds, terminal_context,
+)
 from .finord import FinFn
 from .syntax import (
     App, Equation, Term, Theory, TheoryError, _app, app, apply_renaming,
@@ -197,8 +203,8 @@ def _check_node(E: Theory, p: Proof
     if isinstance(p, Axiom):
         ax = E.axiom(p.name)
         c = p.concluded
-        if _canonicalize(ax.ctx, [ax.lhs, ax.rhs])[:2] != _canonicalize(
-                c.ctx, [c.lhs, c.rhs])[:2]:
+        if _canonicalize(ax.ctx, [ax.lhs, ax.rhs]) != _canonicalize(
+                c.ctx, [c.lhs, c.rhs]):
             raise ProofError(
                 f"axiom node {p.name}: stated equation is not a context "
                 f"renaming of the axiom")
@@ -291,15 +297,17 @@ def _template_letter(sort: str, j: int) -> Letter:
 
 
 def _canonicalize(ctx: Word, terms: Sequence[Term]
-                  ) -> tuple[Word, list[Term], dict[Letter, Letter]]:
-    mapping = {x: _pool_letter(x.sort, i) for i, x in enumerate(ctx, start=1)}
-    canon_ctx = tuple(mapping[x] for x in ctx)
-    sub = {x: var(y) for x, y in mapping.items()}
-    return canon_ctx, [apply_renaming(sub, t) for t in terms], mapping
+                  ) -> tuple[Word, list[Term]]:
+    if not ctx:  # closed terms are their own canonical form
+        return ctx, list(terms)
+    canon_ctx = tuple(_pool_letter(x.sort, i)
+                      for i, x in enumerate(ctx, start=1))
+    sub = {x: var(y) for x, y in zip(ctx, canon_ctx)}
+    return canon_ctx, [apply_renaming(sub, t) for t in terms]
 
 
 def canonical_triple(ctx: Word, a: Term, b: Term):
-    canon_ctx, (ca, cb), _ = _canonicalize(ctx, [a, b])
+    canon_ctx, (ca, cb) = _canonicalize(ctx, [a, b])
     key_a, key_b = _term_key(ca), _term_key(cb)
     if key_b < key_a:
         ca, cb = cb, ca
@@ -310,17 +318,16 @@ def _term_key(t: Term) -> tuple[int, str]:
     return (term_depth(t), repr(t))
 
 
-def _first_occurrence_form(lhs: Term, rhs: Term, word: Word
-                           ) -> tuple[Term, Term, tuple[Term, ...]]:
-    """The triple with its letters relabelled _v1.._vn by first occurrence.
-    Two triples share it iff a sort-preserving letter bijection maps one onto
-    the other."""
-    sub: dict[Letter, Term] = {}
-    for x in itertools.chain(tau(lhs), tau(rhs), word):
-        if x not in sub:
-            sub[x] = var(_pool_letter(x.sort, len(sub) + 1))
-    return (apply_renaming(sub, lhs), apply_renaming(sub, rhs),
-            tuple(sub[x] for x in word))
+def _reletter(proof: Proof, ctx: Word, to: Word, w: Word) -> Proof:
+    """A proof at ctx with each letter renamed to the one at its position in
+    the parallel word `to`, concluded at w, which governs `to`: a renaming
+    when w is `to`, a weakening when `to` is ctx."""
+    if ctx == to == w:
+        return proof
+    s = tuple((x, var(y)) for x, y in zip(ctx, to))
+    ws = tuple((y,) for y in to)
+    sides = tuple(Refl(var(y), (y,)) for y in to)
+    return Subst(s, s, w, ws, proof, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +441,6 @@ class SaturationResult:
     rounds_used: int
     _engine: "_Saturator" = field(repr=False)
 
-    @property
-    def truncated(self) -> bool:
-        return bool(self.truncated_by)
-
     def proof_of(self, eq: Equation) -> Proof:
         return self._engine.proof_of(eq)
 
@@ -452,10 +455,6 @@ class ProveResult:
 
     proof: Optional[Proof]
     truncated_by: tuple[str, ...]
-
-    @property
-    def truncated(self) -> bool:
-        return bool(self.truncated_by)
 
     @property
     def proved(self) -> bool:
@@ -501,12 +500,11 @@ class _Saturator:
 
         seeds: list[tuple[Word, Term, Term, Proof]] = []
         for ax in E.equations:
-            canon_ctx, (a, b), mapping = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
-            base = Axiom(ax.name, ax)
-            proof = self._reletter(base, ax.ctx, mapping)
+            canon_ctx, (a, b) = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
+            proof = _reletter(Axiom(ax.name, ax), ax.ctx, canon_ctx, canon_ctx)
             seeds.append((canon_ctx, a, b, proof))
         for ctx, t in extra_terms:
-            canon_ctx, (ct,), _ = _canonicalize(ctx, [t])
+            canon_ctx, (ct,) = _canonicalize(ctx, [t])
             self.depth_cap = max(self.depth_cap, term_depth(ct))
             self._space(canon_ctx).add(ct)
             self._register(ct)
@@ -537,17 +535,6 @@ class _Saturator:
             sp = self.spaces[canon_ctx] = _Space()
         return sp
 
-    def _reletter(self, proof: Proof, ctx: Word,
-                  mapping: Mapping[Letter, Letter]) -> Proof:
-        """Wrap a proof of an equation at ctx into its letter-renamed form."""
-        if all(mapping[x] == x for x in ctx):
-            return proof
-        s = tuple((x, var(mapping[x])) for x in ctx)
-        w = tuple(mapping[x] for x in ctx)
-        ws = tuple((mapping[x],) for x in ctx)
-        sides = tuple(Refl(var(mapping[x]), (mapping[x],)) for x in ctx)
-        return Subst(s, s, w, ws, proof, sides)
-
     # -- running the engine and reading it back -----------------------------
 
     def run(self, stop: Optional[Callable[[], bool]] = None) -> None:
@@ -575,18 +562,17 @@ class _Saturator:
         self.rounds_used = rounds
 
     def proof_of(self, eq: Equation) -> Proof:
-        canon_ctx, (a, b), mapping = _canonicalize(eq.ctx, [eq.lhs, eq.rhs])
+        canon_ctx, (a, b) = _canonicalize(eq.ctx, [eq.lhs, eq.rhs])
         sp = self.spaces.get(canon_ctx)
         if sp is None or not sp.same(a, b):
             raise DeductionError(f"equation not derived: {eq}")
         path = sp.explain(a, b)
         self._assemble(canon_ctx, [edge for edge, _ in path])
         proof = self._chain(canon_ctx, a, path)
-        back = {y: x for x, y in mapping.items()}
-        return self._reletter(proof, canon_ctx, back)
+        return _reletter(proof, canon_ctx, eq.ctx, eq.ctx)
 
     def holds_canonically(self, ctx: Word, a: Term, b: Term) -> bool:
-        canon_ctx, (ca, cb), _ = _canonicalize(ctx, [a, b])
+        canon_ctx, (ca, cb) = _canonicalize(ctx, [a, b])
         sp = self.spaces.get(canon_ctx)
         return sp is not None and sp.same(ca, cb)
 
@@ -636,7 +622,7 @@ class _Saturator:
         pos = why.pos
         if pos is None:
             return why.premise
-        canon_ctx, (cu, cv), _ = _canonicalize(
+        canon_ctx, (cu, cv) = _canonicalize(
             why.ws[pos], [why.images1[pos], why.images2[pos]])
         return canon_ctx, cu, cv
 
@@ -650,14 +636,14 @@ class _Saturator:
             premise = explained
         else:
             premise = Refl(a, ctx)
-            canon_ctx, _, mapping = _canonicalize(why.ws[pos], [])
-            back = {y: x for x, y in mapping.items()}
-            sides[pos] = self._reletter(explained, canon_ctx, back)
+            w_pos = why.ws[pos]
+            canon_ctx, _ = _canonicalize(w_pos, [])
+            sides[pos] = _reletter(explained, canon_ctx, w_pos, w_pos)
         s1, s2 = (tuple(sorted(zip(ctx, images), key=_letter_sort_key))
                   for images in (why.images1, why.images2))
         node = Subst(s1, s2, why.w, why.ws, premise, tuple(sides))
-        _, _, mapping = _canonicalize(why.w, [])
-        return self._reletter(node, why.w, mapping)
+        canon_w, _ = _canonicalize(why.w, [])
+        return _reletter(node, why.w, canon_w, canon_w)
 
     # -- merge bookkeeping -------------------------------------------------
 
@@ -759,31 +745,29 @@ class _Saturator:
         if max(term_depth(lhs), term_depth(rhs)) > self.depth_cap:
             self.truncated_by.add("depth")
             return
-        # holds() and positional canonicalization commute with letter
-        # renaming, so a renamed repeat of an earlier call would meet only
-        # pairs that call already emitted or found joined.  Closed sides (an
-        # empty u_cat) have no letters: their first-occurrence form is
-        # themselves, () is their one context order, which every structure
-        # admits, and canonicalizing at () leaves them as they are.
-        orbit = _first_occurrence_form(lhs, rhs, u_cat) if u_cat \
-            else (lhs, rhs, ())
+        if len(distinct) <= 4:
+            orders = governing_orders(self.R, u_cat)
+        else:
+            # Beyond four letters the factorial spread of context orders is
+            # all twist variants; keep the terminal context only.
+            self.truncated_by.add("ctx")
+            terminal = terminal_context(self.R, u_cat)
+            orders = [] if terminal is None else [terminal]
+        if not orders:
+            return
+        # The key (see "renamed conclusions" above) canonicalizes the sides
+        # at the first-occurrence order, which holds every letter of both,
+        # and is the conclusion at that order when that order governs.
+        canon_ctx, (ca, cb) = _canonicalize(distinct, [lhs, rhs])
+        orbit = (canon_ctx, ca, cb)
         if orbit in self._concluded:
             return
         self._concluded.add(orbit)
-        if len(distinct) <= 4:
-            orders = itertools.permutations(distinct)
-        else:
-            # Beyond four letters the factorial spread of context orders is
-            # all twist variants; keep first-occurrence order only.
-            self.truncated_by.add("ctx")
-            orders = [distinct]
         for w in orders:
-            if not u_cat:
-                canon_ctx, ca, cb = w, lhs, rhs
-            elif holds(self.R, w, u_cat):
-                canon_ctx, (ca, cb), _ = _canonicalize(w, [lhs, rhs])
+            if w == distinct:
+                canon_ctx, ca, cb = orbit
             else:
-                continue
+                canon_ctx, (ca, cb) = _canonicalize(w, [lhs, rhs])
             # A pair emitted earlier is joined once its round merges; a repeat
             # within the round finds one class in union and adds nothing.
             sp = self.spaces.get(canon_ctx)
@@ -846,15 +830,14 @@ class _Saturator:
         return best
 
     def _canonical_views(self, u: Term) -> list[tuple[Word, Term, Word]]:
-        """(canon_ctx, canonical u, perm) for each order perm of u's letters
-        that governs u, in permutation order; fixed for the engine's life."""
+        """(canon_ctx, canonical u, perm) for each governing order perm of
+        u's letters, in permutation order; fixed for the engine's life."""
         views = self._views.get(u)
         if views is None:
             views = []
-            for perm in itertools.permutations(dict.fromkeys(tau(u))):
-                if holds(self.R, perm, tau(u)):
-                    canon_ctx, (cu,), _ = _canonicalize(perm, [u])
-                    views.append((canon_ctx, cu, perm))
+            for perm in governing_orders(self.R, tau(u)):
+                canon_ctx, (cu,) = _canonicalize(perm, [u])
+                views.append((canon_ctx, cu, perm))
             self._views[u] = views
         return views
 
@@ -894,14 +877,15 @@ class _Saturator:
         return cached
 
     def _known_equal(self, u: Term, v: Term) -> Optional[Word]:
-        """A context at which u ~ v is already derived."""
-        distinct = tuple(dict.fromkeys(tau(u) + tau(v)))
-        for perm in itertools.permutations(distinct):
-            if not holds(self.R, perm, tau(u)) or not holds(self.R, perm, tau(v)):
-                continue
-            canon_ctx, (cu, cv), _ = _canonicalize(perm, [u, v])
+        """A context at which u ~ v is already derived, for v a mate of u:
+        one of u's views, since the mate has only u's letters and a space
+        holds only terms its context governs."""
+        for canon_ctx, cu, perm in self._canonical_views(u):
             sp = self.spaces.get(canon_ctx)
-            if sp is not None and sp.same(cu, cv):
+            if sp is None or cu not in sp.parent:
+                continue
+            _, (cv,) = _canonicalize(perm, [v])
+            if sp.same(cu, cv):
                 return perm
         return None
 
@@ -952,12 +936,7 @@ def _weakening_proof(E: Theory, engine: _Saturator,
         if not engine.holds_canonically(perm, goal.lhs, goal.rhs):
             continue
         inner = engine.proof_of(equation("", goal.lhs, goal.rhs, perm))
-        if perm == goal.ctx:
-            return inner
-        s = tuple((x, var(x)) for x in perm)
-        ws = tuple((x,) for x in perm)
-        sides = tuple(Refl(var(x), (x,)) for x in perm)
-        return Subst(s, s, goal.ctx, ws, inner, sides)
+        return _reletter(inner, perm, perm, goal.ctx)
     return None
 
 

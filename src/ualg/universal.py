@@ -414,10 +414,6 @@ class HomPartition:
     truncated_by: tuple[str, ...]
     _engine: _Saturator = field(repr=False)
 
-    @property
-    def truncated(self) -> bool:
-        return bool(self.truncated_by)
-
     def merged(self, a: Term, b: Term) -> bool:
         """Whether the bounded quotient identifies two closed terms; a term
         the quotient never met is still merged with itself."""

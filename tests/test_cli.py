@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, output formats, parse failures."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,11 +14,50 @@ PROJ = str(REPO / "theories" / "first_projection.ua")
 
 
 def ualg(*args, env=None):
-    """Run `python -m ualg` on this checkout; `env` adds or overrides
-    environment variables."""
+    """Run `python -m ualg` on this checkout, from its root; `env` adds or
+    overrides environment variables."""
     return subprocess.run([sys.executable, "-m", "ualg", *args],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, cwd=REPO,
                           env=child_env(**(env or {})))
+
+
+def readme_commands():
+    """(argv after `ualg`, comment) for each command in README's
+    `## Command line` block, continuation lines joined."""
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S)
+    commands: list[tuple[str, str]] = []
+    continued = False
+    for line in block.group(1).splitlines():
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        if continued or not code:  # a continuation or a comment-only line
+            commands[-1] = (commands[-1][0] + " " + code,
+                            commands[-1][1] + comment)
+        else:
+            commands.append((code, comment))
+        continued = code.endswith("\\")
+        if continued:
+            commands[-1] = (commands[-1][0][:-1], commands[-1][1])
+    return [(shlex.split(code)[1:], comment) for code, comment in commands]
+
+
+def test_readme_commands_run():
+    """Every README command but `selftest` runs without a traceback and
+    exits 0, except the `increasing` check (2) and the refuted goal (1)."""
+    commands = [(argv, comment) for argv, comment in readme_commands()
+                if argv[0] != "selftest"]
+    assert len(commands) == 8
+    for argv, comment in commands:
+        if "exits 2" in comment:
+            want = 2
+        elif "refuted-by-invariant" in comment:
+            want = 1
+        else:
+            want = 0
+        p = ualg(*argv)
+        assert p.returncode == want, (argv, p.stdout, p.stderr)
+        assert "Traceback" not in p.stdout + p.stderr, argv
 
 
 def test_delta_check_pass():

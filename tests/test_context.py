@@ -9,7 +9,7 @@ import pytest
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, LEFT_SURJECTIVE, RIGHT_SURJECTIVE,
     STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextError, Letter, delta_of,
-    embedding, holds, parse_structure, terminal_context,
+    embedding, governing_orders, holds, parse_structure, terminal_context,
 )
 from ualg.finord import all_functions, fn, in_family, parse_family
 from ualg.selftest import EIGHT_STRUCTURES, STRUCTURE_FAMILY
@@ -147,6 +147,21 @@ def test_context_sets_corollary():
                 set_a = {c for c in ctx_pool if holds(R, c, flat)}
                 set_b = {c for c in ctx_pool if holds(R, c, reindexed)}
                 assert set_a == set_b, (R.kind, theta, vs)
+
+
+def test_governing_orders_are_the_orders_that_hold():
+    """governing_orders lists, in permutation order, exactly the orders of
+    a word's letters that govern it: every word up to length 5 over four
+    letters of one sort and one of another, under all eight structures."""
+    letters = (*(Letter("s", n) for n in "xyzw"), Letter("t", "u"))
+    pairs = 0
+    for R in EIGHT_STRUCTURES:
+        for v in words(letters, 5):
+            want = [p for p in itertools.permutations(dict.fromkeys(v))
+                    if holds(R, p, v)]
+            assert governing_orders(R, v) == want, (R.kind, v)
+            pairs += 1
+    assert pairs == 8 * 3906
 
 
 def test_parse_structure():

@@ -20,12 +20,12 @@ from ualg.deduction import (
     check_proof, proof_lines, prove, refute_by_invariant, saturate,
 )
 from ualg.selftest import (
-    GOAL_LIST, MONOID_TEXT, eckmann_hilton_theory, monoid_theory,
-    projection_theory,
+    EIGHT_STRUCTURES, GOAL_LIST, MONOID_TEXT, eckmann_hilton_theory,
+    monoid_theory, projection_theory,
 )
 from ualg.syntax import (
-    App, Theory, app, apply_renaming, equation, parse_equation_text,
-    parse_theory, tau, term_depth, var,
+    App, Theory, TheoryError, app, apply_renaming, equation,
+    parse_equation_text, parse_theory, tau, term_depth, var,
 )
 from ualg.universal import default_sigma, internalize_term, universal_hom
 
@@ -53,7 +53,7 @@ def test_empty_theory_derives_only_reflexivity(monoid):
         sat = saturate(Theory("E", monoid.signature, structure, ()),
                        Bounds(2, 2, 3))
         assert sat.equations == []
-        assert not sat.truncated
+        assert not sat.truncated_by
 
 
 def test_axiom_goal_has_axiom_leaf(monoid):
@@ -252,7 +252,7 @@ def test_truncation_is_flagged(monoid):
                                structure=monoid.structure)
     res = prove(monoid, goal, Bounds(3, 3, 4))
     assert not res.proved
-    assert res.truncated and res.truncated_by
+    assert res.truncated_by
 
 
 def test_instantiation_budget_keeps_the_closed_instances(monoid, monkeypatch):
@@ -489,8 +489,34 @@ def test_union_edges_form_a_spanning_forest(monkeypatch):
 # child of an old parent that kept its mate, and in finding each mate from
 # the least member of each class by scanning the space, where the engine
 # reads it off `find`.  Its swap and conclusion steps, monkeypatched in with
-# it, keep no side memo, take no shortcut for closed sides, and remember the
-# canonical pairs they emitted.
+# it, keep no side memo, remember the canonical pairs they emitted, and
+# share no helper with the engine's: they find the governing orders by
+# filtering every permutation through `holds`, canonicalize on their own,
+# and key a conclusion by its first-occurrence form.
+
+
+def _ref_canonicalize(ctx, terms):
+    sub = {x: var(Letter(x.sort, f"_v{i}")) for i, x in enumerate(ctx, 1)}
+    return (tuple(sub[x].letter for x in ctx),
+            [apply_renaming(sub, t) for t in terms])
+
+
+def _ref_orders(R, distinct, *words):
+    """The orders of `distinct` that govern every word, in permutation
+    order."""
+    return [p for p in itertools.permutations(distinct)
+            if all(holds(R, p, v) for v in words)]
+
+
+def _ref_first_occurrence_key(lhs, rhs, word):
+    """The triple with its letters relabelled by first occurrence: two
+    triples share it iff a sort-preserving letter bijection maps one onto
+    the other."""
+    sub = {}
+    for x in itertools.chain(tau(lhs), tau(rhs), word):
+        sub.setdefault(x, var(Letter(x.sort, f"_v{len(sub) + 1}")))
+    return (apply_renaming(sub, lhs), apply_renaming(sub, rhs),
+            tuple(sub[x] for x in word))
 
 
 def _least_members(sp):
@@ -507,7 +533,8 @@ def _least_members(sp):
 def _raw_smallest_mate(self, u, least):
     key = deduction._term_key
     best = None
-    for canon_ctx, cu, perm in self._canonical_views(u):
+    for perm in _ref_orders(self.R, tuple(dict.fromkeys(tau(u))), tau(u)):
+        canon_ctx, (cu,) = _ref_canonicalize(perm, [u])
         sp = self.spaces.get(canon_ctx)
         if sp is None or cu not in sp.parent:
             continue
@@ -551,8 +578,13 @@ def _full_walk_swap_child(self, parent, pos, replacement, out):
         return
     if not deduction._term_key(replacement) < deduction._term_key(old):
         return
-    w_i = self._known_equal(old, replacement)
-    if w_i is None:
+    distinct = tuple(dict.fromkeys(tau(old) + tau(replacement)))
+    for w_i in _ref_orders(self.R, distinct, tau(old), tau(replacement)):
+        canon_ctx, (cu, cv) = _ref_canonicalize(w_i, [old, replacement])
+        sp = self.spaces.get(canon_ctx)
+        if sp is not None and sp.same(cu, cv):
+            break
+    else:
         return
     ws = []
     for j, child in enumerate(parent.args):
@@ -588,19 +620,18 @@ def _full_walk_conclude(self, premise, images1, images2, ws, u_cat, pos,
     if max(term_depth(lhs), term_depth(rhs)) > self.depth_cap:
         self.truncated_by.add("depth")
         return
-    orbit = deduction._first_occurrence_form(lhs, rhs, u_cat)
+    orbit = _ref_first_occurrence_key(lhs, rhs, u_cat)
     if orbit in self._concluded:
         return
     self._concluded.add(orbit)
-    if len(distinct) <= 4:
-        orders = itertools.permutations(distinct)
-    else:
+    orders = _ref_orders(self.R, distinct, u_cat)
+    if len(distinct) > 4:
+        # beyond four letters only the first governing order, the terminal
+        # context, is kept
         self.truncated_by.add("ctx")
-        orders = [distinct]
+        orders = orders[:1]
     for w in orders:
-        if not holds(self.R, w, u_cat):
-            continue
-        canon_ctx, (ca, cb), _ = deduction._canonicalize(w, [lhs, rhs])
+        canon_ctx, (ca, cb) = _ref_canonicalize(w, [lhs, rhs])
         key = (canon_ctx, ca, cb) \
             if deduction._term_key(ca) <= deduction._term_key(cb) \
             else (canon_ctx, cb, ca)
@@ -658,8 +689,9 @@ def _sweep_workloads():
 
 def test_incremental_sweep_matches_the_full_walk(monkeypatch):
     """Skipping the children of old parents that kept their mates,
-    per-sweep mate and side memos, the closed-term path, and reading the
-    mates off the union-find change no candidate and no candidate order:
+    per-sweep mate and side memos, governing orders in place of filtering
+    permutations, the canonical conclusion key, and reading the mates off
+    the union-find change no candidate and no candidate order:
     events, flags, rounds and every union edge's justification equal the
     full walk's."""
     runs = _sweep_workloads()
@@ -720,11 +752,62 @@ def test_saturation_digest():
         "3d0459cb62d2eaa80475269faf9500d95ee38cf63f09b4e2d2bbc0757ac111fb")
 
 
+def _sample_theories_under_every_admitted_structure():
+    """(name, engine factory) for `saturate` on each sample theory under
+    every structure whose context guard its axioms meet."""
+    runs = []
+    for path in sorted(THEORIES.glob("*.ua")):
+        base = parse_theory(path.read_text())
+        for R in EIGHT_STRUCTURES:
+            try:
+                E = Theory(base.name, base.signature, R, base.equations)
+            except TheoryError:
+                continue
+            runs.append((f"{path.name} {R}",
+                         lambda E=E: saturate(E, Bounds(3, 3, 4))._engine))
+    return runs
+
+
 def test_space_terms_stay_inside_their_context():
     """Every term of a space has its letters in that space's context, so a
-    class's smallest member can always be renamed back through a view."""
-    for name, make in _sweep_workloads():
-        for ctx, sp in make().spaces.items():
+    class's smallest member can always be renamed back through a view; and
+    the context governs it, which lets `_known_equal` read a mate's
+    contexts off the child's views."""
+    runs = _sweep_workloads() + _sample_theories_under_every_admitted_structure()
+    terms = 0
+    for name, make in runs:
+        engine = make()
+        for ctx, sp in engine.spaces.items():
             letters = set(ctx)
             for t in sp.parent:
                 assert set(tau(t)) <= letters, (name, ctx, t)
+                assert holds(engine.R, ctx, tau(t)), (name, ctx, t)
+            terms += len(sp.parent)
+    assert terms
+
+
+RIGHT_SURJECTIVE_TEXT = """theory RS
+structure right-surjective
+sort A
+op p : A A A A A -> A
+op g : A A -> A
+op h : A -> A
+eq k : h(x) ~ x ctx [ x:A ]
+"""
+
+
+def test_right_surjective_keeps_its_terminal_context_beyond_four_letters():
+    """Past four letters a conclusion is stated at its terminal context
+    only.  Under right-surjective that is the last-occurrence order, which
+    the first-occurrence order of g(p(a,b,c,d,e),a)'s letters is not, so
+    keeping first-occurrence order dropped the only order that governs."""
+    E = parse_theory(RIGHT_SURJECTIVE_TEXT)
+    goal = parse_equation_text(
+        E.signature,
+        "g(h(p(a,b,c,d,e)),a) ~ g(p(a,b,c,d,e),a) "
+        "ctx [ b:A c:A d:A e:A a:A ]", structure=E.structure)
+    res = prove(E, goal, Bounds(4, 5, 8))
+    assert res.proved
+    concluded = check_proof(E, res.proof)
+    assert (concluded.lhs, concluded.rhs, concluded.ctx) == (
+        goal.lhs, goal.rhs, goal.ctx)

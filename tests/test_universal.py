@@ -242,7 +242,7 @@ def test_quotient_is_ground(quotients):
     quotient."""
     for key in ("monoid", "eh"):
         E, part = quotients[key]
-        seeds = {(ctx, a, b) for ctx, (a, b), _ in (
+        seeds = {(ctx, a, b) for ctx, (a, b) in (
             _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
             for ax in sigma_theory(part.sigma, E).equations) if ctx}
         engine = part._engine
