@@ -62,7 +62,7 @@ Output = tuple[int, list[tuple[Optional[str], Optional[dict]]]]
 
 
 def cmd_delta_check(args) -> Output:
-    family = parse_family(args.family, bound=max(64, args.max + 1))
+    family = parse_family(args.family)
     report = verify_structure_category(family, args.max)
     items = [("\n".join(report.lines()), None)] + [
         (None, {"family": str(report.family), "max": report.max_n,

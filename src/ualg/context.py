@@ -1,9 +1,11 @@
 """Context structures: which contexts govern which words of typed letters.
 
 A context is a repetition-free word of letters.  Each of the eight modelable
-structures is a decidable relation holds(R, c, v).  Terminal contexts, the
-orders that govern a word, and the correspondence with finite-ordinal
-function families live here too.
+structures, listed once in `STRUCTURES`, is a decidable relation
+holds(R, c, v).  Terminal contexts and the orders that govern a word live
+here too, and so does the correspondence R -> Delta_R with finite-ordinal
+function families: `R.family` is Delta_R by its direct characterization,
+and `delta_of(R, theta)` decides membership through `holds`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from .finord import FinFn
+from .finord import (
+    ALL_FUNCTIONS, BIJECTIONS, IDENTITIES, INJECTIONS, LEFT_SURJECTIONS,
+    RIGHT_SURJECTIONS, STRICTLY_INCREASING, SURJECTIONS, DeltaFamily, FinFn,
+)
 
 Word = tuple["Letter", ...]
 
@@ -48,20 +53,18 @@ class Letter:
         return self.name
 
 
-TRIVIAL_KIND = "trivial"
-BIJECTIVE_KIND = "bijective"
-STRICT_INCREASING_KIND = "strict-increasing"
-INJECTIVE_KIND = "injective"
-SURJECTIVE_KIND = "surjective"
-LEFT_SURJECTIVE_KIND = "left-surjective"
-RIGHT_SURJECTIVE_KIND = "right-surjective"
-CARTESIAN_KIND = "cartesian"
-
-MODELABLE_KINDS = (
-    TRIVIAL_KIND, BIJECTIVE_KIND, STRICT_INCREASING_KIND, INJECTIVE_KIND,
-    SURJECTIVE_KIND, LEFT_SURJECTIVE_KIND, RIGHT_SURJECTIVE_KIND,
-    CARTESIAN_KIND,
-)
+# The eight structures, each with the tag of the finite-ordinal family
+# Delta_R that R corresponds to; `STRUCTURES` lists them in this order.
+_FAMILY_TAGS = {
+    "trivial": IDENTITIES,
+    "bijective": BIJECTIONS,
+    "strict-increasing": STRICTLY_INCREASING,
+    "injective": INJECTIONS,
+    "surjective": SURJECTIONS,
+    "left-surjective": LEFT_SURJECTIONS,
+    "right-surjective": RIGHT_SURJECTIONS,
+    "cartesian": ALL_FUNCTIONS,
+}
 
 
 @dataclass(frozen=True)
@@ -69,32 +72,28 @@ class ContextStructure:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in MODELABLE_KINDS:
+        if self.kind not in _FAMILY_TAGS:
             raise ContextError(f"unknown context structure {self.kind!r}")
+
+    @property
+    def family(self) -> DeltaFamily:
+        """Delta_R by its direct characterization (`delta_of` uses holds)."""
+        return DeltaFamily(_FAMILY_TAGS[self.kind])
 
     def __str__(self) -> str:
         return self.kind
 
 
-TRIVIAL = ContextStructure(TRIVIAL_KIND)
-BIJECTIVE = ContextStructure(BIJECTIVE_KIND)
-STRICT_INCREASING = ContextStructure(STRICT_INCREASING_KIND)
-INJECTIVE = ContextStructure(INJECTIVE_KIND)
-SURJECTIVE = ContextStructure(SURJECTIVE_KIND)
-LEFT_SURJECTIVE = ContextStructure(LEFT_SURJECTIVE_KIND)
-RIGHT_SURJECTIVE = ContextStructure(RIGHT_SURJECTIVE_KIND)
-CARTESIAN = ContextStructure(CARTESIAN_KIND)
-
-_BY_TOKEN = {s.kind: s for s in (
-    TRIVIAL, BIJECTIVE, STRICT_INCREASING, INJECTIVE, SURJECTIVE,
-    LEFT_SURJECTIVE, RIGHT_SURJECTIVE, CARTESIAN)}
+STRUCTURES = tuple(map(ContextStructure, _FAMILY_TAGS))
+(TRIVIAL, BIJECTIVE, STRICT_INCREASING, INJECTIVE, SURJECTIVE,
+ LEFT_SURJECTIVE, RIGHT_SURJECTIVE, CARTESIAN) = STRUCTURES
 
 
 def parse_structure(token: str) -> ContextStructure:
-    try:
-        return _BY_TOKEN[token]
-    except KeyError:
-        raise ContextError(f"unknown structure token {token!r}") from None
+    for R in STRUCTURES:
+        if R.kind == token:
+            return R
+    raise ContextError(f"unknown structure token {token!r}")
 
 
 def check_context(c: Word) -> Word:
@@ -122,19 +121,19 @@ def holds(R: ContextStructure, c: Word, v: Word) -> bool:
     """Decide whether context c governs the word v under R."""
     check_context(c)
     kind = R.kind
-    if kind == TRIVIAL_KIND:
+    if kind == "trivial":
         return v == c
-    if kind == BIJECTIVE_KIND:
+    if kind == "bijective":
         return sorted(v, key=_letter_key) == sorted(c, key=_letter_key)
-    if kind == STRICT_INCREASING_KIND:
+    if kind == "strict-increasing":
         return len(set(v)) == len(v) and _is_subsequence(v, c)
-    if kind == INJECTIVE_KIND:
+    if kind == "injective":
         return len(set(v)) == len(v) and set(v) <= set(c)
-    if kind == SURJECTIVE_KIND:
+    if kind == "surjective":
         return set(v) == set(c)
-    if kind == LEFT_SURJECTIVE_KIND:
+    if kind == "left-surjective":
         return set(v) == set(c) and _first_occurrence_order(v) == c
-    if kind == RIGHT_SURJECTIVE_KIND:
+    if kind == "right-surjective":
         return set(v) == set(c) and _last_occurrence_order(v) == c
     return set(v) <= set(c)  # cartesian
 
@@ -151,10 +150,9 @@ def terminal_context(R: ContextStructure, v: Word) -> Optional[Word]:
     first-occurrence order, except last-occurrence for right-surjective.
     """
     kind = R.kind
-    if kind in (TRIVIAL_KIND, BIJECTIVE_KIND, STRICT_INCREASING_KIND,
-                INJECTIVE_KIND):
+    if kind in ("trivial", "bijective", "strict-increasing", "injective"):
         return v if len(set(v)) == len(v) else None
-    if kind == RIGHT_SURJECTIVE_KIND:
+    if kind == "right-surjective":
         return _last_occurrence_order(v)
     return _first_occurrence_order(v)
 

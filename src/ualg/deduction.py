@@ -24,10 +24,10 @@ only at orders of the letters they use, so the engine never weakens an
 equation into a context with more letters; `prove` flags that gap too
 (`weakening`) when it could matter.
 
-A ground engine (`universal_hom`'s) instantiates at the closed terms its
-`ground` predicate accepts and sweeps closed parents only, so every event
-after the axiom seeds is closed, and the context caps never cut one.  It
-registers no pool letters, which only open targets would use.
+A ground engine (`universal_hom`'s) registers closed terms only, so it
+instantiates at the closed terms its `ground` predicate accepts and sweeps
+closed parents only: every event after the axiom seeds is closed, and the
+context caps never cut one.
 
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
@@ -489,12 +489,10 @@ class _Saturator:
         self.truncated_by: set[str] = set()
         self.events: list[tuple[Word, Term, Term]] = []
         self.rounds_used = 0
-        self.depth_cap = bounds.max_term_depth
 
-        if ground is None:
-            for sort in self.sig.sorts:
-                for i in range(1, bounds.max_ctx_len + 1):
-                    self._register(var(_pool_letter(sort, i)))
+        for sort in self.sig.sorts:
+            for i in range(1, bounds.max_ctx_len + 1):
+                self._register(var(_pool_letter(sort, i)))
         for name in self.sig.constants():
             self._register(const(self.sig, name))
 
@@ -505,22 +503,24 @@ class _Saturator:
             seeds.append((canon_ctx, a, b, proof))
         for ctx, t in extra_terms:
             canon_ctx, (ct,) = _canonicalize(ctx, [t])
-            self.depth_cap = max(self.depth_cap, term_depth(ct))
             self._space(canon_ctx).add(ct)
             self._register(ct)
-
         for canon_ctx, a, b, proof in seeds:
-            self.depth_cap = max(self.depth_cap, term_depth(a), term_depth(b))
             self._apply_merge(canon_ctx, a, b, proof)
+
+        # The starting material: the axiom sides and the extra terms.
+        start = max([term_depth(t) for _, a, b, _ in seeds for t in (a, b)]
+                    + [term_depth(t) for _, t in extra_terms], default=1)
+        self.depth_cap = max(bounds.max_term_depth, start)
         # A 1-letter axiom is instantiated no deeper than the starting
         # material; the truncation flag reports what that bound skips.
-        self.rich_depth = max(
-            [_CONG_TIER_DEPTH] + [term_depth(t) for t in self.universe])
+        self.rich_depth = max(_CONG_TIER_DEPTH, start)
 
     # -- registration ------------------------------------------------------
 
     def _register(self, t: Term) -> None:
-        if t in self.in_universe:
+        """Add t and its subterms; a ground engine's are closed only."""
+        if t in self.in_universe or (self.ground is not None and tau(t)):
             return
         if isinstance(t, App):
             for a in t.args:
@@ -690,7 +690,7 @@ class _Saturator:
         pool = self.by_sort.get(sort, [])
         chosen = [t for t in pool if term_depth(t) <= depth]
         if self.ground is not None:
-            chosen = [t for t in chosen if not tau(t) and self.ground(t)]
+            chosen = [t for t in chosen if self.ground(t)]
         if len(chosen) < len(pool):
             self.truncated_by.add("instantiation")
         self._tier_cache[(depth, sort)] = chosen
@@ -797,8 +797,7 @@ class _Saturator:
         mates: dict[Term, Optional[Term]] = {}
         self._sides = {}
         for i, parent in enumerate(self.universe):
-            if not isinstance(parent, App) or (
-                    self.ground is not None and tau(parent)):
+            if not isinstance(parent, App):
                 continue
             for pos, child in enumerate(parent.args):
                 if child in mates:
@@ -947,14 +946,17 @@ _DROP_LETTER = FinFn(0, 1, ())
 def _truncation_flags(E: Theory, engine: _Saturator, goal: Equation,
                       proved: bool) -> tuple[str, ...]:
     """The engine's truncation flags, plus `weakening` for an unproved goal
-    when the structure lets a context drop a letter and some space over
-    fewer letters than the goal's context holds an edge: the engine never
-    weakens that edge's equation into a larger context, so a proof through
-    such a weakening would go unseen."""
+    when the structure lets a context drop a letter and a space holds an
+    edge whose equation the engine never weakens, though a proof might:
+    its context is shorter than the goal's, or the edge's class joins a
+    term that leaves out a letter of the context, a member the smallest-
+    mate search never reads (it looks only at orders of a term's letters)."""
     flags = set(engine.truncated_by)
-    if (not proved and delta_of(E.structure, _DROP_LETTER)
-            and any(sp.why and len(ctx) < len(goal.ctx)
-                    for ctx, sp in engine.spaces.items())):
+    if not proved and delta_of(E.structure, _DROP_LETTER) and any(
+            sp.why and (len(ctx) < len(goal.ctx) or any(
+                edges and len(set(tau(t))) < len(ctx)
+                for t, edges in sp.edges.items()))
+            for ctx, sp in engine.spaces.items()):
         flags.add("weakening")
     return tuple(sorted(flags))
 

@@ -3,13 +3,15 @@
 The ordinal [n] is {1, .., n}.  A FinFn stores the images of 1..m under a
 function [m] -> [n]; everything downstream (composition, coproducts,
 similarity components, fiber analysis) is plain arithmetic on those tuples.
-All interfaces are 1-based to match the usual ordinal convention.
+All interfaces are 1-based to match the usual ordinal convention.  Structure
+monoids decide membership exactly, with no closure horizon.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -118,63 +120,46 @@ def fiber(f: FinFn, j: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StructureMonoid:
-    """Subset of N containing 1, closed under k-fold sums with k a member.
-
-    Represented by generators plus a closure horizon; membership is decided
-    by saturating the closure rule up to `bound` and is an error beyond it.
-    """
+    """Subset of N containing 1, closed under k-fold sums with k a member,
+    given by its generators; `monoid_contains` decides membership exactly."""
 
     generators: frozenset[int]
-    bound: int = 32
-    _members: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise FinOrdError("closure bound must be >= 1")
-        for g in self.generators:
-            if g < 0:
-                raise FinOrdError("generators must be nonnegative")
-            if g > self.bound:
-                raise FinOrdError(f"generator {g} exceeds bound {self.bound}")
-        object.__setattr__(self, "_members", self._saturate())
-
-    def _saturate(self) -> frozenset[int]:
-        members = set(g for g in self.generators) | {1}
-        everything = set(range(self.bound + 1))
-        changed = True
-        while changed and not members >= everything:
-            changed = False
-            for k in sorted(members):
-                if k == 0 or k == 1:
-                    continue
-                for s in _sums_of(sorted(members), k, self.bound):
-                    if s not in members:
-                        members.add(s)
-                        changed = True
-        return frozenset(members)
-
-    def __str__(self) -> str:
-        return "gen{" + ",".join(map(str, sorted(self.generators))) + "}"
+        if any(g < 0 for g in self.generators):
+            raise FinOrdError("generators must be nonnegative")
 
 
-def _sums_of(values: list[int], k: int, bound: int) -> set[int]:
-    """All sums of exactly k values (with repetition) that stay <= bound."""
-    reachable = {0}
-    for _ in range(k):
-        reachable = {s + v for s in reachable for v in values if s + v <= bound}
-    return reachable
+@functools.lru_cache(maxsize=256)
+def _closure(generators: frozenset[int], limit: int) -> frozenset[int]:
+    """The members positive generators derive without leaving [1, limit];
+    `sums` runs through the sums of exactly k members."""
+    members = set(generators) | {1}
+    while True:
+        sums, new = {0}, set()
+        for k in range(1, max(members) + 1):
+            sums = {s + x for s in sums for x in members if s + x <= limit}
+            if k in members:
+                new |= sums
+        if new <= members:
+            return frozenset(members)
+        members |= new
 
 
-def monoid(*generators: int, bound: int = 32) -> StructureMonoid:
-    return StructureMonoid(frozenset(generators), bound)
+def monoid(*generators: int) -> StructureMonoid:
+    return StructureMonoid(frozenset(generators))
 
 
 def monoid_contains(m: StructureMonoid, n: int) -> bool:
+    """Whether n is a member, exactly.  With 0, the monoid is {0, 1} or, once
+    some k >= 2 gives 2 = 0 + .. + 1 + 1, all of N.  Without 0, a sum of k
+    members is at least k, so deriving n uses only k and summands up to n:
+    the closure within [1, n] decides it."""
     if n < 0:
         return False
-    if n > m.bound:
-        raise FinOrdError(f"query {n} beyond closure bound {m.bound}")
-    return n in m._members
+    if 0 in m.generators:
+        return n <= 1 or max(m.generators) >= 2
+    return n in _closure(frozenset(g for g in m.generators if g <= n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +355,7 @@ def _first_outside(d: DeltaFamily, pairs: Iterable[tuple], op: Callable
     return None
 
 
-def parse_family(token: str, *, bound: int = 64) -> DeltaFamily:
+def parse_family(token: str) -> DeltaFamily:
     """Parse a CLI family token, e.g. 'bijections' or 'delta-upper:0,1'."""
     if ":" in token:
         kind, _, gens = token.partition(":")
@@ -380,7 +365,7 @@ def parse_family(token: str, *, bound: int = 64) -> DeltaFamily:
             generators = frozenset(int(g) for g in gens.split(",") if g != "")
         except ValueError as exc:
             raise FinOrdError(f"bad generator list in {token!r}") from exc
-        return DeltaFamily(kind, StructureMonoid(generators, bound))
+        return DeltaFamily(kind, StructureMonoid(generators))
     if token not in _NAMED_KINDS:
         raise FinOrdError(f"unknown family token {token!r}")
     return DeltaFamily(token)

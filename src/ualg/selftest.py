@@ -18,9 +18,8 @@ from .finord import (
     parse_family, similarity_component, verify_structure_category,
 )
 from .context import (
-    BIJECTIVE, CARTESIAN, INJECTIVE, LEFT_SURJECTIVE, RIGHT_SURJECTIVE,
-    STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextStructure, Letter, Word,
-    delta_of, embedding, holds, terminal_context,
+    CARTESIAN, INJECTIVE, STRICT_INCREASING, STRUCTURES, ContextStructure,
+    Letter, Word, delta_of, embedding, holds, terminal_context,
 )
 from .syntax import (
     Equation, Theory, parse_equation_text, parse_theory, signature,
@@ -102,23 +101,6 @@ def projection_theory(structure: ContextStructure = CARTESIAN) -> Theory:
     return Theory(base.name, base.signature, structure, base.equations)
 
 
-EIGHT_STRUCTURES: tuple[ContextStructure, ...] = (
-    TRIVIAL, BIJECTIVE, STRICT_INCREASING, INJECTIVE, SURJECTIVE,
-    LEFT_SURJECTIVE, RIGHT_SURJECTIVE, CARTESIAN,
-)
-
-STRUCTURE_FAMILY = {
-    TRIVIAL.kind: "identities",
-    BIJECTIVE.kind: "bijections",
-    STRICT_INCREASING.kind: "strict-increasing",
-    INJECTIVE.kind: "injections",
-    SURJECTIVE.kind: "surjections",
-    LEFT_SURJECTIVE.kind: "left-surjections",
-    RIGHT_SURJECTIVE.kind: "right-surjections",
-    CARTESIAN.kind: "all",
-}
-
-
 # ---------------------------------------------------------------------------
 # structure-category closure suite
 
@@ -126,13 +108,13 @@ STRUCTURE_FAMILY = {
 def check_structure_categories() -> Outcome:
     details: list[str] = []
     ok = True
-    for token in STRUCTURE_FAMILY.values():
-        report = verify_structure_category(parse_family(token), 4)
+    for R in STRUCTURES:
+        report = verify_structure_category(R.family, 4)
         if not report.passed:
             ok = False
             details.extend(report.lines())
         else:
-            details.append(f"{token}: pass ({report.member_count} members)")
+            details.append(f"{R.family}: pass ({report.member_count} members)")
     inc = verify_structure_category(parse_family("increasing"), 3)
     sim = next(c for c in inc.checks if c.name == "similarity")
     if inc.passed or sim.ok:
@@ -151,10 +133,9 @@ def check_structure_categories() -> Outcome:
 def check_family_correspondence() -> Outcome:
     checked = 0
     for theta in all_functions(4):
-        for structure in EIGHT_STRUCTURES:
-            family = parse_family(STRUCTURE_FAMILY[structure.kind])
-            if delta_of(structure, theta) != in_family(family, theta):
-                return False, [f"mismatch at {structure.kind} for theta = "
+        for R in STRUCTURES:
+            if delta_of(R, theta) != in_family(R.family, theta):
+                return False, [f"mismatch at {R.kind} for theta = "
                                f"{theta}"]
             checked += 1
     return True, [f"{checked} structure/function pairs agree"]
@@ -189,7 +170,7 @@ def check_context_conditions() -> Outcome:
     small_ctxs = [c for c in ctxs if len(c) <= 2]
     small_words = _all_words(letters[:2], 2)
     details = []
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         for c in ctxs:
             if not holds(R, c, c):
                 return False, [f"{R}: reflexivity fails at {c}"]
@@ -239,7 +220,7 @@ def check_terminal_contexts() -> Outcome:
     words = _all_words(letters, 4)
     ctxs = _all_contexts(letters, 4)
     count = 0
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         for v in words:
             c = terminal_context(R, v)
             if c is None:

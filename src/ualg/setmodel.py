@@ -3,7 +3,8 @@
 A MultiMap is a total function from a cartesian product of finite carriers
 (identified by their sizes) into a carrier, stored as a dense row-major table
 (first coordinate most significant).  Carriers may be empty: a product with
-an empty factor has no rows and the table is the empty tuple.
+an empty factor has no rows and the table is the empty tuple.  A term's
+table is `syntax.denote` over these tables (`eval_term`).
 
 Model search follows SEM and Mace4: for each size vector it assigns the table
 cells one at a time, ops in signature order and each table row-major, trying
@@ -24,10 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .context import ContextStructure, Letter, Word, embedding
+from .context import ContextStructure, Letter, Word
 from .finord import FinFn
 from .syntax import (
-    App, Equation, Signature, Term, Theory, TheoryError, Var, arg_contexts,
+    App, Equation, Signature, Term, Theory, TheoryError, Var, denote,
     is_r_context, term_str,
 )
 
@@ -162,30 +163,16 @@ class FinSetModel:
 
 
 def eval_term(m: FinSetModel, v: Word, t: Term) -> MultiMap:
-    """The table of t in context v, built by the three-case recursion with
-    terminal contexts for subterms and reindexing along the unique embedding."""
+    """The table of t in context v: `syntax.denote` over identity tables,
+    the op tables, `compose_multi` and `theta_action`."""
     R = m.structure
     if not is_r_context(R, v, t):
         raise ModelError(
             f"[{' '.join(x.name for x in v)}] is not a context for "
             f"{term_str(t)} under {R}")
-    return _eval(m, v, t)
-
-
-def _eval(m: FinSetModel, v: Word, t: Term) -> MultiMap:
-    target = m.carrier_word(v)
-    if isinstance(t, Var):
-        theta = embedding(v, (t.letter,))
-        return theta_action(identity_map(m.carriers[t.sort]), theta, target)
-    assert isinstance(t, App)
-    if not t.args:
-        return theta_action(m.op_tables[t.op], embedding(v, ()), target)
-    ws = arg_contexts(m.structure, t.args)
-    if ws is None:
-        raise ModelError(f"an argument of {term_str(t)} has no context")
-    inner = compose_multi(m.op_tables[t.op],
-                          [_eval(m, w, child) for w, child in zip(ws, t.args)])
-    return theta_action(inner, embedding(v, sum(ws, ())), target)
+    return denote(R, v, t, lambda sort: identity_map(m.carriers[sort]),
+                  m.op_tables.__getitem__, compose_multi,
+                  lambda f, th, u: theta_action(f, th, m.carrier_word(u)))
 
 
 def satisfies(m: FinSetModel, eq: Equation) -> bool:

@@ -8,11 +8,11 @@ DSL is line-oriented; see `parse_theory` for the grammar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .context import (
-    ContextStructure, ContextError, Letter, Word, check_context, holds,
-    parse_structure, terminal_context,
+    ContextStructure, ContextError, Letter, Word, check_context, embedding,
+    holds, parse_structure, terminal_context,
 )
 
 
@@ -203,6 +203,33 @@ def arg_contexts(R: ContextStructure, args: Sequence[Term]
     application composes at these words and embeds at their concatenation."""
     ws = tuple(terminal_context(R, a._tau) for a in args)
     return None if None in ws else ws
+
+
+def denote(R: ContextStructure, v: Word, t: Term, ident: Callable,
+           op: Callable, compose: Callable, act: Callable):
+    """t in context v, in the multicategory of `ident(sort)`, `op(name)`,
+    `compose(head, args)` and `act(f, theta, u)` (reindex f along theta into
+    context u): an application composes at its `arg_contexts` words, and
+    each result is reindexed along its embedding.  An uncovered letter or
+    an argument with no context raises EquationContextError."""
+    if isinstance(t, Var):
+        w, inner = (t.letter,), ident(t.sort)
+    elif not t.args:
+        w, inner = (), op(t.op)
+    else:
+        ws = arg_contexts(R, t.args)
+        if ws is None:
+            raise EquationContextError(
+                f"an argument of {term_str(t)} has no context")
+        w = sum(ws, ())
+        inner = compose(op(t.op), [denote(R, w_i, a, ident, op, compose, act)
+                                   for w_i, a in zip(ws, t.args)])
+    try:
+        theta = embedding(v, w)
+    except KeyError:
+        raise EquationContextError(
+            f"context does not cover {term_str(t)}") from None
+    return act(inner, theta, v)
 
 
 def is_r_context(R: ContextStructure, c: Word, t: Term) -> bool:

@@ -7,7 +7,8 @@ constants.  Every sort and symbol name is built once, by `build_sigma`, from
 a structured key; code that needs a symbol's shape reads the key from the
 symbol table and never parses the name.  The categorization axioms make those
 symbols behave like a multicategory; internalizing a theory adds one closed
-equation per axiom.
+equation per axiom, whose sides are read by `syntax.denote`, the recursion
+that also gives a term's table in a finite-set model.
 The initial model is then the quotient of closed terms by the ground
 congruence closure of the closed axiom instances (Birkhoff), which the
 shared saturation engine, run ground, computes at bounded depth.
@@ -19,9 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .context import (
-    CARTESIAN, ContextStructure, Letter, Word, delta_of, embedding,
-)
+from .context import CARTESIAN, ContextStructure, Letter, Word, delta_of
 from .finord import (
     FinFn, all_functions, compose as fn_compose, coproduct,
     identity as fn_identity, similarity_component,
@@ -30,8 +29,8 @@ from .setmodel import (
     FinSetModel, MultiMap, compose_multi, identity_map, theta_action,
 )
 from .syntax import (
-    App, Equation, OpDecl, Signature, Term, Theory, TheoryError, Var, app,
-    arg_contexts, equation, term_depth, term_str, var,
+    App, Equation, EquationContextError, OpDecl, Signature, Term, Theory,
+    TheoryError, Var, app, denote, equation, term_depth, term_str, var,
 )
 from .deduction import Bounds, _Saturator, _term_key
 
@@ -268,26 +267,25 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
         for cs in itertools.product(base_sorts, repeat=n):
             for d in base_sorts:
                 for b_words in _arg_splits(base_sorts, n, A3):
-                    theta_lists = []
-                    for b in b_words:
-                        options = [t for t in S.thetas if t.cod == len(b)]
-                        theta_lists.append(options)
+                    theta_lists = [[t for t in S.thetas if t.cod == len(b)]
+                                   for b in b_words]
                     for thetas in itertools.product(*theta_lists):
-                        total = coproduct(list(thetas)) if thetas else None
+                        # degenerate, both sides identical; this includes
+                        # the n = 0 shape, so the coproduct below has a term
+                        if all(t.is_identity() for t in thetas):
+                            continue
+                        total = coproduct(list(thetas))
                         h = _hvar(S, "h", cs, d)
                         gs = [_hvar(S, f"g{i + 1}", th.pull(b), cs[i])
                               for i, (b, th) in enumerate(zip(b_words, thetas))]
-                        if all(t.is_identity() for t in thetas):
-                            continue  # degenerate: both sides identical
                         try:
                             lhs = _comp(S, h, [
                                 _act(S, th, b, cs[i], gs[i])
                                 for i, (b, th) in enumerate(
                                     zip(b_words, thetas))])
-                            inner = _comp(S, h, gs)
-                            rhs = (_act(S, total, tuple(
-                                x for b in b_words for x in b), d, inner)
-                                if total is not None else inner)
+                            rhs = _act(S, total, tuple(
+                                x for b in b_words for x in b), d,
+                                _comp(S, h, gs))
                         except UniversalError:
                             continue
                         emit("actin", lhs, rhs,
@@ -301,9 +299,9 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                 for m_vec in itertools.product(range(A3 + 1), repeat=n):
                     if sum(m_vec) > A3:
                         continue
-                    for b_words in _arg_splits(base_sorts, n, A3):
-                        if tuple(len(b) for b in b_words) != m_vec:
-                            continue
+                    for b_words in itertools.product(*(
+                            itertools.product(base_sorts, repeat=k)
+                            for k in m_vec)):
                         for a_words in _arg_splits(base_sorts, sum(m_vec), A3):
                             h = _hvar(S, "h", cs, d)
                             gs = [_hvar(S, f"g{i + 1}", b_words[i], cs[i])
@@ -331,31 +329,23 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
 
 def internalize_term(S: SigmaSignature, v: Word, t: Term) -> Term:
     """The closed extended-signature term denoting t as a multimorphism on
-    the sorts of v."""
-    v_sorts = tuple(x.sort for x in v)
-    if isinstance(t, Var):
-        w: Word = (t.letter,)
-        inner = app(S.signature, S.id_name(t.sort))
-    elif not t.args:
-        w = ()
-        inner = app(S.signature, S.op_name(t.op))
-    else:
-        ws = arg_contexts(S.structure, t.args)
-        if ws is None:
-            raise UniversalError(f"an argument of {term_str(t)} has no context")
-        w = sum(ws, ())
-        head = app(S.signature, S.op_name(t.op))
-        inner = _comp(S, head, [internalize_term(S, w_i, child)
-                                for w_i, child in zip(ws, t.args)])
+    the sorts of v: `syntax.denote` over id[c], op:f, comp and act.  Only
+    the outermost reindexing can fall outside Delta_R, as every inner one
+    embeds at an argument's terminal context."""
+    R = S.structure
+
+    def act(h: Term, theta: FinFn, u: Word) -> Term:
+        if not delta_of(R, theta):
+            raise UniversalError(
+                f"embedding of {term_str(t)} not admitted by {R}")
+        return _act(S, theta, [x.sort for x in u], S.hom_of[h.sort][1], h)
+
     try:
-        theta = embedding(v, w)
-    except KeyError:
-        raise UniversalError(
-            f"context does not cover {term_str(t)}") from None
-    if not delta_of(S.structure, theta):
-        raise UniversalError(
-            f"embedding of {term_str(t)} not admitted by {S.structure}")
-    return _act(S, theta, v_sorts, t.sort, inner)
+        return denote(R, v, t, lambda c: app(S.signature, S.id_name(c)),
+                      lambda f: app(S.signature, S.op_name(f)),
+                      lambda head, args: _comp(S, head, args), act)
+    except EquationContextError as exc:
+        raise UniversalError(str(exc)) from None
 
 
 def internalize(E: Theory, S: SigmaSignature) -> list[Equation]:
@@ -457,23 +447,17 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
 
 def default_sigma(E: Theory, hom: tuple[Sequence[str], str]
                   ) -> SigmaSignature:
+    """The extended signature wide enough for the hom sort, each op and
+    axiom context, and each word an axiom side composes at (a theta.dom)."""
     max_arity = max(
         [1, len(tuple(hom[0]))]
         + [len(d.arity) for d in E.signature.ops.values()]
         + [len(ax.ctx) for ax in E.equations]
-        + [_composition_width(E.structure, side)
+        + [denote(E.structure, ax.ctx, side, lambda c: 0, lambda f: 0,
+                  lambda head, args: max(args, default=0),
+                  lambda width, theta, u: max(width, theta.dom))
            for ax in E.equations for side in (ax.lhs, ax.rhs)])
     return build_sigma(E.signature, E.structure, max_arity)
-
-
-def _composition_width(R: ContextStructure, t: Term) -> int:
-    """The longest word `internalize_term` composes at over t's subterms:
-    the concatenation of an application's `arg_contexts`."""
-    if not isinstance(t, App):
-        return 0
-    words = arg_contexts(R, t.args) or ()
-    return max([sum(map(len, words))]
-               + [_composition_width(R, child) for child in t.args])
 
 
 # ---------------------------------------------------------------------------

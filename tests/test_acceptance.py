@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from conftest import child_env
-from ualg import selftest
+from ualg import context
 from ualg.selftest import render_report, run_selftest
 
 CHILD_TIMEOUT_S = 600
@@ -56,7 +56,7 @@ def test_criterion_11_determinism(selftest_runs):
 def test_failing_criterion_reports_under_its_one_name(monkeypatch):
     """A criterion prints the name `ALL_CHECKS` gives it whether it passes
     or fails; only the status and the details change."""
-    monkeypatch.setitem(selftest.STRUCTURE_FAMILY, "bijective", "identities")
+    monkeypatch.setitem(context._FAMILY_TAGS, "bijective", "identities")
     (result,) = run_selftest(only=[2])
     assert result.line() == ("criterion  2 [FAIL] relation/family "
                              "correspondence on [m],[n] <= 4")

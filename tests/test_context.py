@@ -8,11 +8,11 @@ import pytest
 
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, LEFT_SURJECTIVE, RIGHT_SURJECTIVE,
-    STRICT_INCREASING, SURJECTIVE, TRIVIAL, ContextError, Letter, delta_of,
-    embedding, governing_orders, holds, parse_structure, terminal_context,
+    STRICT_INCREASING, STRUCTURES, SURJECTIVE, TRIVIAL, ContextError, Letter,
+    delta_of, embedding, governing_orders, holds, parse_structure,
+    terminal_context,
 )
-from ualg.finord import all_functions, fn, in_family, parse_family
-from ualg.selftest import EIGHT_STRUCTURES, STRUCTURE_FAMILY
+from ualg.finord import all_functions, fn, in_family
 
 X, Y, Z = (Letter("s", n) for n in "xyz")
 
@@ -76,7 +76,7 @@ def test_terminal_context_examples():
 def test_terminal_context_defining_property():
     letters = (X, Y, Z)
     ctx_pool = list(contexts(letters, 3))
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         for v in words(letters, 3):
             c = terminal_context(R, v)
             if c is None:
@@ -91,7 +91,7 @@ def test_modelable_decompose_components_governed():
     when c governs v1+v2, each v_i has a terminal context t_i, t_i governs
     v_i, and c governs t1+t2."""
     letters = (X, Y)
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         for v1 in words(letters, 2):
             for v2 in words(letters, 2):
                 for c in contexts((X, Y, Z), 3):
@@ -121,8 +121,8 @@ def test_embedding_inverts_pull():
 
 def test_delta_of_matches_family_at_three():
     for theta in all_functions(3):
-        for structure in EIGHT_STRUCTURES:
-            family = parse_family(STRUCTURE_FAMILY[structure.kind])
+        for structure in STRUCTURES:
+            family = structure.family
             assert delta_of(structure, theta) == in_family(family, theta), (
                 structure.kind, theta)
 
@@ -135,7 +135,7 @@ def test_context_sets_corollary():
     letters = (X, Y)
     word_pool = list(words(letters, 2))
     ctx_pool = list(contexts((X, Y, Z), 4))
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         thetas = [t for t in all_functions(3)
                   if delta_of(R, t) and all(s >= 1 for s in fiber_sizes(t))]
         for theta in thetas:
@@ -155,7 +155,7 @@ def test_governing_orders_are_the_orders_that_hold():
     letters of one sort and one of another, under all eight structures."""
     letters = (*(Letter("s", n) for n in "xyzw"), Letter("t", "u"))
     pairs = 0
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         for v in words(letters, 5):
             want = [p for p in itertools.permutations(dict.fromkeys(v))
                     if holds(R, p, v)]

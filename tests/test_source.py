@@ -255,6 +255,33 @@ def test_output_path_check_sees_a_stray_use():
     assert _uses_outside(tree, "_emit", _builds_check_result) == [5]
 
 
+def _calls(tree: ast.Module, name: str) -> list[int]:
+    """The lines that call `name`, as a bare name or as an attribute."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and (
+        isinstance(n.func, ast.Name) and n.func.id == name
+        or isinstance(n.func, ast.Attribute) and n.func.attr == name)]
+
+
+def test_one_term_denotation():
+    """Only `syntax` (in `denote`) and `deduction` (rule 5) call
+    `arg_contexts`, so every semantics of a term, in finite sets or in the
+    extended signature, reads it through `syntax.denote`."""
+    stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("syntax.py", "deduction.py")
+             for line in _calls(ast.parse(path.read_text()), "arg_contexts")]
+    assert not stray, "arg_contexts called at:\n" + "\n".join(stray)
+
+
+def test_denotation_check_sees_a_stray_call():
+    tree = ast.parse("from . import syntax\n"
+                     "from .syntax import arg_contexts\n"
+                     "def f(R, t):\n"
+                     "    return arg_contexts(R, t.args)\n"
+                     "def g(R, t):\n"
+                     "    return syntax.arg_contexts(R, t.args), t.args\n")
+    assert _calls(tree, "arg_contexts") == [4, 6]
+
+
 def _stored_attributes(tree: ast.Module) -> dict[str, int]:
     """Each attribute a method stores on `self`, with the first line that
     stores it."""

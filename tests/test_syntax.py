@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from ualg.context import BIJECTIVE, CARTESIAN, INJECTIVE, SURJECTIVE, Letter
+from ualg.context import (
+    BIJECTIVE, CARTESIAN, INJECTIVE, STRUCTURES, SURJECTIVE, Letter,
+)
 from ualg import syntax
 from ualg.deduction import Bounds
-from ualg.selftest import EIGHT_STRUCTURES, MONOID_TEXT
+from ualg.selftest import MONOID_TEXT
 from ualg.syntax import (
     EquationContextError, ParseError, Term, TypingError, app,
     apply_renaming, arg_contexts, const, equation, is_r_context,
@@ -246,7 +248,7 @@ def test_renaming_preserves_contexts(monoid):
     images = [var(X), var(Y), e, app(sig, "mul", [var(X), var(Y)])]
     from ualg.context import terminal_context
 
-    for R in EIGHT_STRUCTURES:
+    for R in STRUCTURES:
         for t in depth2:
             if not is_r_context(R, (A, B), t):
                 continue

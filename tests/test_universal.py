@@ -10,7 +10,9 @@ from ualg.finord import fn, identity
 from ualg.selftest import (
     GOAL_LIST, eckmann_hilton_theory, monoid_theory, projection_theory,
 )
-from ualg.setmodel import FinSetModel, MultiMap, iter_models, table_from
+from ualg.setmodel import (
+    FinSetModel, MultiMap, eval_term, iter_models, table_from,
+)
 from ualg.syntax import Theory, app, equation, parse_equation_text, \
     parse_theory, signature, var
 from ualg.universal import (
@@ -292,6 +294,33 @@ def test_sigma_interpret_examples(monoid):
     lhs = sigma_interpret(S, xor, ints["int:lunit"].lhs)
     rhs = sigma_interpret(S, xor, ints["int:lunit"].rhs)
     assert lhs == rhs == MultiMap((2,), 2, (0, 1))
+
+
+def test_internalized_terms_denote_their_tables():
+    """`internalize_term` and `eval_term` are one recursion, `denote`, over
+    two multicategories, and `sigma_interpret` maps the first to the
+    second: in every model up to size 2, an axiom or goal side's
+    internalized term interprets to the side's table."""
+    pairs = 0
+    for key, E in (("monoid", monoid_theory()),
+                   ("eh", eckmann_hilton_theory()),
+                   ("projection", projection_theory(CARTESIAN)),
+                   ("projection", projection_theory(INJECTIVE))):
+        S = default_sigma(E, SAMPLE_HOMS[key][1])
+        goals = [parse_equation_text(E.signature, text,
+                                     structure=E.structure)
+                 for goal_key, text, _ in GOAL_LIST if goal_key == key]
+        sides = [(eq.ctx, t) for eq in (*E.equations, *goals)
+                 for t in (eq.lhs, eq.rhs)]
+        models = list(iter_models(E, 2))
+        assert models, (key, E.structure)
+        for ctx, t in sides:
+            internal = internalize_term(S, ctx, t)
+            for m in models:
+                assert sigma_interpret(S, m, internal) == eval_term(
+                    m, ctx, t), (key, E.structure, t)
+                pairs += 1
+    assert pairs >= 154
 
 
 @pytest.mark.parametrize("kind", sorted(NON_LINEAR))
