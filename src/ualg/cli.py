@@ -123,7 +123,7 @@ def cmd_countermodel(args) -> Output:
 def cmd_universal(args) -> Output:
     theory = _load_theory(args.file)
     doms_text, sep, result_sort = args.hom.partition("->")
-    if not sep:
+    if not sep or len(result_sort.split()) != 1:
         raise TheoryError("hom must look like '<S> <S> -> <S>'")
     hom = (tuple(doms_text.split()), result_sort.strip())
     part = universal_hom(theory, hom, _bounds(args))

@@ -88,7 +88,11 @@ leaves every derived equation and proof unchanged:
     positional canonicalization commute with sort-preserving letter
     bijections, and once some order governs the word, its orders depend on
     the sides alone up to such a bijection.  So a conclusion whose key an
-    earlier one recorded meets only pairs that one emitted, and is skipped;
+    earlier one recorded meets only pairs that one emitted, and is skipped.
+    Two combos of one instantiation event that such a bijection maps onto
+    each other conclude one key and meet the same early exits, so
+    `_instantiate` skips a combo whose canonical images an earlier one had
+    before building its sides;
   * pool letters: the _v and _p letters are cached per (sort, index), which
     only saves building their names, since every letter is interned.
 """
@@ -698,6 +702,12 @@ class _Saturator:
 
     def _instantiate(self, event: tuple[Word, Term, Term], axiom_level: bool,
                      out: list) -> None:
+        """Conclude rule 5 from `event` at every combo of targets for its
+        letters but the letter renamings of an earlier combo (see "renamed
+        conclusions"), keyed by their images canonicalized at the
+        first-occurrence order of their contexts.  An event is instantiated
+        in one round, so the keys live for this call; closed combos take
+        none."""
         ctx = event[0]
         n = len(ctx)
         if n == 0:
@@ -715,10 +725,19 @@ class _Saturator:
             if any(not lst for lst in target_lists) or \
                     math.prod(map(len, target_lists)) > _INST_BUDGET:
                 return
+        keys: set[tuple[Term, ...]] = set()
         for combo in itertools.product(*target_lists):
             ws = arg_contexts(self.R, combo)
-            if ws is not None:
-                self._conclude(event, combo, combo, ws, sum(ws, ()), None, out)
+            if ws is None:
+                continue
+            u_cat = sum(ws, ())
+            if u_cat:
+                _, key = _canonicalize(tuple(dict.fromkeys(u_cat)), combo)
+                key = tuple(key)
+                if key in keys:
+                    continue
+                keys.add(key)
+            self._conclude(event, combo, combo, ws, u_cat, None, out)
 
     def _conclude(self, premise: tuple[Word, Term, Term],
                   images1: tuple[Term, ...], images2: tuple[Term, ...],

@@ -424,6 +424,9 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     entering as axiom subterms and derived conclusions, which keeps the
     congruence universe at desk scale.
     """
+    for sort in (*hom[0], hom[1]):
+        if sort not in E.signature.sorts:
+            raise UniversalError(f"unknown sort {sort}")
     if sigma is None:
         sigma = default_sigma(E, hom)
     universe = enumerate_pure_terms(sigma, min(2, bounds.max_term_depth))

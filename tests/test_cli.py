@@ -423,3 +423,15 @@ def test_universal_hom_without_arrow_exit_code():
     assert p.returncode == 3
     assert p.stdout == ""
     assert p.stderr == "error: hom must look like '<S> <S> -> <S>'\n"
+
+
+def test_universal_hom_sort_errors_exit_code():
+    """An undeclared sort is named as unknown; a missing or doubled result
+    sort is a malformed hom."""
+    for hom, message in (("M -> N", "unknown sort N"),
+                         ("N M -> M", "unknown sort N"),
+                         ("M ->", "hom must look like '<S> <S> -> <S>'"),
+                         ("M -> M M", "hom must look like '<S> <S> -> <S>'")):
+        p = ualg("universal", MONOID, "--hom", hom)
+        assert (p.returncode, p.stdout, p.stderr) == (
+            3, "", f"error: {message}\n"), hom

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import weakref
 from pathlib import Path
 
@@ -538,11 +539,13 @@ def test_union_edges_form_a_spanning_forest(monkeypatch):
 # set of (parent, pos, mate) triples it swapped, where the engine skips a
 # child of an old parent that kept its mate, and in finding each mate from
 # the least member of each class by scanning the space, where the engine
-# reads it off `find`.  Its swap and conclusion steps, monkeypatched in with
-# it, keep no side memo, remember the canonical pairs they emitted, and
-# share no helper with the engine's: they find the governing orders by
-# filtering every permutation through `holds`, canonicalize on their own,
-# and key a conclusion by its first-occurrence form.
+# reads it off `find`.  Its instantiation, swap and conclusion steps,
+# monkeypatched in with it, keep no side memo, remember the canonical pairs
+# they emitted, and share no helper with the engine's: instantiation takes
+# the engine's targets and budget but keys no combo, so every combo reaches
+# the conclusion step; that step finds the governing orders by filtering
+# every permutation through `holds`, canonicalizes on its own, and keys a
+# conclusion by its first-occurrence form.
 
 
 def _ref_canonicalize(ctx, terms):
@@ -598,6 +601,25 @@ def _raw_smallest_mate(self, u, least):
         if key(cand) < key(u) and (best is None or key(cand) < key(best)):
             best = cand
     return best
+
+
+def _full_walk_instantiate(self, event, axiom_level, out):
+    ctx = event[0]
+    if not ctx:
+        return
+    target_lists = [self._targets_for(len(ctx), x.sort, axiom_level)
+                    for x in ctx]
+    if math.prod(map(len, target_lists)) > deduction._INST_BUDGET:
+        self.truncated_by.add("instantiation")
+        target_lists = [[t for t in lst if isinstance(t, App) and not t.args]
+                        for lst in target_lists]
+        if math.prod(map(len, target_lists)) > deduction._INST_BUDGET:
+            return
+    for combo in itertools.product(*target_lists):
+        ws = tuple(terminal_context(self.R, tau(t)) for t in combo)
+        if None not in ws:
+            u_cat = tuple(y for w in ws for y in w)
+            self._conclude(event, combo, combo, ws, u_cat, None, out)
 
 
 def _full_walk_sweep(self, out):
@@ -740,17 +762,49 @@ def _sweep_workloads():
 def test_incremental_sweep_matches_the_full_walk(monkeypatch):
     """Skipping the children of old parents that kept their mates,
     per-sweep mate and side memos, governing orders in place of filtering
-    permutations, the canonical conclusion key, and reading the mates off
+    permutations, the canonical conclusion key, skipping renamed
+    instantiation combos by their image keys, and reading the mates off
     the union-find change no candidate and no candidate order:
     events, flags, rounds and every union edge's justification equal the
     full walk's."""
     runs = _sweep_workloads()
     got = [_engine_record(make()) for _, make in runs]
+    monkeypatch.setattr(_Saturator, "_instantiate", _full_walk_instantiate)
     monkeypatch.setattr(_Saturator, "_congruence_sweep", _full_walk_sweep)
     monkeypatch.setattr(_Saturator, "_swap_child", _full_walk_swap_child)
     monkeypatch.setattr(_Saturator, "_conclude", _full_walk_conclude)
     for (name, make), record in zip(runs, got):
         assert record == _engine_record(make()), name
+
+
+def test_renamed_instantiations_are_keyed_once(monkeypatch, monoid):
+    """`assoc` at the four depth-1 targets of Monoid has 64 combos, which
+    fall into 15 classes under letter renaming: `_instantiate` concludes
+    once per class and emits the candidates and flags of a conclusion at
+    every combo."""
+    calls = []
+    conclude = _Saturator._conclude
+
+    def counting(self, *args):
+        calls.append(args[1])
+        conclude(self, *args)
+
+    monkeypatch.setattr(_Saturator, "_conclude", counting)
+    runs = []
+    for instantiate in (_Saturator._instantiate, _full_walk_instantiate):
+        engine = _Saturator(monoid, Bounds(3, 3, 4))
+        event = engine.events[0]
+        assert set(event[1:]) == set(canon(monoid.axiom("assoc"))[1:])
+        assert len(engine._targets_for(3, "M", True)) == 4
+        calls.clear()
+        out: list = []
+        instantiate(engine, event, True, out)
+        runs.append((len(calls), [c[:3] + (_why_record(c[3]),) for c in out],
+                     set(engine.truncated_by)))
+    (keyed, out, flags), (walked, full_out, full_flags) = runs
+    assert (keyed, walked) == (15, 64)
+    assert out == full_out and flags == full_flags
+    assert len(out) == 25
 
 
 def test_roots_are_least_and_swaps_never_repeat(monkeypatch):

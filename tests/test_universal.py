@@ -132,6 +132,19 @@ def test_universal_hom_unit_class():
     assert {"id[M]", "act[1](id[M])", "comp(id[M], id[M])"} <= names
 
 
+def test_universal_hom_rejects_an_unknown_sort_and_a_narrow_sigma(monoid):
+    """A sort the theory does not declare is named before any signature is
+    built; a declared hom sort wider than a given extended signature is
+    outside its bounds."""
+    with pytest.raises(UniversalError, match=r"^unknown sort N$"):
+        universal_hom(monoid, (("M",), "N"), Bounds(1, 1, 1))
+    narrow = build_sigma(monoid.signature, monoid.structure, 2)
+    with pytest.raises(UniversalError,
+                       match=r"^hom sort M M M -> M outside bounds$"):
+        universal_hom(monoid, (("M", "M", "M"), "M"), Bounds(1, 1, 1),
+                      sigma=narrow)
+
+
 def test_universal_hom_projection_split():
     inj = projection_theory(INJECTIVE)
     a, b = Letter("A", "x"), Letter("A", "y")
