@@ -19,9 +19,11 @@ axioms take every registered term up to the starting material's depth at
 and longer contexts take depth-1 terms (variables and constants), with a
 per-equation budget that falls back to constants alone.  Anything these
 bounds or the depth/context caps skip sets the truncation flag, so a missing
-goal is reported inconclusive rather than refuted.  Conclusions are emitted
-only at orders of the letters they use, so the engine never weakens an
-equation into a context with more letters; `prove` flags that gap too
+goal is reported inconclusive rather than refuted.  A closed event has no
+letters to instantiate, so it drops nothing: terms registered after it was
+instantiated, or its depth, flag only a lettered event.  Conclusions are
+emitted only at orders of the letters they use, so the engine never weakens
+an equation into a context with more letters; `prove` flags that gap too
 (`weakening`) when it could matter.
 
 A ground engine (`universal_hom`'s) registers closed terms only, so it
@@ -79,9 +81,11 @@ leaves every derived equation and proof unchanged:
   * canonical views: a term's (canonical context, canonical term, letter
     order) for each of its governing orders (`context.governing_orders`)
     depends on the term alone, so it is computed once per engine, as is
-    each op's congruence template.  A side premise is looked up in the
-    child's views: a mate has only the child's letters, and a space holds
-    only terms its context governs;
+    each op's congruence template.  The first view is the term at its
+    terminal context, so an instantiation target's context and canonical
+    form are read off it.  A side premise is looked up in the child's
+    views: a mate has only the child's letters, and a space holds only
+    terms its context governs;
   * renamed conclusions: a rule-5 conclusion is keyed by its sides
     canonicalized at the first-occurrence order of its governed word, the
     conclusion at that order when that order governs.  holds() and
@@ -91,8 +95,12 @@ leaves every derived equation and proof unchanged:
     earlier one recorded meets only pairs that one emitted, and is skipped.
     Two combos of one instantiation event that such a bijection maps onto
     each other conclude one key and meet the same early exits, so
-    `_instantiate` skips a combo whose canonical images an earlier one had
-    before building its sides;
+    `_instantiate` skips a combo whose key an earlier one had before
+    building its sides.  A combo's key is its targets' canonical forms with
+    the first-occurrence index of each letter of their concatenated
+    contexts: two combos share it iff such a bijection maps one onto the
+    other, since the indices match the letters across targets and each
+    canonical form fixes its target up to renaming its own context;
   * pool letters: the _v and _p letters are cached per (sort, index), which
     only saves building their names, since every letter is interned.
 """
@@ -554,8 +562,10 @@ class _Saturator:
                 self.truncated_by.add("rounds")
                 break
             rounds += 1
-            if rounds > 1 and len(self.universe) > registered:
-                # Equations already instantiated never revisit these targets.
+            if rounds > 1 and len(self.universe) > registered and \
+                    any(ctx for ctx, _, _ in self.events[:merged]):
+                # Equations already instantiated never revisit these targets;
+                # a closed one has no letters, so it drops nothing.
                 self.truncated_by.add("instantiation")
             frontier = self.events[merged:]
             merged, registered = len(self.events), len(self.universe)
@@ -672,7 +682,7 @@ class _Saturator:
             _, a, b = event
             if axiom_level or max(term_depth(a), term_depth(b)) <= _CONG_TIER_DEPTH:
                 self._instantiate(event, axiom_level, out)
-            else:
+            elif event[0]:  # a closed event has no letters to instantiate
                 self.truncated_by.add("instantiation")
         self._congruence_sweep(out)
         return out
@@ -704,10 +714,11 @@ class _Saturator:
                      out: list) -> None:
         """Conclude rule 5 from `event` at every combo of targets for its
         letters but the letter renamings of an earlier combo (see "renamed
-        conclusions"), keyed by their images canonicalized at the
-        first-occurrence order of their contexts.  An event is instantiated
-        in one round, so the keys live for this call; closed combos take
-        none."""
+        conclusions").  Each target's terminal context and canonical form
+        come from its first canonical view; a target with none has no
+        terminal context, so no combo holding it is concluded.  An event is
+        instantiated in one round, so the keys live for this call; closed
+        combos take none."""
         ctx = event[0]
         n = len(ctx)
         if n == 0:
@@ -725,15 +736,18 @@ class _Saturator:
             if any(not lst for lst in target_lists) or \
                     math.prod(map(len, target_lists)) > _INST_BUDGET:
                 return
-        keys: set[tuple[Term, ...]] = set()
-        for combo in itertools.product(*target_lists):
-            ws = arg_contexts(self.R, combo)
-            if ws is None:
-                continue
+        # (target, canonical form, terminal context) off the first view
+        view_lists = [[(t, views[0][1], views[0][2]) for t in lst
+                       if (views := self._canonical_views(t))]
+                      for lst in target_lists]
+        keys: set[tuple] = set()
+        for picks in itertools.product(*view_lists):
+            combo, forms, ws = zip(*picks)
             u_cat = sum(ws, ())
             if u_cat:
-                _, key = _canonicalize(tuple(dict.fromkeys(u_cat)), combo)
-                key = tuple(key)
+                first: dict[Letter, int] = {}
+                key = (forms,
+                       tuple(first.setdefault(x, len(first)) for x in u_cat))
                 if key in keys:
                     continue
                 keys.add(key)

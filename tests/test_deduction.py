@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ualg import deduction, universal
+from ualg import context, deduction, syntax, universal
 from ualg.context import (
     BIJECTIVE, CARTESIAN, INJECTIVE, STRICT_INCREASING, STRUCTURES, SURJECTIVE,
     TRIVIAL, Letter, holds, terminal_context,
@@ -24,6 +24,7 @@ from ualg.selftest import (
     GOAL_LIST, MONOID_TEXT, eckmann_hilton_theory, monoid_theory,
     projection_theory,
 )
+from ualg.setmodel import find_model
 from ualg.syntax import (
     App, Theory, TheoryError, app, apply_renaming, equation,
     parse_equation_text, parse_theory, tau, term_depth, var,
@@ -317,6 +318,33 @@ def test_weakening_flag_needs_a_smaller_edge():
                                structure=free.structure)
     res = prove(free, goal, Bounds(3, 3, 4))
     assert not res.proved and res.truncated_by == ()
+
+
+CLOSED_AXIOM_TEXT = """theory Closed
+structure trivial
+sort A
+op f : A -> A
+op {a} : -> A
+op {c} : -> A
+eq k : {a} ~ {c} ctx [ ]
+"""
+
+
+@pytest.mark.parametrize("a, c", [("a", "c"), ("qz", "qy")])
+def test_closed_events_flag_no_instantiation(a, c):
+    """A closed event has no letters, so instantiating it drops nothing.
+    Under the naming qz ~ qy the swap toward qy registers new terms after
+    round 1 and a closed event too deep to instantiate, which flagged
+    `instantiation` although every event was closed; the goal is
+    saturated under both namings, and a size-2 model refutes it."""
+    E = parse_theory(CLOSED_AXIOM_TEXT.format(a=a, c=c))
+    goal = parse_equation_text(E.signature, f"f(f({a})) ~ f({a}) ctx [ ]",
+                               structure=E.structure)
+    for bounds in (Bounds(3, 3, 4), Bounds(3, 3, 8), Bounds(5, 3, 8)):
+        res = prove(E, goal, bounds)
+        assert not res.proved and res.truncated_by == (), bounds
+    model = find_model(E, 2, goal)
+    assert model is not None and model.carriers == {"A": 2}
 
 
 MATE_TEXT = """theory Mates
@@ -805,6 +833,109 @@ def test_renamed_instantiations_are_keyed_once(monkeypatch, monoid):
     assert (keyed, walked) == (15, 64)
     assert out == full_out and flags == full_flags
     assert len(out) == 25
+
+
+VIEWS_TEXT = """theory Views
+structure {}
+sort A
+op h : A A -> A
+op g : A A A -> A
+op a : -> A
+"""
+
+
+@pytest.mark.parametrize("R", STRUCTURES, ids=str)
+def test_first_view_is_the_terminal_context(R):
+    """`_instantiate` reads each target's terminal context and canonical
+    form off its first view: on every word of up to three letters, repeats
+    included, the first view is the term canonicalized at its terminal
+    context, with that context, and a word with no terminal context has
+    no views."""
+    E = parse_theory(VIEWS_TEXT.format(R.kind))
+    engine = _Saturator(E, Bounds(3, 3, 1))
+    letters = [Letter("A", name) for name in "xyz"]
+    heads = {0: "a", 2: "h", 3: "g"}  # the op applied to a word's letters
+    seen = set()
+    for n in range(4):
+        for word in itertools.product(letters, repeat=n):
+            t = var(word[0]) if n == 1 else \
+                app(E.signature, heads[n], [var(x) for x in word])
+            assert tau(t) == word
+            views = engine._canonical_views(t)
+            c = terminal_context(R, word)
+            seen.add(c is None)
+            if c is None:
+                assert views == [], word
+                continue
+            canon_ctx, (ct,) = _ref_canonicalize(c, [t])
+            assert views[0] == (canon_ctx, ct, c), word
+    assert False in seen
+    assert (True in seen) == (
+        R in (TRIVIAL, BIJECTIVE, STRICT_INCREASING, INJECTIVE))
+
+
+def test_instantiation_reads_targets_off_their_views(monkeypatch, monoid):
+    """One `_instantiate` of `assoc` at its four depth-1 targets concludes
+    the same 15 combos as keying by images canonicalized at the
+    first-occurrence order, and reaches `terminal_context` and
+    `_canonicalize` only through `_canonical_views`, at most once per
+    target it had no views for: never once per combo."""
+    calls = []
+    monkeypatch.setattr(_Saturator, "_conclude",
+                        lambda self, *args: calls.append(args[1]))
+    engine = _Saturator(monoid, Bounds(3, 3, 4))
+    event = engine.events[0]
+    targets = engine._targets_for(3, "M", True)
+    new = [t for t in targets if t not in engine._views]
+    assert len(targets) == 4 and new
+
+    counts = {"outside": 0, "terminal_context": 0, "_canonicalize": 0}
+    inside = []
+    canonical_views = _Saturator._canonical_views
+
+    def viewing(self, u):
+        inside.append(u)
+        try:
+            return canonical_views(self, u)
+        finally:
+            inside.pop()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            if not inside:
+                counts["outside"] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(_Saturator, "_canonical_views", viewing)
+    for module in (context, syntax, deduction):
+        monkeypatch.setattr(module, "terminal_context",
+                            counted("terminal_context",
+                                    context.terminal_context))
+    monkeypatch.setattr(deduction, "_canonicalize",
+                        counted("_canonicalize", deduction._canonicalize))
+    engine._instantiate(event, True, [])
+    assert counts["outside"] == 0
+    assert 0 < counts["terminal_context"] <= len(new)
+    assert 0 < counts["_canonicalize"] <= len(new)
+
+    keys, expected = set(), []
+    for combo in itertools.product(targets, repeat=3):
+        ws = [terminal_context(monoid.structure, tau(t)) for t in combo]
+        u_cat = tuple(x for w in ws for x in w)
+        if u_cat:  # closed combos take no key
+            _, key = _ref_canonicalize(tuple(dict.fromkeys(u_cat)), combo)
+            if tuple(key) in keys:
+                continue
+            keys.add(tuple(key))
+        expected.append(combo)
+    assert calls == expected and len(calls) == 15
+
+    calls.clear()
+    counts.update(dict.fromkeys(counts, 0))
+    engine._instantiate(event, True, [])
+    assert len(calls) == 15 and not any(counts.values())
 
 
 def test_roots_are_least_and_swaps_never_repeat(monkeypatch):
