@@ -29,7 +29,11 @@ an equation into a context with more letters; `prove` flags that gap too
 A ground engine (`universal_hom`'s) registers closed terms only, so it
 instantiates at the closed terms its `ground` predicate accepts and sweeps
 closed parents only: every event after the axiom seeds is closed, and the
-context caps never cut one.
+context caps never cut one.  Seeds are instantiated in round 1 only and
+nothing reads the lettered spaces, so a lettered seed that round 1 cannot
+instantiate (`instantiable`) can affect no class; `universal_hom` seeds
+the closed axioms first and then only the categorization instances that
+pass.
 
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
@@ -508,25 +512,35 @@ class _Saturator:
         for name in self.sig.constants():
             self._register(const(self.sig, name))
 
-        seeds: list[tuple[Word, Term, Term, Proof]] = []
-        for ax in E.equations:
-            canon_ctx, (a, b) = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
-            proof = _reletter(Axiom(ax.name, ax), ax.ctx, canon_ctx, canon_ctx)
-            seeds.append((canon_ctx, a, b, proof))
         for ctx, t in extra_terms:
             canon_ctx, (ct,) = _canonicalize(ctx, [t])
             self._space(canon_ctx).add(ct)
             self._register(ct)
-        for canon_ctx, a, b, proof in seeds:
-            self._apply_merge(canon_ctx, a, b, proof)
+        # The starting material: the extra terms and the axiom sides.
+        self._start = max([term_depth(t) for _, t in extra_terms], default=1)
+        self.seed(E.equations)
 
-        # The starting material: the axiom sides and the extra terms.
-        start = max([term_depth(t) for _, a, b, _ in seeds for t in (a, b)]
-                    + [term_depth(t) for _, t in extra_terms], default=1)
-        self.depth_cap = max(bounds.max_term_depth, start)
+    def seed(self, axioms: Sequence[Equation]) -> None:
+        """Merge each axiom, at its canonical context, as an event of round
+        1; its sides join the starting material.  Call before `run`."""
+        for ax in axioms:
+            canon_ctx, (a, b) = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
+            proof = _reletter(Axiom(ax.name, ax), ax.ctx, canon_ctx, canon_ctx)
+            self._apply_merge(canon_ctx, a, b, proof)
+            self._start = max(self._start, term_depth(a), term_depth(b))
+        self.depth_cap = max(self.bounds.max_term_depth, self._start)
         # A 1-letter axiom is instantiated no deeper than the starting
         # material; the truncation flag reports what that bound skips.
-        self.rich_depth = max(_CONG_TIER_DEPTH, start)
+        self.rich_depth = max(_CONG_TIER_DEPTH, self._start)
+
+    def instantiable(self, ctx: Word) -> bool:
+        """Whether round 1 instantiates an axiom with context ctx at some
+        combo: each letter has a target.  It looks every letter up, as
+        `_instantiate` does, so it flags what round 1 would.  Before `run`
+        each registered term is a pool letter, a constant or part of the
+        starting material, so no deeper than `rich_depth`: the answer and
+        the flags stay round 1's while later seeds raise `rich_depth`."""
+        return all([self._targets_for(len(ctx), x.sort, True) for x in ctx])
 
     # -- registration ------------------------------------------------------
 

@@ -194,6 +194,15 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
     written order.  Reindexing along a non-surjective function drops
     variables from the right-hand side, so the extended theory lives under
     the maximal structure, matching plain equational deduction over sets."""
+    return _categorization(S, lambda ctx: True)
+
+
+def _categorization(S: SigmaSignature,
+                    keep: Callable[[Word], bool]) -> list[Equation]:
+    """The instances of `categorization_axioms(S)` whose context `keep`
+    accepts, under the names they have there.  `keep` sees each in-bound
+    instance's context before either side is built, and a rejected instance
+    is never built."""
     out: list[Equation] = []
     base_sorts = S.base.sorts
     A = S.max_arity
@@ -204,19 +213,22 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
     A3 = min(A, 3)
     counter = itertools.count()
 
-    def emit(tag: str, lhs: Term, rhs: Term, ctx: Sequence[Letter]) -> None:
-        out.append(equation(f"cat:{tag}:{next(counter)}", lhs, rhs,
-                            tuple(ctx)))
+    def emit(tag: str, ctx: Sequence[Letter],
+             sides: Callable[[], tuple[Term, Term]]) -> None:
+        number = next(counter)
+        if keep(ctx):
+            out.append(equation(f"cat:{tag}:{number}", *sides(), ctx))
 
     # identity laws and the unit action: a hom word has at most max_arity
     # letters, and every structure admits identities
     for a, d in S.hom_of.values():
         h = _hvar(S, "h", a, d)
-        emit("idl", _comp(S, app(S.signature, S.id_name(d)), [h]), h,
-             (h.letter,))
-        emit("idr", _comp(S, h, [app(S.signature, S.id_name(c)) for c in a]),
-             h, (h.letter,))
-        emit("actid", _act(S, fn_identity(len(a)), a, d, h), h, (h.letter,))
+        emit("idl", (h.letter,), lambda: (
+            _comp(S, app(S.signature, S.id_name(d)), [h]), h))
+        emit("idr", (h.letter,), lambda: (
+            _comp(S, h, [app(S.signature, S.id_name(c)) for c in a]), h))
+        emit("actid", (h.letter,), lambda: (
+            _act(S, fn_identity(len(a)), a, d, h), h))
 
     # action composition: (phi . theta)* h = phi* (theta* h); phi . theta
     # stays in the family, which is closed under composition
@@ -232,9 +244,14 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                 dom_word = theta.pull(b_phi)
                 for c in base_sorts:
                     h = _hvar(S, "h", dom_word, c)
-                    emit("actcomp", _act(S, comp_fn, b, c, h),
-                         _act(S, phi, b, c, _act(S, theta, b_phi, c, h)),
-                         (h.letter,))
+                    emit("actcomp", (h.letter,), lambda: (
+                        _act(S, comp_fn, b, c, h),
+                        _act(S, phi, b, c, _act(S, theta, b_phi, c, h))))
+
+    # The interchange schemas' left sides are in bounds for every shape;
+    # their right sides compose and reindex at words that may not be, and
+    # an instance whose right-side symbols fall outside is skipped
+    # unnumbered.  The symbols are looked up before `keep` is asked.
 
     # interchange of action and composition, outer side:
     #   comp(theta* h, g_1..g_n) = theta'* comp(h, g_theta(1)..g_theta(m))
@@ -253,13 +270,14 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                           for i in range(n)]
                     flat = tuple(x for b in b_words for x in b)
                     try:
-                        lhs = _comp(S, _act(S, theta, cs, d, h), gs)
-                        inner = _comp(S, h, theta.pull(gs))
-                        rhs = _act(S, sim, flat, d, inner)
+                        S.comp_name(theta.pull(b_words), cs_theta, d)
+                        S.act_name(sim, flat, d)
                     except UniversalError:
                         continue
-                    emit("actout", lhs, rhs,
-                         (h.letter,) + tuple(g.letter for g in gs))
+                    emit("actout", (h.letter,) + tuple(g.letter for g in gs),
+                         lambda: (_comp(S, _act(S, theta, cs, d, h), gs),
+                                  _act(S, sim, flat, d,
+                                       _comp(S, h, theta.pull(gs)))))
 
     # interchange, inner side:
     #   comp(h, theta1* g1, .., thetan* gn) = (theta1+..+thetan)* comp(h, g..)
@@ -278,18 +296,21 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                         h = _hvar(S, "h", cs, d)
                         gs = [_hvar(S, f"g{i + 1}", th.pull(b), cs[i])
                               for i, (b, th) in enumerate(zip(b_words, thetas))]
+                        flat = tuple(x for b in b_words for x in b)
                         try:
-                            lhs = _comp(S, h, [
-                                _act(S, th, b, cs[i], gs[i])
-                                for i, (b, th) in enumerate(
-                                    zip(b_words, thetas))])
-                            rhs = _act(S, total, tuple(
-                                x for b in b_words for x in b), d,
-                                _comp(S, h, gs))
+                            S.comp_name([th.pull(b) for b, th in zip(
+                                b_words, thetas)], cs, d)
+                            S.act_name(total, flat, d)
                         except UniversalError:
                             continue
-                        emit("actin", lhs, rhs,
-                             (h.letter,) + tuple(g.letter for g in gs))
+                        emit("actin",
+                             (h.letter,) + tuple(g.letter for g in gs),
+                             lambda: (
+                                 _comp(S, h, [
+                                     _act(S, th, b, cs[i], gs[i])
+                                     for i, (b, th) in enumerate(
+                                         zip(b_words, thetas))]),
+                                 _act(S, total, flat, d, _comp(S, h, gs))))
 
     # associativity (bounded shapes): every composition has at most A3
     # slots and A3 letters
@@ -309,18 +330,23 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
                             flat_bs = [x for b in b_words for x in b]
                             fs = [_hvar(S, f"f{j + 1}", a_words[j], flat_bs[j])
                                   for j in range(sum(m_vec))]
-                            lhs = _comp(S, _comp(S, h, gs), fs)
-                            pos = 0
-                            inners = []
-                            for i in range(n):
-                                k = m_vec[i]
-                                inners.append(_comp(S, gs[i], fs[pos:pos + k]))
-                                pos += k
-                            rhs = _comp(S, h, inners)
-                            emit("assoc", lhs, rhs,
+                            emit("assoc",
                                  (h.letter,) + tuple(g.letter for g in gs)
-                                 + tuple(f.letter for f in fs))
+                                 + tuple(f.letter for f in fs),
+                                 lambda: _assoc_sides(S, h, gs, fs, m_vec))
     return out
+
+
+def _assoc_sides(S: SigmaSignature, h: Term, gs: Sequence[Term],
+                 fs: Sequence[Term], m_vec: Sequence[int]
+                 ) -> tuple[Term, Term]:
+    """comp(comp(h, gs), fs) and comp(h, comp(g_i, its m_vec[i] fs)..)."""
+    inners = []
+    pos = 0
+    for g, k in zip(gs, m_vec):
+        inners.append(_comp(S, g, fs[pos:pos + k]))
+        pos += k
+    return _comp(S, _comp(S, h, gs), fs), _comp(S, h, inners)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +390,13 @@ def internalize(E: Theory, S: SigmaSignature) -> list[Equation]:
 def sigma_theory(S: SigmaSignature, E: Theory) -> Theory:
     """The extended theory, under the maximal structure; `Theory` validates
     each axiom's context once."""
-    eqs = tuple(categorization_axioms(S)) + tuple(internalize(E, S))
-    return Theory(f"{E.name}^", S.signature, CARTESIAN, eqs)
+    return _extended_theory(S, E, categorization_axioms(S))
+
+
+def _extended_theory(S: SigmaSignature, E: Theory,
+                     categorization: Sequence[Equation]) -> Theory:
+    return Theory(f"{E.name}^", S.signature, CARTESIAN,
+                  tuple(categorization) + tuple(internalize(E, S)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +454,16 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     frontier is depth 2 (or the depth bound, if smaller), with deeper terms
     entering as axiom subterms and derived conclusions, which keeps the
     congruence universe at desk scale.
+
+    A categorization instance with a letter that has no round-1 target is
+    never built.  The engine instantiates seeds in round 1 only, every
+    later event is closed, and nothing reads the lettered spaces, so such a
+    seed can affect no class.  Round 1's targets are known from the closed
+    starting material alone, registered first, and the lookups for a
+    skipped instance still flag what they drop.  Skipping never lowers the
+    starting depth: every categorization side has depth at most 3, and the
+    action-composition instance along the identity of [1] on [c => c],
+    act(act(h)) of depth 3, is always kept, as id[c] is a target for h.
     """
     for sort in (*hom[0], hom[1]):
         if sort not in E.signature.sorts:
@@ -433,8 +474,12 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     hom_name = sigma.hom_sort_name(tuple(hom[0]), hom[1])
     seeds = [((), t) for terms in (*universe.values(), extra_terms)
              for t in terms]
-    engine = _Saturator(sigma_theory(sigma, E), bounds, extra_terms=seeds,
+    # The closed starting material fixes round 1's targets; seed only the
+    # categorization instances instantiated there (see the docstring).
+    engine = _Saturator(_extended_theory(sigma, E, ()), bounds,
+                        extra_terms=seeds,
                         ground=lambda t: sigma.sym_info[t.op][0] != "act")
+    engine.seed(_categorization(sigma, engine.instantiable))
     engine.run()
     # Every seed is in the closed space; a class is listed from its least
     # member, and the classes in the order of their least members.

@@ -5,7 +5,9 @@ import hashlib
 import pytest
 
 from ualg.context import CARTESIAN, INJECTIVE, TRIVIAL, Letter
-from ualg.deduction import Bounds, _canonicalize, check_proof, proof_lines
+from ualg.deduction import (
+    Bounds, _canonicalize, _Saturator, check_proof, proof_lines,
+)
 from ualg.finord import fn, identity
 from ualg.selftest import (
     GOAL_LIST, eckmann_hilton_theory, monoid_theory, projection_theory,
@@ -16,9 +18,9 @@ from ualg.setmodel import (
 from ualg.syntax import Theory, app, equation, parse_equation_text, \
     parse_theory, signature, var
 from ualg.universal import (
-    UniversalError, build_sigma, categorization_axioms, default_sigma,
-    enumerate_pure_terms, internalize, internalize_term, sigma_interpret,
-    sigma_term_str, sigma_theory, universal_hom,
+    UniversalError, _categorization, build_sigma, categorization_axioms,
+    default_sigma, enumerate_pure_terms, internalize, internalize_term,
+    sigma_interpret, sigma_term_str, sigma_theory, universal_hom,
 )
 
 X, Y = Letter("M", "x"), Letter("M", "y")
@@ -192,9 +194,9 @@ SAMPLE_HOMS = {
 }
 
 
-def _criterion_10_quotient(key):
-    """Criterion 10's quotient: the sample hom at Bounds(3,3,8), with the
-    internalized sides of the theory's goals as extra terms."""
+def _criterion_10_inputs(key):
+    """Criterion 10's quotient inputs: the sample hom at Bounds(3,3,8), with
+    the internalized sides of the theory's goals as extra terms."""
     E, hom = SAMPLE_HOMS[key]
     sigma = default_sigma(E, hom)
     extra = []
@@ -204,24 +206,48 @@ def _criterion_10_quotient(key):
                                        structure=E.structure)
             extra += [internalize_term(sigma, goal.ctx, side)
                       for side in (goal.lhs, goal.rhs)]
-    return E, universal_hom(E, hom, Bounds(3, 3, 8), extra_terms=extra,
-                            sigma=sigma)
+    return E, hom, Bounds(3, 3, 8), extra
 
 
 @pytest.fixture(scope="module")
-def quotients():
-    """(theory, quotient) by name: the sample quotients at Bounds(2,3,8),
-    the non-linear ones at Bounds(2,3,2) and criterion 10's three, built
-    once for the module."""
-    out = {key: (E, universal_hom(E, hom, Bounds(2, 3, 8)))
+def quotient_inputs():
+    """(theory, hom, bounds, extra terms) by name: the sample quotients at
+    Bounds(2,3,8), the non-linear ones at Bounds(2,3,2) and criterion 10's
+    three."""
+    out = {key: (E, hom, Bounds(2, 3, 8), [])
            for key, (E, hom) in SAMPLE_HOMS.items()}
     for kind, (text, sort) in NON_LINEAR.items():
-        E = parse_theory(text)
-        out[kind] = (E, universal_hom(E, ((sort, sort), sort),
-                                      Bounds(2, 3, 2)))
+        out[kind] = (parse_theory(text), ((sort, sort), sort),
+                     Bounds(2, 3, 2), [])
     for key in SAMPLE_HOMS:
-        out[f"criterion 10 {key}"] = _criterion_10_quotient(key)
+        out[f"criterion 10 {key}"] = _criterion_10_inputs(key)
     return out
+
+
+@pytest.fixture(scope="module")
+def quotients(quotient_inputs):
+    """(theory, quotient) by name, built once for the module."""
+    return {key: (E, universal_hom(E, hom, bounds, extra_terms=extra))
+            for key, (E, hom, bounds, extra) in quotient_inputs.items()}
+
+
+def _unfiltered_engine(E, part, bounds, extra):
+    """The engine `universal_hom` builds for `part` when it seeds every
+    axiom of the whole sigma theory, not yet run."""
+    sigma = part.sigma
+    universe = enumerate_pure_terms(sigma, min(2, bounds.max_term_depth))
+    seeds = [((), t) for terms in (*universe.values(), extra) for t in terms]
+    return _Saturator(sigma_theory(sigma, E), bounds, extra_terms=seeds,
+                      ground=lambda t: sigma.sym_info[t.op][0] != "act")
+
+
+def _round_one_targets(engine, ctx):
+    """Each letter's round-1 target list in an engine not yet run; the
+    lookups leave its flags as they were."""
+    flags = set(engine.truncated_by)
+    targets = [engine._targets_for(len(ctx), x.sort, True) for x in ctx]
+    engine.truncated_by = flags
+    return targets
 
 
 def test_sigma_interpret_transport(quotients):
@@ -249,25 +275,82 @@ def test_sigma_interpret_transport(quotients):
     assert merges >= 61 and classes >= 279
 
 
-def test_quotient_is_ground(quotients):
+def test_quotient_is_ground(quotient_inputs, quotients):
     """The engine derives closed equations only.  Every event with a
-    non-empty context is an axiom seed, so an open space holds the sides of
-    the canonicalized axioms at its context and nothing else; and no
-    conclusion meets the context cap, so `ctx` never truncates a
-    quotient."""
-    for key in ("monoid", "eh"):
-        E, part = quotients[key]
+    non-empty context is an axiom seed, and the seeds are the
+    categorization instances that round 1 instantiates: an open space holds
+    the sides of those at its context and nothing else.  No conclusion
+    meets the context cap, so `ctx` never truncates a quotient."""
+    for key in ("monoid", "eh", "projection"):
+        E, hom, bounds, extra = quotient_inputs[key]
+        _, part = quotients[key]
+        reference = _unfiltered_engine(E, part, bounds, extra)
         seeds = {(ctx, a, b) for ctx, (a, b) in (
             _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
             for ax in sigma_theory(part.sigma, E).equations) if ctx}
+        live = {seed for seed in seeds
+                if all(_round_one_targets(reference, seed[0]))}
+        assert len(live) < len(seeds), key
         engine = part._engine
-        assert {event for event in engine.events if event[0]} <= seeds, key
+        assert {event for event in engine.events if event[0]} == live, key
         for ctx, sp in engine.spaces.items():
             if ctx:
-                sides = {t for c, a, b in seeds if c == ctx for t in (a, b)}
-                assert set(sp.parent) <= sides, (key, ctx)
+                sides = {t for c, a, b in live if c == ctx for t in (a, b)}
+                assert set(sp.parent) == sides, (key, ctx)
     for key, (_, part) in quotients.items():
         assert "ctx" not in part.truncated_by, key
+
+
+def test_dropped_seeds_change_nothing(quotient_inputs, quotients):
+    """Differential check against the engine seeded with the whole sigma
+    theory, on every quotient of the module and on a theory with no axioms
+    (whose only sides of depth 3 are categorization sides): the same
+    classes, flags, depth bounds and closed events in order, and every
+    seed left out has a letter with no round-1 target."""
+    E0 = Theory("E0", signature(["M"], {}), CARTESIAN, ())
+    cases = dict(quotient_inputs)
+    cases["E0"] = (E0, (("M",), "M"), Bounds(2, 3, 6), [])
+    dropped = 0
+    for key, (E, hom, bounds, extra) in cases.items():
+        part = quotients[key][1] if key in quotients else universal_hom(
+            E, hom, bounds, extra_terms=extra)
+        reference = _unfiltered_engine(E, part, bounds, extra)
+        kept = {event for event in part._engine.events if event[0]}
+        for event in reference.events:
+            if event[0] and event not in kept:
+                assert not all(_round_one_targets(reference, event[0])), (
+                    key, event)
+                dropped += 1
+        reference.run()
+        engine = part._engine
+        assert (engine.depth_cap, engine.rich_depth) == (
+            reference.depth_cap, reference.rich_depth), key
+        assert tuple(sorted(reference.truncated_by)) == part.truncated_by, key
+        assert [e for e in engine.events if not e[0]] == [
+            e for e in reference.events if not e[0]], key
+        space = reference.spaces[()]
+        classes = {}
+        for t in (t for cls in part.classes for t in cls):
+            classes.setdefault(space.find(t), []).append(t)
+        assert list(classes.values()) == part.classes, key
+    assert dropped >= 9500
+
+
+def test_kept_instances_keep_their_names(quotient_inputs, quotients):
+    """Filtering the categorization instances by their contexts leaves each
+    kept one as it is in the full list, name and equation; an instance
+    whose symbols fall outside the bounds takes no number either way."""
+    S = quotients["monoid"][1].sigma
+    full = categorization_axioms(S)
+    assert [eq.name for eq in full] == [
+        f"cat:{eq.name.split(':')[1]}:{i}" for i, eq in enumerate(full)]
+    E, hom, bounds, extra = quotient_inputs["monoid"]
+    reference = _unfiltered_engine(E, quotients["monoid"][1], bounds, extra)
+    for keep in (lambda ctx: all(_round_one_targets(reference, ctx)),
+                 lambda ctx: len(ctx) == 2,
+                 lambda ctx: False):
+        assert _categorization(S, keep) == [
+            eq for eq in full if keep(eq.ctx)]
 
 
 def test_quotient_ignores_the_context_bound(monoid):
@@ -281,9 +364,10 @@ def test_quotient_ignores_the_context_bound(monoid):
 
 
 def test_quotient_proof_digest(quotients):
-    """A sha256 over the classes, the flags and the proof of every 7th event
-    of the three sample quotients (the open spaces hold only the axiom
-    seeds); an engine change that keeps outputs exact keeps it."""
+    """A sha256 over the classes, the flags and the proof of every 7th
+    closed event of the three sample quotients; an engine change that keeps
+    outputs exact keeps it.  The lettered events are left out: they are the
+    axiom seeds, and which seeds the quotient needs is not an output."""
     h = hashlib.sha256()
     for key in SAMPLE_HOMS:
         _, part = quotients[key]
@@ -291,11 +375,12 @@ def test_quotient_proof_digest(quotients):
         for cls in part.classes:
             h.update(f"{cls}\n".encode())
         engine = part._engine
-        for ctx, a, b in engine.events[::7]:
-            for line in proof_lines(engine.proof_of(equation("", a, b, ctx))):
+        closed = [(a, b) for ctx, a, b in engine.events if not ctx]
+        for a, b in closed[::7]:
+            for line in proof_lines(engine.proof_of(equation("", a, b, ()))):
                 h.update(f"  {line}\n".encode())
     assert h.hexdigest() == (
-        "66848a0e46dbc6709c57825f8e87b0a1a2ae07675a63fc0cb2c0de1a0d732c3d")
+        "9ebbd8674d3d4b86e6cc81ab2f42d4565cf7f1ce087f7f4ea763daad159b66c8")
 
 
 def test_sigma_interpret_examples(monoid):
