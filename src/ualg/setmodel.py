@@ -13,9 +13,13 @@ as soon as all the cells it reads are assigned (it waits on the first
 unassigned cell it reads), and a mismatch prunes the branch.  Cells and values
 are taken in the order of the full product of all tables, so the complete
 tables are reached in that order, less those some axiom instance rules out:
-the first model found is the one the brute-force product gives first.  Each
-complete table is then confirmed by `satisfies_theory` and checked against
-`avoid` with `satisfies`, so the term semantics keeps the final word.
+the first model found is the one the brute-force product gives first.  The
+ground instances of the goal to `avoid` are compiled the same way, and a
+complete table on which they all hold is skipped before any MultiMap is
+built: in Set a term's table at a point is its ground value there.  Every
+other complete table is confirmed by `satisfies_theory` and checked against
+`avoid` with `satisfies`, so each model returned has passed the term
+semantics.
 """
 
 from __future__ import annotations
@@ -105,7 +109,17 @@ def theta_action(f: MultiMap, theta: FinFn,
         raise ModelError(
             f"carrier mismatch: map has {f.doms}, theta pulls the target "
             f"back to {theta.pull(target)}")
-    return table_from(target, f.cod, lambda *xs: f(*theta.pull(xs)))
+    # f's row index is linear in the target point: coordinate j weighs the
+    # sum of f's strides at the positions theta sends to j.
+    weights = [0] * theta.cod
+    stride = 1
+    for i in reversed(range(theta.dom)):
+        weights[theta.images[i] - 1] += stride
+        stride *= f.doms[i]
+    rows = [0]
+    for d, w in zip(target, weights):
+        rows = [r + a * w for r in rows for a in range(d)]
+    return MultiMap(target, f.cod, tuple(f.table[r] for r in rows))
 
 
 def compose_multi(g: MultiMap, fs: Sequence[MultiMap]) -> MultiMap:
@@ -116,17 +130,11 @@ def compose_multi(g: MultiMap, fs: Sequence[MultiMap]) -> MultiMap:
         if f.cod != d:
             raise ModelError(f"inner codomain {f.cod} does not match {d}")
     doms = tuple(d for f in fs for d in f.doms)
-
-    def run(*xs: int) -> int:
-        vals = []
-        pos = 0
-        for f in fs:
-            k = len(f.doms)
-            vals.append(f(*xs[pos:pos + k]))
-            pos += k
-        return g(*vals)
-
-    return table_from(doms, g.cod, run)
+    # Row-major order over the concatenated domains is the product of the
+    # inner tables' rows.
+    return MultiMap(doms, g.cod, tuple(
+        g.table[_row_index(g.doms, vals)]
+        for vals in itertools.product(*(f.table for f in fs))))
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +170,18 @@ class FinSetModel:
         return tuple(self.carriers[x.sort] for x in v)
 
 
-def eval_term(m: FinSetModel, v: Word, t: Term) -> MultiMap:
-    """The table of t in context v: `syntax.denote` over identity tables,
-    the op tables, `compose_multi` and `theta_action`."""
-    R = m.structure
+def _require_context(R: ContextStructure, v: Word, t: Term) -> None:
     if not is_r_context(R, v, t):
         raise ModelError(
             f"[{' '.join(x.name for x in v)}] is not a context for "
             f"{term_str(t)} under {R}")
+
+
+def eval_term(m: FinSetModel, v: Word, t: Term) -> MultiMap:
+    """The table of t in context v: `syntax.denote` over identity tables,
+    the op tables, `compose_multi` and `theta_action`."""
+    R = m.structure
+    _require_context(R, v, t)
     return denote(R, v, t, lambda sort: identity_map(m.carriers[sort]),
                   m.op_tables.__getitem__, compose_multi,
                   lambda f, th, u: theta_action(f, th, m.carrier_word(u)))
@@ -224,12 +236,12 @@ def _ground(t: Term, point: Mapping[Letter, int], layout: _Layout) -> _Ground:
     return node
 
 
-def _instances(E: Theory, sizes: Mapping[str, int], layout: _Layout
-               ) -> list[tuple[_Ground, _Ground]]:
-    """Both sides of every ground instance of every axiom; an axiom whose
-    context has an empty carrier has none."""
+def _instances(eqs: Sequence[Equation], sizes: Mapping[str, int],
+               layout: _Layout) -> list[tuple[_Ground, _Ground]]:
+    """Both sides of every ground instance of every equation; an equation
+    whose context has an empty carrier has none."""
     out = []
-    for eq in E.equations:
+    for eq in eqs:
         for values in itertools.product(*(range(sizes[x.sort]) for x in eq.ctx)):
             point = dict(zip(eq.ctx, values))
             out.append((_ground(eq.lhs, point, layout),
@@ -257,13 +269,14 @@ def _check(instances: Sequence[tuple[_Ground, _Ground]], val: list[int],
     return True
 
 
-def _op_tables(E: Theory, sizes: Mapping[str, int]
-               ) -> Iterator[dict[str, MultiMap]]:
+def _op_tables(E: Theory, sizes: Mapping[str, int],
+               avoid: Optional[Equation]) -> Iterator[dict[str, MultiMap]]:
     """Every assignment of op tables on these carriers whose ground axiom
-    instances all hold, by backtracking over the cells in flat order with
-    values ascending.  That is the order of the full product of all tables
-    (first op most significant, each table row-major), with the assignments
-    that some instance rules out left away."""
+    instances all hold and, given `avoid`, some ground instance of `avoid`
+    fails, by backtracking over the cells in flat order with values
+    ascending.  That is the order of the full product of all tables (first
+    op most significant, each table row-major), with the assignments that
+    some instance rules out left away."""
     sig = E.signature
     layout: dict[str, tuple[int, tuple[int, ...]]] = {}
     cods: list[int] = []
@@ -271,18 +284,21 @@ def _op_tables(E: Theory, sizes: Mapping[str, int]
         doms = tuple(sizes[s] for s in decl.arity)
         layout[name] = (len(cods), doms)
         cods.extend([sizes[decl.result]] * math.prod(doms))
+    goal = None if avoid is None else _instances([avoid], sizes, layout)
     n = len(cods)
     val = [-1] * n
     watch: list[list] = [[] for _ in range(n)]
-    if not _check(_instances(E, sizes, layout), val, watch, []):
+    if not _check(_instances(E.equations, sizes, layout), val, watch, []):
         return
     added: list[list[int]] = [[] for _ in range(n)]
     k = 0
     while k >= 0:
         if k == n:
-            yield {name: MultiMap(doms, sizes[sig.ops[name].result],
-                                  tuple(val[off:off + math.prod(doms)]))
-                   for name, (off, doms) in layout.items()}
+            if goal is None or not all(lhs(val) == rhs(val)
+                                       for lhs, rhs in goal):
+                yield {name: MultiMap(doms, sizes[sig.ops[name].result],
+                                      tuple(val[off:off + math.prod(doms)]))
+                       for name, (off, doms) in layout.items()}
             k -= 1
             continue
         for j in added[k]:  # undo what the previous value of cell k moved
@@ -302,26 +318,37 @@ def iter_models(E: Theory, max_size: int,
                 avoid: Optional[Equation] = None) -> Iterator[FinSetModel]:
     """All models of E with carriers of size <= max_size that fail `avoid`,
     in the fixed order: size vectors ascending lexicographically, then tables
-    as in `_op_tables`.  Pruning only skips tables that fail some axiom;
-    every table it leaves is confirmed by `satisfies_theory` and `satisfies`
-    before it is yielded."""
+    as in `_op_tables`.  A negative `max_size`, or an `avoid` whose context
+    does not govern a side, raises ModelError here, before any search.
+
+    The search leaves out the tables on which every ground instance of
+    `avoid` holds.  That is exact: in Set every reindexing is substitution,
+    so a term's table at a point is its ground value there.  Each table it
+    gives is confirmed by `satisfies_theory` and checked against `avoid` with
+    `satisfies` before it is yielded."""
+    if max_size < 0:
+        raise ModelError("max_size must be >= 0")
+    if avoid is not None:
+        for side in (avoid.lhs, avoid.rhs):
+            _require_context(E.structure, avoid.ctx, side)
+    return _models(E, max_size, avoid)
+
+
+def _models(E: Theory, max_size: int,
+            avoid: Optional[Equation]) -> Iterator[FinSetModel]:
     sorts = E.signature.sorts
     for sizes_vec in itertools.product(range(max_size + 1), repeat=len(sorts)):
         sizes = dict(zip(sorts, sizes_vec))
-        for tables in _op_tables(E, sizes):
+        for tables in _op_tables(E, sizes, avoid):
             m = FinSetModel(E.signature, E.structure, sizes, tables)
-            if not satisfies_theory(m, E):
-                continue
-            if avoid is not None and satisfies(m, avoid):
-                continue
-            yield m
+            if satisfies_theory(m, E) and (
+                    avoid is None or not satisfies(m, avoid)):
+                yield m
 
 
 def find_model(E: Theory, max_size: int, avoid: Optional[Equation] = None
                ) -> Optional[FinSetModel]:
     """The first model of `iter_models`, or None within the bound."""
-    if max_size < 0:
-        raise ModelError("max_size must be >= 0")
     return next(iter_models(E, max_size, avoid), None)
 
 

@@ -5,7 +5,9 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ualg import setmodel
 from ualg.context import CARTESIAN, Letter
 from ualg.finord import fn, identity as fn_identity
 from ualg.selftest import eckmann_hilton_theory, monoid_theory
@@ -15,8 +17,8 @@ from ualg.setmodel import (
     table_from, theta_action,
 )
 from ualg.syntax import (
-    Theory, app, const, equation, parse_equation_text, parse_theory,
-    signature, var,
+    Theory, TheoryError, app, const, equation, parse_equation_text,
+    parse_theory, signature, var,
 )
 
 X, Y, Z = (Letter("M", n) for n in "xyz")
@@ -68,6 +70,52 @@ def test_compose_multi_examples():
     assert compose_multi(AND, [NOT, NOT]).table == (1, 0, 0, 0)
     with pytest.raises(ModelError):
         compose_multi(AND, [NOT])
+
+
+@st.composite
+def multimaps(draw, doms, cod=None):
+    """A map on these domain sizes; a drawn codomain is empty only when
+    the domain is."""
+    if cod is None:
+        cod = draw(st.integers(0 if 0 in doms else 1, 3))
+    table = draw(st.lists(st.integers(0, max(cod - 1, 0)),
+                          min_size=math.prod(doms), max_size=math.prod(doms)))
+    return MultiMap(tuple(doms), cod, tuple(table))
+
+
+SIZES = st.lists(st.integers(0, 3), max_size=3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_theta_action_matches_per_cell_definition(data):
+    target = tuple(data.draw(SIZES))
+    images = data.draw(st.lists(st.integers(1, len(target)), max_size=4)
+                       if target else st.just([]))
+    theta = fn(images, len(target))  # any map, so repeats and misses too
+    f = data.draw(multimaps(theta.pull(target)))
+    assert theta_action(f, theta, target) == table_from(
+        target, f.cod, lambda *xs: f(*theta.pull(xs)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_multi_matches_per_cell_definition(data):
+    g = data.draw(multimaps(data.draw(SIZES)))
+    fs = []
+    for d in g.doms:  # an empty carrier d needs an empty inner domain
+        doms = data.draw(SIZES) + ([0] if d == 0 else [])
+        fs.append(data.draw(multimaps(doms, d)))
+
+    def per_cell(*xs):
+        vals, pos = [], 0
+        for f in fs:
+            vals.append(f(*xs[pos:pos + len(f.doms)]))
+            pos += len(f.doms)
+        return g(*vals)
+
+    doms = tuple(d for f in fs for d in f.doms)
+    assert compose_multi(g, fs) == table_from(doms, g.cod, per_cell)
 
 
 def test_eval_term_examples(monoid, xor_model):
@@ -280,9 +328,12 @@ eq qq : q(q(a)) ~ a ctx [ a:A ]
 """)
 
 
-@pytest.mark.parametrize("E", [
+BRUTE_FORCE_THEORIES = [
     *(sample_theory(p.stem) for p in sorted(THEORIES.glob("*.ua"))),
-    FREE_MAGMA, TWO_SORTED], ids=lambda E: E.name)
+    FREE_MAGMA, TWO_SORTED]
+
+
+@pytest.mark.parametrize("E", BRUTE_FORCE_THEORIES, ids=lambda E: E.name)
 def test_iter_models_matches_brute_force(E):
     assert list(iter_models(E, 2)) == list(brute_force_models(E, 2))
 
@@ -352,3 +403,102 @@ def test_every_leaf_reached_is_a_model(monkeypatch):
         verdicts.clear()
         models = list(iter_models(E, size))
         assert verdicts == [True] * len(models)
+
+
+# Goals for the two-sorted theory, which no witness goal fits: one fails
+# in some models and one holds vacuously when A is empty.
+ACTION_GOALS = ["act(a,b) ~ b ctx [ a:A b:B ]", "q(a) ~ a ctx [ a:A ]"]
+
+
+def goals_on(E):
+    """E's own axioms, then every witness or action goal that is well
+    formed on E's signature under E's structure."""
+    goals = list(E.equations)
+    for text in [t for _, t in WITNESS_GOALS] + ACTION_GOALS:
+        try:
+            goals.append(parse_equation_text(E.signature, text,
+                                             structure=E.structure))
+        except TheoryError:
+            pass
+    return goals
+
+
+@pytest.mark.parametrize("E", BRUTE_FORCE_THEORIES, ids=lambda E: E.name)
+def test_compiled_goal_check_agrees_with_satisfies(E):
+    """`_op_tables` given a goal keeps exactly the models of E on which its
+    compiled ground instances say the goal fails; that is the set on which
+    `satisfies` rejects it."""
+    models = list(brute_force_models(E, 2))
+    vectors = itertools.product(range(3), repeat=len(E.signature.sorts))
+    sizes_list = [dict(zip(E.signature.sorts, v)) for v in vectors]
+    outcomes = set()
+    for goal in goals_on(E):
+        kept = [FinSetModel(E.signature, E.structure, sizes, tables)
+                for sizes in sizes_list
+                for tables in setmodel._op_tables(E, sizes, goal)]
+        assert kept == [m for m in models if not satisfies(m, goal)], goal
+        outcomes.update(satisfies(m, goal) for m in models)
+    assert outcomes == ({True} if E.name == "EckmannHilton" else {True, False})
+
+
+def test_reference_checks_run_once_per_yielded_model(monkeypatch):
+    """A table on which every goal instance holds never reaches
+    `satisfies_theory` or `satisfies`; each yielded model passes both."""
+    theory_calls, goal_calls = [], []
+
+    def counting_theory(m, E):
+        theory_calls.append((m, satisfies_theory(m, E)))
+        return theory_calls[-1][1]
+
+    def counting_satisfies(m, eq):
+        if eq is goal:
+            goal_calls.append((m, satisfies(m, eq)))
+            return goal_calls[-1][1]
+        return satisfies(m, eq)
+
+    monkeypatch.setattr(setmodel, "satisfies_theory", counting_theory)
+    monkeypatch.setattr(setmodel, "satisfies", counting_satisfies)
+    skipped = 0
+    for stem, text in WITNESS_GOALS:
+        E = FREE_MAGMA if stem == "magma" else sample_theory(stem)
+        goal = parse_equation_text(E.signature, text, structure=E.structure)
+        theory_calls.clear()
+        goal_calls.clear()
+        models = list(iter_models(E, 2, goal))
+        assert theory_calls == [(m, True) for m in models]
+        assert goal_calls == [(m, False) for m in models]
+        skipped += len(list(iter_models(E, 2))) - len(models)
+    assert skipped > 0
+
+
+def test_ill_formed_avoid_raises_before_any_search():
+    x, y = Letter("A", "x"), Letter("A", "y")
+    injective = sample_theory("first_projection_injective")
+    cartesian = sample_theory("first_projection")
+    sig = cartesian.signature
+    a = Letter("A", "a")
+    cases = [
+        # f(x,x) reads x twice, which an injective context cannot
+        (injective, parse_equation_text(sig, "f(x,x) ~ x ctx [ x:A ]")),
+        # the context misses a letter of a side
+        (cartesian, equation("", app(sig, "f", [var(x), var(y)]), var(x),
+                             (x,))),
+        # at size 0 there is no model, so no table would reach `satisfies`
+        (TWO_SORTED, equation("", app(TWO_SORTED.signature, "q", [var(a)]),
+                              var(a), ())),
+    ]
+    for E, goal in cases:
+        for size in range(3):
+            with pytest.raises(ModelError, match="is not a context for"):
+                iter_models(E, size, avoid=goal)
+            with pytest.raises(ModelError, match="is not a context for"):
+                find_model(E, size, avoid=goal)
+
+
+def test_negative_max_size_raises():
+    sort_free = Theory("Empty", signature([], {}), CARTESIAN, ())
+    for E in (sample_theory("monoid"), sort_free):
+        with pytest.raises(ModelError, match="max_size"):
+            iter_models(E, -1)
+        with pytest.raises(ModelError, match="max_size"):
+            find_model(E, -1)
