@@ -14,13 +14,13 @@ by two rule-5 moves per round:
     governs.
 
 Instantiation targets are bounded by depth (the Herbrand-style truncation):
-axioms take every registered term up to the starting material's depth at
-1-letter contexts and up to depth 2 at 2-letter contexts; derived equations
-and longer contexts take depth-1 terms (variables and constants), with a
-per-equation budget that falls back to constants alone.  Anything these
-bounds or the depth/context caps skip sets the truncation flag, so a missing
-goal is reported inconclusive rather than refuted.  A closed event has no
-letters to instantiate, so it drops nothing: terms registered after it was
+axioms take every registered term at 1-letter contexts and terms up to
+depth 2 at 2-letter contexts; derived equations and longer contexts take
+depth-1 terms (variables and constants), with a per-equation budget that
+falls back to constants alone.  Anything these bounds or the depth/context
+caps skip sets the truncation flag, so a missing goal is reported
+inconclusive rather than refuted.  A closed event has no letters to
+instantiate, so it drops nothing: terms registered after it was
 instantiated, or its depth, flag only a lettered event.  Conclusions are
 emitted only at orders of the letters they use, so the engine never weakens
 an equation into a context with more letters; `prove` flags that gap too
@@ -87,7 +87,8 @@ leaves every derived equation and proof unchanged:
     depends on the term alone, so it is computed once per engine, as is
     each op's congruence template.  The first view is the term at its
     terminal context, so an instantiation target's context and canonical
-    form are read off it.  A side premise is looked up in the child's
+    form are read off it, and so is the context of each argument a
+    congruence leaves in place.  A side premise is looked up in the child's
     views: a mate has only the child's letters, and a space holds only
     terms its context governs;
   * renamed conclusions: a rule-5 conclusion is keyed by its sides
@@ -119,12 +120,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Optional, Sequence
 
 from .context import (
-    Letter, Word, delta_of, governing_orders, holds, terminal_context,
+    Letter, Word, _letter_key, delta_of, governing_orders, holds,
+    terminal_context,
 )
 from .finord import FinFn
 from .syntax import (
     App, Equation, Term, Theory, TheoryError, _app, app, apply_renaming,
-    arg_contexts, const, ctx_str, equation, is_r_context, is_r_renaming, tau,
+    const, ctx_str, equation, is_r_context, is_r_renaming, tau,
     term_depth, term_str, term_vars, validate_equation, var,
 )
 
@@ -492,10 +494,9 @@ class _Saturator:
         self.bounds = bounds
         self.ground = ground
         self.spaces: dict[Word, _Space] = {}
-        self.universe: list[Term] = []
-        self.in_universe: set[Term] = set()
+        self.universe: dict[Term, None] = {}  # insertion-ordered
         self.by_sort: dict[str, list[Term]] = {}
-        self._tier_cache: dict[tuple[int, str], list[Term]] = {}
+        self._tier_cache: dict[tuple[float, str], list[Term]] = {}
         self._swept = 0
         self._mates: dict[Term, Optional[Term]] = {}
         self._sides: dict[Term, Optional[Word]] = {}
@@ -516,43 +517,38 @@ class _Saturator:
             canon_ctx, (ct,) = _canonicalize(ctx, [t])
             self._space(canon_ctx).add(ct)
             self._register(ct)
-        # The starting material: the extra terms and the axiom sides.
-        self._start = max([term_depth(t) for _, t in extra_terms], default=1)
+        self.depth_cap = max([self.bounds.max_term_depth]
+                             + [term_depth(t) for _, t in extra_terms])
         self.seed(E.equations)
 
     def seed(self, axioms: Sequence[Equation]) -> None:
         """Merge each axiom, at its canonical context, as an event of round
-        1; its sides join the starting material.  Call before `run`."""
+        1, and raise `depth_cap` to its sides' depth, so no conclusion is
+        cut shallower than the starting material.  Call before `run`."""
         for ax in axioms:
             canon_ctx, (a, b) = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
             proof = _reletter(Axiom(ax.name, ax), ax.ctx, canon_ctx, canon_ctx)
             self._apply_merge(canon_ctx, a, b, proof)
-            self._start = max(self._start, term_depth(a), term_depth(b))
-        self.depth_cap = max(self.bounds.max_term_depth, self._start)
-        # A 1-letter axiom is instantiated no deeper than the starting
-        # material; the truncation flag reports what that bound skips.
-        self.rich_depth = max(_CONG_TIER_DEPTH, self._start)
+            self.depth_cap = max(self.depth_cap, term_depth(a), term_depth(b))
 
     def instantiable(self, ctx: Word) -> bool:
         """Whether round 1 instantiates an axiom with context ctx at some
         combo: each letter has a target.  It looks every letter up, as
-        `_instantiate` does, so it flags what round 1 would.  Before `run`
-        each registered term is a pool letter, a constant or part of the
-        starting material, so no deeper than `rich_depth`: the answer and
-        the flags stay round 1's while later seeds raise `rich_depth`."""
+        `_instantiate` does, so it flags what round 1 would.  The answer
+        and the flags are round 1's: a ground engine's later seeds register
+        no term, since their sides have letters."""
         return all([self._targets_for(len(ctx), x.sort, True) for x in ctx])
 
     # -- registration ------------------------------------------------------
 
     def _register(self, t: Term) -> None:
         """Add t and its subterms; a ground engine's are closed only."""
-        if t in self.in_universe or (self.ground is not None and tau(t)):
+        if t in self.universe or (self.ground is not None and tau(t)):
             return
         if isinstance(t, App):
             for a in t.args:
                 self._register(a)
-        self.in_universe.add(t)
-        self.universe.append(t)
+        self.universe[t] = None
         self.by_sort.setdefault(t.sort, []).append(t)
 
     def _space(self, canon_ctx: Word) -> _Space:
@@ -667,7 +663,8 @@ class _Saturator:
             w_pos = why.ws[pos]
             canon_ctx, _ = _canonicalize(w_pos, [])
             sides[pos] = _reletter(explained, canon_ctx, w_pos, w_pos)
-        s1, s2 = (tuple(sorted(zip(ctx, images), key=_letter_sort_key))
+        s1, s2 = (tuple(sorted(zip(ctx, images),
+                               key=lambda item: _letter_key(item[0])))
                   for images in (why.images1, why.images2))
         node = Subst(s1, s2, why.w, why.ws, premise, tuple(sides))
         canon_w, _ = _canonicalize(why.w, [])
@@ -705,13 +702,14 @@ class _Saturator:
 
     def _targets_for(self, n: int, sort: str, axiom_level: bool) -> list[Term]:
         """The registered terms of the sort an n-letter equation is
-        instantiated at: up to `rich_depth` for a 1-letter axiom, up to
+        instantiated at: all of them for a 1-letter axiom, those up to
         `_CONG_TIER_DEPTH` for a 2-letter one, and otherwise the atoms
-        (variables and constants, depth 1)."""
+        (variables and constants, depth 1); a ground engine keeps only
+        those `ground` accepts.  Only that filter drops a 1-letter target."""
         if not axiom_level or n > 2:
             depth = 1
         else:
-            depth = self.rich_depth if n == 1 else _CONG_TIER_DEPTH
+            depth = math.inf if n == 1 else _CONG_TIER_DEPTH
         cached = self._tier_cache.get((depth, sort))
         if cached is not None:
             return cached
@@ -894,7 +892,9 @@ class _Saturator:
         so the rewrite goes downward only (upward it would pad every parent
         with unit-style wrappers and never end).  The side premise, found
         at a fixed state of the spaces, is memoized per child for the
-        sweep."""
+        sweep; every other argument stays at its terminal context, read off
+        its first view, and a parent with an argument that has none is
+        skipped."""
         old = parent.args[pos]
         if old in self._sides:
             w_i = self._sides[old]
@@ -902,10 +902,11 @@ class _Saturator:
             w_i = self._sides[old] = self._known_equal(old, replacement)
         if w_i is None:
             return
-        others = arg_contexts(self.R, parent.args[:pos] + parent.args[pos + 1:])
-        if others is None:
+        # the swapped child has views: w_i is one of them
+        views = [self._canonical_views(arg) for arg in parent.args]
+        if not all(views):
             return
-        ws = others[:pos] + (w_i,) + others[pos:]
+        ws = tuple(w_i if j == pos else vs[0][2] for j, vs in enumerate(views))
         images = parent.args[:pos] + (replacement,) + parent.args[pos + 1:]
         self._conclude(self._template(parent), parent.args, images, ws,
                        sum(ws, ()), pos, out)
@@ -934,10 +935,6 @@ class _Saturator:
             if sp.same(cu, cv):
                 return perm
         return None
-
-
-def _letter_sort_key(item: tuple[Letter, Term]) -> tuple[str, str]:
-    return (item[0].sort, item[0].name)
 
 
 # ---------------------------------------------------------------------------

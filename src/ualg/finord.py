@@ -366,6 +366,6 @@ def parse_family(token: str) -> DeltaFamily:
         except ValueError as exc:
             raise FinOrdError(f"bad generator list in {token!r}") from exc
         return DeltaFamily(kind, StructureMonoid(generators))
-    if token not in _NAMED_KINDS:
+    if token not in _NAMED_KINDS + _MONOID_KINDS:
         raise FinOrdError(f"unknown family token {token!r}")
-    return DeltaFamily(token)
+    return DeltaFamily(token)  # a bare monoid kind: "requires a monoid"

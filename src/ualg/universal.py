@@ -461,7 +461,8 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     seed can affect no class.  Round 1's targets are known from the closed
     starting material alone, registered first, and the lookups for a
     skipped instance still flag what they drop.  Skipping never lowers the
-    starting depth: every categorization side has depth at most 3, and the
+    engine's `depth_cap`, which `seed` raises to the depth of the seeds'
+    sides: every categorization side has depth at most 3, and the
     action-composition instance along the identity of [1] on [c => c],
     act(act(h)) of depth 3, is always kept, as id[c] is a target for h.
     """

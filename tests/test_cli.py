@@ -6,6 +6,8 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO, child_env
 
 MONOID = str(REPO / "theories" / "monoid.ua")
@@ -233,6 +235,34 @@ def test_universal_eh_is_hash_seed_independent():
         assert p.stdout == EH_HOM_D2, seed
 
 
+@pytest.mark.parametrize("family, members", [
+    ("delta-upper:0,1", 24), ("psi-upper:2,3", 9)])
+def test_delta_check_monoid_family(family, members):
+    """A monoid family prints with its generators and passes every
+    closure check."""
+    p = ualg("delta", "check", "--family", family, "--max", "3")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == [
+        f"family {family} max 3: pass",
+        f"  members (dom,cod <= 3): {members}",
+        "  identities: ok", "  composition: ok", "  coproduct: ok",
+        "  similarity: ok"]
+
+
+@pytest.mark.parametrize("family, max_n, message", [
+    ("bogus", "3", "unknown family token 'bogus'"),
+    ("delta-upper:x", "3", "bad generator list in 'delta-upper:x'"),
+    ("psi-upper:0", "3", "psi-upper requires 0 outside the monoid"),
+    ("psi-lower", "3", "psi-lower requires a monoid"),
+    ("bijections", "0", "max_n must be >= 1"),
+])
+def test_delta_check_rejections_exit_code(family, max_n, message):
+    p = ualg("delta", "check", "--family", family, "--max", max_n)
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == f"error: {message}\n"
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ua"
     bad.write_text("theory X\nstructure nonsense\n")
@@ -241,6 +271,10 @@ def test_parse_error_exit_code(tmp_path):
     assert "error:" in p.stderr
     p = ualg("prove", str(tmp_path / "missing.ua"), "--goal", "x ~ x ctx []")
     assert p.returncode == 3
+    bad.write_text("theory X\nstructure cartesian\nsort M\naxiom a : M\n")
+    p = ualg("prove", str(bad), "--goal", "x ~ x ctx [ x:M ]")
+    assert p.returncode == 3
+    assert p.stderr == "error: line 4, col 0: unknown directive 'axiom'\n"
 
 
 def test_non_identifier_sort_exit_code(tmp_path):

@@ -938,6 +938,58 @@ def test_instantiation_reads_targets_off_their_views(monkeypatch, monoid):
     assert len(calls) == 15 and not any(counts.values())
 
 
+def test_prove_reads_term_contexts_off_their_views(monkeypatch, monoid):
+    """During one `prove`, `terminal_context` is reached only through
+    `_canonical_views`, at most once per term it had no views for, and
+    through `_conclude`, at most once per call, for the conclusion's own
+    word: by `governing_orders`, or directly past four letters.  The proof
+    swaps mul(e,x) for x under a parent of five letters, so the sweep meets
+    a congruence whose other argument holds four, and `_conclude` takes
+    the branch past four letters."""
+    terminal = context.terminal_context
+    canonical_views, conclude = _Saturator._canonical_views, _Saturator._conclude
+    owners: list[str] = []
+    counts = dict.fromkeys(
+        ("outside", "views", "conclude", "new", "wide"), 0)
+
+    def counted(*args):
+        counts[owners[-1] if owners else "outside"] += 1
+        return terminal(*args)
+
+    def viewing(self, u):
+        counts["new"] += u not in self._views
+        owners.append("views")
+        try:
+            return canonical_views(self, u)
+        finally:
+            owners.pop()
+
+    def concluding(self, premise, images1, images2, ws, u_cat, pos, out):
+        before = counts["conclude"]
+        owners.append("conclude")
+        try:
+            conclude(self, premise, images1, images2, ws, u_cat, pos, out)
+        finally:
+            owners.pop()
+        assert counts["conclude"] - before <= 1
+        if len(set(u_cat)) > 4:
+            counts["wide"] += counts["conclude"] - before
+
+    for module in (context, syntax, deduction):
+        monkeypatch.setattr(module, "terminal_context", counted)
+    monkeypatch.setattr(_Saturator, "_canonical_views", viewing)
+    monkeypatch.setattr(_Saturator, "_conclude", concluding)
+    goal = parse_equation_text(
+        monoid.signature,
+        "mul(mul(e,x),mul(y,mul(z,mul(w,v)))) ~ mul(x,mul(y,mul(z,mul(w,v))))"
+        " ctx [ x:M y:M z:M w:M v:M ]", structure=monoid.structure)
+    result = prove(monoid, goal, Bounds(3, 5, 3))
+    assert result.proved
+    assert counts["outside"] == 0
+    assert 0 < counts["views"] <= counts["new"]
+    assert counts["wide"] > 0
+
+
 def test_roots_are_least_and_swaps_never_repeat(monkeypatch):
     """Every class's root is its least member, which `_smallest_mate` reads
     through `find`; and since mates never rise, no (parent, pos, mate)

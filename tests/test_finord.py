@@ -189,6 +189,8 @@ def test_family_parse_and_invariants():
         parse_family("nonsense")
     with pytest.raises(FinOrdError):
         parse_family("psi-lower:0,2")  # 0 in the monoid is not allowed
+    with pytest.raises(FinOrdError, match="^psi-lower requires a monoid$"):
+        parse_family("psi-lower")
     d = parse_family("psi-lower:2")
     assert in_family(d, fn((1, 1, 2), 2))
 

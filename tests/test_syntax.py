@@ -15,7 +15,7 @@ from ualg import syntax
 from ualg.deduction import Bounds
 from ualg.selftest import MONOID_TEXT
 from ualg.syntax import (
-    EquationContextError, ParseError, Term, TypingError, app,
+    EquationContextError, ParseError, Term, TheoryError, TypingError, app,
     apply_renaming, arg_contexts, const, equation, is_r_context,
     is_r_renaming, parse_equation_text, parse_theory, signature, tau,
     term_depth, var,
@@ -63,6 +63,55 @@ def test_parse_error_column_counts_from_equation_start(monoid, text, col,
     with pytest.raises(ParseError) as err:
         parse_equation_text(monoid.signature, text)
     assert err.value.col == col
+    assert message in str(err.value)
+
+
+HEAD = "theory T\nstructure cartesian\nsort M\nop mul : M M -> M\nop e : -> M\n"
+
+
+@pytest.mark.parametrize("text, cls, line, message", [
+    # parse_theory
+    ("theory\nstructure cartesian\n", ParseError, 1, "theory needs a name"),
+    (HEAD + "sort\n", ParseError, 6, "sort needs at least one name"),
+    (HEAD + "sort N M\n", ParseError, 6, "duplicate sort 'M'"),
+    (HEAD + "op f M -> M\n", ParseError, 6, "op syntax"),
+    (HEAD + "op mul : M -> M\n", ParseError, 6, "duplicate op 'mul'"),
+    (HEAD + "op f : M M\n", ParseError, 6, "op typing needs '->'"),
+    (HEAD + "op f : N -> M\n", ParseError, 6, "undeclared sort 'N'"),
+    (HEAD + "eq : x ~ x ctx [ x:M ]\n", ParseError, 6, "eq syntax"),
+    (HEAD + "axiom a : x ~ x ctx [ x:M ]\n", ParseError, 6,
+     "unknown directive 'axiom'"),
+    ("theory T\nsort M\n", ParseError, 1, "missing a 'structure' line"),
+    # _parse_ctx_block
+    (HEAD + "eq a : x ~ x ctx x:M\n", ParseError, 6,
+     "context must be bracketed"),
+    (HEAD + "eq a : x ~ x ctx [ x ]\n", ParseError, 6,
+     "bad context entry 'x'"),
+    (HEAD + "eq a : x ~ x ctx [ x:N ]\n", ParseError, 6,
+     "undeclared sort 'N' in context"),
+    # parse_equation_text
+    (HEAD + "eq a : x ~ x\n", ParseError, 6, "needs a 'ctx [ ... ]' part"),
+    (HEAD + "eq a : x ctx [ x:M ]\n", ParseError, 6, "needs '~'"),
+    # _TermParser
+    (HEAD + "eq a : mul(,x) ~ x ctx [ x:M ]\n", ParseError, 6,
+     "expected a name, got ','"),
+    (HEAD + "eq a : mul(x x) ~ x ctx [ x:M ]\n", ParseError, 6,
+     "expected ',' or ')', got 'x'"),
+    (HEAD + "eq a : mul ~ x ctx [ x:M ]\n", ParseError, 6,
+     "op mul expects 2 arguments, got 0"),
+    (HEAD + "eq a : q ~ x ctx [ x:M ]\n", ParseError, 6,
+     "'q' is neither a declared constant nor a context variable"),
+    # Theory: the one rejection with no line
+    (HEAD + "eq a : x ~ x ctx [ x:M ]\neq a : e ~ e ctx [ ]\n", TheoryError,
+     None, "duplicate equation name 'a'"),
+])
+def test_parse_theory_rejections(text, cls, line, message):
+    """Each rejection of the DSL raises its own class at the line it
+    names."""
+    with pytest.raises(TheoryError) as err:
+        parse_theory(text)
+    assert type(err.value) is cls
+    assert getattr(err.value, "line", None) == line
     assert message in str(err.value)
 
 

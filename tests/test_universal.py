@@ -305,7 +305,7 @@ def test_dropped_seeds_change_nothing(quotient_inputs, quotients):
     """Differential check against the engine seeded with the whole sigma
     theory, on every quotient of the module and on a theory with no axioms
     (whose only sides of depth 3 are categorization sides): the same
-    classes, flags, depth bounds and closed events in order, and every
+    classes, flags, depth cap and closed events in order, and every
     seed left out has a letter with no round-1 target."""
     E0 = Theory("E0", signature(["M"], {}), CARTESIAN, ())
     cases = dict(quotient_inputs)
@@ -323,8 +323,7 @@ def test_dropped_seeds_change_nothing(quotient_inputs, quotients):
                 dropped += 1
         reference.run()
         engine = part._engine
-        assert (engine.depth_cap, engine.rich_depth) == (
-            reference.depth_cap, reference.rich_depth), key
+        assert engine.depth_cap == reference.depth_cap, key
         assert tuple(sorted(reference.truncated_by)) == part.truncated_by, key
         assert [e for e in engine.events if not e[0]] == [
             e for e in reference.events if not e[0]], key
@@ -360,7 +359,7 @@ def test_quotient_ignores_the_context_bound(monoid):
     sigma = default_sigma(monoid, hom)
     short, long = (universal_hom(monoid, hom, Bounds(2, n, 8), sigma=sigma)
                    for n in (1, 6))
-    assert short._engine.universe == long._engine.universe
+    assert list(short._engine.universe) == list(long._engine.universe)
 
 
 def test_quotient_proof_digest(quotients):
@@ -438,5 +437,5 @@ def test_merged_is_reflexive_outside_the_universe(monoid):
                              "ctx [ x:M y:M ]", structure=monoid.structure)
     part = universal_hom(monoid, (("M", "M"), "M"), Bounds(2, 3, 3))
     t = internalize_term(part.sigma, eq.ctx, eq.lhs)
-    assert t not in part._engine.in_universe
+    assert t not in part._engine.universe
     assert part.merged(t, t)
