@@ -106,6 +106,12 @@ leaves every derived equation and proof unchanged:
     contexts: two combos share it iff such a bijection maps one onto the
     other, since the indices match the letters across targets and each
     canonical form fixes its target up to renaming its own context;
+  * renaming tables: `_canonicalize` keeps, per context word, its _v word
+    and the image of each subterm renamed at it, so an image is built once
+    per engine, on an explicit stack that no term depth can overflow.  The
+    tables and the memo of each conclusion word's governing orders belong
+    to the engine and are freed with it; they are never iterated.
+    `check_proof` and `canonical_triple` pass fresh tables;
   * pool letters: the _v and _p letters are cached per (sort, index), which
     only saves building their names, since every letter is interned.
 """
@@ -125,9 +131,9 @@ from .context import (
 )
 from .finord import FinFn
 from .syntax import (
-    App, Equation, Term, Theory, TheoryError, _app, app, apply_renaming,
-    const, ctx_str, equation, is_r_context, is_r_renaming, tau,
-    term_depth, term_str, term_vars, validate_equation, var,
+    App, Equation, Term, Theory, TheoryError, TypingError, Var, _app, app,
+    apply_renaming, const, ctx_str, equation, is_r_context, is_r_renaming,
+    tau, term_depth, term_str, term_vars, validate_equation, var,
 )
 
 
@@ -221,8 +227,8 @@ def _check_node(E: Theory, p: Proof
     if isinstance(p, Axiom):
         ax = E.axiom(p.name)
         c = p.concluded
-        if _canonicalize(ax.ctx, [ax.lhs, ax.rhs]) != _canonicalize(
-                c.ctx, [c.lhs, c.rhs]):
+        if _canonicalize({}, ax.ctx, [ax.lhs, ax.rhs]) != _canonicalize(
+                {}, c.ctx, [c.lhs, c.rhs]):
             raise ProofError(
                 f"axiom node {p.name}: stated equation is not a context "
                 f"renaming of the axiom")
@@ -314,18 +320,38 @@ def _template_letter(sort: str, j: int) -> Letter:
     return Letter(sort, f"_p{j}")
 
 
-def _canonicalize(ctx: Word, terms: Sequence[Term]
+def _canonicalize(tables: dict[Word, tuple[Word, dict[Term, Term]]],
+                  ctx: Word, terms: Sequence[Term]
                   ) -> tuple[Word, list[Term]]:
+    """ctx's letters renamed to _v1.._vn in order, and each term's image,
+    the term `apply_renaming` gives; `tables` keeps each context's word and
+    the images built at it (see "renaming tables")."""
     if not ctx:  # closed terms are their own canonical form
         return ctx, list(terms)
-    canon_ctx = tuple(_pool_letter(x.sort, i)
-                      for i, x in enumerate(ctx, start=1))
-    sub = {x: var(y) for x, y in zip(ctx, canon_ctx)}
-    return canon_ctx, [apply_renaming(sub, t) for t in terms]
+    entry = tables.get(ctx)
+    if entry is None:
+        canon_ctx = tuple(_pool_letter(x.sort, i)
+                          for i, x in enumerate(ctx, start=1))
+        entry = tables[ctx] = (
+            canon_ctx, {var(x): var(y) for x, y in zip(ctx, canon_ctx)})
+    canon_ctx, images = entry
+    stack = [t for t in reversed(terms) if tau(t) and t not in images]
+    while stack:
+        u = stack[-1]
+        if u in images:  # pushed again before its first copy was built
+            stack.pop()
+        elif isinstance(u, Var):
+            raise TypingError(f"renaming misses variable {u.letter.name}")
+        elif todo := [a for a in u.args if tau(a) and a not in images]:
+            stack.extend(reversed(todo))
+        else:  # a closed argument is its own image
+            images[stack.pop()] = _app(
+                u.op, u.sort, tuple(images.get(a, a) for a in u.args))
+    return canon_ctx, [images.get(t, t) for t in terms]
 
 
 def canonical_triple(ctx: Word, a: Term, b: Term):
-    canon_ctx, (ca, cb) = _canonicalize(ctx, [a, b])
+    canon_ctx, (ca, cb) = _canonicalize({}, ctx, [a, b])
     key_a, key_b = _term_key(ca), _term_key(cb)
     if key_b < key_a:
         ca, cb = cb, ca
@@ -502,6 +528,8 @@ class _Saturator:
         self._sides: dict[Term, Optional[Word]] = {}
         self._templates: dict[str, tuple[Word, Term, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
+        self._renamings: dict[Word, tuple[Word, dict[Term, Term]]] = {}
+        self._orders: dict[Word, list[Word]] = {}
         self._concluded: set[tuple] = set()
         self.truncated_by: set[str] = set()
         self.events: list[tuple[Word, Term, Term]] = []
@@ -514,7 +542,7 @@ class _Saturator:
             self._register(const(self.sig, name))
 
         for ctx, t in extra_terms:
-            canon_ctx, (ct,) = _canonicalize(ctx, [t])
+            canon_ctx, (ct,) = _canonicalize(self._renamings, ctx, [t])
             self._space(canon_ctx).add(ct)
             self._register(ct)
         self.depth_cap = max([self.bounds.max_term_depth]
@@ -526,7 +554,8 @@ class _Saturator:
         1, and raise `depth_cap` to its sides' depth, so no conclusion is
         cut shallower than the starting material.  Call before `run`."""
         for ax in axioms:
-            canon_ctx, (a, b) = _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
+            canon_ctx, (a, b) = _canonicalize(
+                self._renamings, ax.ctx, [ax.lhs, ax.rhs])
             proof = _reletter(Axiom(ax.name, ax), ax.ctx, canon_ctx, canon_ctx)
             self._apply_merge(canon_ctx, a, b, proof)
             self.depth_cap = max(self.depth_cap, term_depth(a), term_depth(b))
@@ -586,7 +615,8 @@ class _Saturator:
         self.rounds_used = rounds
 
     def proof_of(self, eq: Equation) -> Proof:
-        canon_ctx, (a, b) = _canonicalize(eq.ctx, [eq.lhs, eq.rhs])
+        canon_ctx, (a, b) = _canonicalize(
+            self._renamings, eq.ctx, [eq.lhs, eq.rhs])
         sp = self.spaces.get(canon_ctx)
         if sp is None or not sp.same(a, b):
             raise DeductionError(f"equation not derived: {eq}")
@@ -596,7 +626,7 @@ class _Saturator:
         return _reletter(proof, canon_ctx, eq.ctx, eq.ctx)
 
     def holds_canonically(self, ctx: Word, a: Term, b: Term) -> bool:
-        canon_ctx, (ca, cb) = _canonicalize(ctx, [a, b])
+        canon_ctx, (ca, cb) = _canonicalize(self._renamings, ctx, [a, b])
         sp = self.spaces.get(canon_ctx)
         return sp is not None and sp.same(ca, cb)
 
@@ -647,7 +677,8 @@ class _Saturator:
         if pos is None:
             return why.premise
         canon_ctx, (cu, cv) = _canonicalize(
-            why.ws[pos], [why.images1[pos], why.images2[pos]])
+            self._renamings, why.ws[pos],
+            [why.images1[pos], why.images2[pos]])
         return canon_ctx, cu, cv
 
     def _rule5_proof(self, why: _Rule5, explained: Proof) -> Proof:
@@ -661,13 +692,13 @@ class _Saturator:
         else:
             premise = Refl(a, ctx)
             w_pos = why.ws[pos]
-            canon_ctx, _ = _canonicalize(w_pos, [])
+            canon_ctx, _ = _canonicalize(self._renamings, w_pos, [])
             sides[pos] = _reletter(explained, canon_ctx, w_pos, w_pos)
         s1, s2 = (tuple(sorted(zip(ctx, images),
                                key=lambda item: _letter_key(item[0])))
                   for images in (why.images1, why.images2))
         node = Subst(s1, s2, why.w, why.ws, premise, tuple(sides))
-        canon_w, _ = _canonicalize(why.w, [])
+        canon_w, _ = _canonicalize(self._renamings, why.w, [])
         return _reletter(node, why.w, canon_w, canon_w)
 
     # -- merge bookkeeping -------------------------------------------------
@@ -791,7 +822,9 @@ class _Saturator:
             self.truncated_by.add("depth")
             return
         if len(distinct) <= 4:
-            orders = governing_orders(self.R, u_cat)
+            orders = self._orders.get(u_cat)
+            if orders is None:
+                orders = self._orders[u_cat] = governing_orders(self.R, u_cat)
         else:
             # Beyond four letters the factorial spread of context orders is
             # all twist variants; keep the terminal context only.
@@ -803,7 +836,8 @@ class _Saturator:
         # The key (see "renamed conclusions" above) canonicalizes the sides
         # at the first-occurrence order, which holds every letter of both,
         # and is the conclusion at that order when that order governs.
-        canon_ctx, (ca, cb) = _canonicalize(distinct, [lhs, rhs])
+        canon_ctx, (ca, cb) = _canonicalize(
+            self._renamings, distinct, [lhs, rhs])
         orbit = (canon_ctx, ca, cb)
         if orbit in self._concluded:
             return
@@ -812,7 +846,8 @@ class _Saturator:
             if w == distinct:
                 canon_ctx, ca, cb = orbit
             else:
-                canon_ctx, (ca, cb) = _canonicalize(w, [lhs, rhs])
+                canon_ctx, (ca, cb) = _canonicalize(
+                    self._renamings, w, [lhs, rhs])
             # A pair emitted earlier is joined once its round merges; a repeat
             # within the round finds one class in union and adds nothing.
             sp = self.spaces.get(canon_ctx)
@@ -880,7 +915,7 @@ class _Saturator:
         if views is None:
             views = []
             for perm in governing_orders(self.R, tau(u)):
-                canon_ctx, (cu,) = _canonicalize(perm, [u])
+                canon_ctx, (cu,) = _canonicalize(self._renamings, perm, [u])
                 views.append((canon_ctx, cu, perm))
             self._views[u] = views
         return views
@@ -931,7 +966,7 @@ class _Saturator:
             sp = self.spaces.get(canon_ctx)
             if sp is None or cu not in sp.parent:
                 continue
-            _, (cv,) = _canonicalize(perm, [v])
+            _, (cv,) = _canonicalize(self._renamings, perm, [v])
             if sp.same(cu, cv):
                 return perm
         return None

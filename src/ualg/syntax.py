@@ -521,6 +521,8 @@ def parse_theory(text: str) -> Theory:
             if not sep or not eq_name:
                 raise ParseError("eq syntax: eq <name> : <t> ~ <t> ctx [...]",
                                  lineno)
+            if any(eq_name == seen for seen, _, _ in raw_eqs):
+                raise ParseError(f"duplicate equation name {eq_name!r}", lineno)
             raw_eqs.append((eq_name, body.strip(), lineno))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)

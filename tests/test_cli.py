@@ -277,6 +277,28 @@ def test_parse_error_exit_code(tmp_path):
     assert p.stderr == "error: line 4, col 0: unknown directive 'axiom'\n"
 
 
+def test_duplicate_equation_name_exit_code(tmp_path):
+    bad = tmp_path / "dup.ua"
+    bad.write_text("theory Dup\nstructure cartesian\nsort M\nop e : -> M\n"
+                   "eq a : e ~ e ctx [ ]\neq a : x ~ x ctx [ x:M ]\n")
+    p = ualg("prove", str(bad), "--goal", "x ~ x ctx [ x:M ]")
+    assert p.returncode == 3
+    assert p.stderr == "error: line 6, col 0: duplicate equation name 'a'\n"
+
+
+def test_deep_goal_gets_a_verdict():
+    """A goal nested 900 deep, which the parser accepts at the default
+    recursion limit, is canonicalized on an explicit stack: a verdict, not
+    a RecursionError."""
+    lhs = "x"
+    for _ in range(900):
+        lhs = f"f({lhs},y)"
+    p = ualg("prove", PROJ, "--goal", f"{lhs} ~ x ctx [ x:A y:A ]")
+    assert p.returncode == 1
+    assert p.stdout.startswith("inconclusive (")
+    assert "Traceback" not in p.stderr
+
+
 def test_non_identifier_sort_exit_code(tmp_path):
     bad = tmp_path / "arrow.ua"
     bad.write_text("theory Arrow\nstructure cartesian\nsort A=>B\n"

@@ -1,5 +1,6 @@
 """The bounded saturation engine, proof replay, and the refutation invariant."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -8,6 +9,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ualg import context, deduction, syntax, universal
 from ualg.context import (
@@ -26,7 +28,7 @@ from ualg.selftest import (
 )
 from ualg.setmodel import find_model
 from ualg.syntax import (
-    App, Theory, TheoryError, app, apply_renaming, equation,
+    App, Theory, TheoryError, TypingError, app, apply_renaming, equation,
     parse_equation_text, parse_theory, tau, term_depth, var,
 )
 from ualg.universal import default_sigma, internalize_term, universal_hom
@@ -879,7 +881,8 @@ def test_instantiation_reads_targets_off_their_views(monkeypatch, monoid):
     the same 15 combos as keying by images canonicalized at the
     first-occurrence order, and reaches `terminal_context` and
     `_canonicalize` only through `_canonical_views`, at most once per
-    target it had no views for: never once per combo."""
+    target it had no views for: never once per combo.  Every
+    `_canonicalize` call renames through the engine's own tables."""
     calls = []
     monkeypatch.setattr(_Saturator, "_conclude",
                         lambda self, *args: calls.append(args[1]))
@@ -913,9 +916,16 @@ def test_instantiation_reads_targets_off_their_views(monkeypatch, monoid):
         monkeypatch.setattr(module, "terminal_context",
                             counted("terminal_context",
                                     context.terminal_context))
-    monkeypatch.setattr(deduction, "_canonicalize",
-                        counted("_canonicalize", deduction._canonicalize))
+    tables = []
+    canonicalize = counted("_canonicalize", deduction._canonicalize)
+
+    def renaming(*args):
+        tables.append(args[0])
+        return canonicalize(*args)
+
+    monkeypatch.setattr(deduction, "_canonicalize", renaming)
     engine._instantiate(event, True, [])
+    assert all(t is engine._renamings for t in tables)
     assert counts["outside"] == 0
     assert 0 < counts["terminal_context"] <= len(new)
     assert 0 < counts["_canonicalize"] <= len(new)
@@ -936,6 +946,76 @@ def test_instantiation_reads_targets_off_their_views(monkeypatch, monoid):
     counts.update(dict.fromkeys(counts, 0))
     engine._instantiate(event, True, [])
     assert len(calls) == 15 and not any(counts.values())
+
+
+CANON_LETTERS = [_pool_letter("M", 1), _pool_letter("M", 2),
+                 _pool_letter("M", 3), X, Y]
+MONOID_SIG = monoid_theory().signature
+CANON_TERMS = st.recursive(
+    st.sampled_from([var(x) for x in CANON_LETTERS] + [app(MONOID_SIG, "e")]),
+    lambda kids: st.tuples(kids, kids).map(
+        lambda pair: app(MONOID_SIG, "mul", pair)),
+    max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def warm_engine(monoid):
+    return saturate(monoid, Bounds(3, 3, 2))._engine
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(requests=st.lists(st.tuples(
+    st.lists(st.sampled_from(CANON_LETTERS), min_size=1, max_size=4,
+             unique=True),
+    st.lists(CANON_TERMS, max_size=3)), min_size=1, max_size=6))
+def test_warm_tables_agree_with_the_reference(warm_engine, requests):
+    """An engine's tables, warm from a saturation and from the examples
+    before, asked for interleaved contexts (the `_v` letters among them, in
+    any order), give what the reference and fresh tables give; a term with
+    a letter outside the context still raises, and leaves the tables
+    right."""
+    engine = warm_engine
+    for ctx, terms in requests:
+        ctx = tuple(ctx)
+        if all(set(tau(t)) <= set(ctx) for t in terms):
+            got = deduction._canonicalize(engine._renamings, ctx, terms)
+            assert got == _ref_canonicalize(ctx, terms)
+            assert got == deduction._canonicalize({}, ctx, terms)
+        else:
+            with pytest.raises(TypingError, match="renaming misses variable"):
+                deduction._canonicalize(engine._renamings, ctx, terms)
+            with pytest.raises(TypingError):
+                _ref_canonicalize(ctx, terms)
+
+
+def test_each_image_is_built_once_per_engine(monkeypatch):
+    """On a derive goal, every `_canonicalize` call renames through the one
+    engine's tables, and no (context word, subterm) image is built twice,
+    though the engine asks for many a term's image again."""
+    canonicalize = deduction._canonicalize
+    tables, built = set(), collections.Counter()
+    asked = collections.Counter()
+
+    def counting(renamings, ctx, terms):
+        tables.add(id(renamings))
+        images = renamings[ctx][1] if ctx in renamings else {}
+        asked.update(t in images for t in terms if tau(t))
+        before = len(images) if ctx in renamings else len(set(ctx))
+        out = canonicalize(renamings, ctx, terms)
+        images = renamings[ctx][1] if ctx else {}
+        # the images this call built are the last keys inserted
+        built.update((ctx, u) for u in itertools.islice(
+            reversed(images), len(images) - before))
+        return out
+
+    monkeypatch.setattr(deduction, "_canonicalize", counting)
+    EH = eckmann_hilton_theory()
+    goal = parse_equation_text(EH.signature, "o(x,y) ~ o(y,x) ctx [ x:M y:M ]",
+                               structure=EH.structure)
+    assert prove(EH, goal, Bounds(4, 4, 8)).proved
+    assert len(tables) == 1
+    assert built and max(built.values()) == 1
+    assert asked[True] > 0
 
 
 def test_prove_reads_term_contexts_off_their_views(monkeypatch, monoid):

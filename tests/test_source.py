@@ -283,6 +283,49 @@ def test_denotation_check_sees_a_stray_call():
     assert _calls(tree, "arg_contexts") == [4, 6]
 
 
+def _callers(tree: ast.Module, name: str) -> list[tuple[str, int]]:
+    """For each call of `name`, the innermost function that holds it (or
+    `<module>`), with the call's line."""
+    fns = [n for n in ast.walk(tree)
+           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    out = []
+    for line in sorted(_calls(tree, name)):
+        owners = [f for f in fns if f.lineno <= line <= f.end_lineno]
+        owner = max(owners, key=lambda f: f.lineno).name if owners \
+            else "<module>"
+        out.append((owner, line))
+    return out
+
+
+# An instantiation's conclusion, a mate read back from canonical form, and
+# check_proof's replay of a substitution.
+RENAMING_CALLERS = {"_conclude", "_smallest_mate", "_check_node"}
+
+
+def test_one_canonicalization_path():
+    """In `deduction` only the renamings that are no canonical form call
+    `apply_renaming`: every canonical form comes from `_canonicalize` and
+    its tables, so a second canonicalization path cannot return
+    unnoticed."""
+    tree = ast.parse((SRC / "deduction.py").read_text())
+    stray = [f"deduction.py:{line}: {owner}"
+             for owner, line in _callers(tree, "apply_renaming")
+             if owner not in RENAMING_CALLERS]
+    assert not stray, "apply_renaming called at:\n" + "\n".join(stray)
+
+
+def test_canonicalization_check_sees_a_stray_call():
+    tree = ast.parse("def _conclude(s, t):\n"
+                     "    return apply_renaming(s, t)\n"
+                     "def _canonicalize(s, t):\n"
+                     "    def walk(u):\n"
+                     "        return syntax.apply_renaming(s, u)\n"
+                     "    return walk(t)\n"
+                     "X = apply_renaming({}, None)\n")
+    assert _callers(tree, "apply_renaming") == [
+        ("_conclude", 2), ("walk", 5), ("<module>", 7)]
+
+
 def _stored_attributes(tree: ast.Module) -> dict[str, int]:
     """Each attribute a method stores on `self`, with the first line that
     stores it."""

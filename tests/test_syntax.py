@@ -101,9 +101,8 @@ HEAD = "theory T\nstructure cartesian\nsort M\nop mul : M M -> M\nop e : -> M\n"
      "op mul expects 2 arguments, got 0"),
     (HEAD + "eq a : q ~ x ctx [ x:M ]\n", ParseError, 6,
      "'q' is neither a declared constant nor a context variable"),
-    # Theory: the one rejection with no line
-    (HEAD + "eq a : x ~ x ctx [ x:M ]\neq a : e ~ e ctx [ ]\n", TheoryError,
-     None, "duplicate equation name 'a'"),
+    (HEAD + "eq a : x ~ x ctx [ x:M ]\neq a : e ~ e ctx [ ]\n", ParseError,
+     7, "duplicate equation name 'a'"),
 ])
 def test_parse_theory_rejections(text, cls, line, message):
     """Each rejection of the DSL raises its own class at the line it
@@ -113,6 +112,15 @@ def test_parse_theory_rejections(text, cls, line, message):
     assert type(err.value) is cls
     assert getattr(err.value, "line", None) == line
     assert message in str(err.value)
+
+
+def test_theory_built_in_code_rejects_a_duplicate_equation_name(monoid):
+    """`parse_theory` names the repeat's line; a theory built in code has
+    no lines, and `Theory` itself still rejects the repeat."""
+    lunit = monoid.axiom("lunit")
+    with pytest.raises(TheoryError, match="duplicate equation name 'lunit'"):
+        syntax.Theory("T", monoid.signature, monoid.structure,
+                      (lunit, lunit))
 
 
 @pytest.mark.parametrize("name", ["A=>B", "[M]", "M,N", "1M"])

@@ -286,7 +286,7 @@ def test_quotient_is_ground(quotient_inputs, quotients):
         _, part = quotients[key]
         reference = _unfiltered_engine(E, part, bounds, extra)
         seeds = {(ctx, a, b) for ctx, (a, b) in (
-            _canonicalize(ax.ctx, [ax.lhs, ax.rhs])
+            _canonicalize({}, ax.ctx, [ax.lhs, ax.rhs])
             for ax in sigma_theory(part.sigma, E).equations) if ctx}
         live = {seed for seed in seeds
                 if all(_round_one_targets(reference, seed[0]))}
