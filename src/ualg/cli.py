@@ -30,11 +30,6 @@ from .universal import sigma_term_str, universal_hom
 from .selftest import ALL_CHECKS, render_report, run_selftest
 
 
-def _bounds(args: argparse.Namespace) -> Bounds:
-    """The saturation bounds of `prove` and `universal`."""
-    return Bounds(args.depth, args.ctx, args.rounds)
-
-
 def _emit(args, items) -> None:
     """Print each `(text, record)` item: its text in text mode, its record
     as one JSON line under `--format json-lines`."""
@@ -90,7 +85,7 @@ def cmd_ctx_terminal(args) -> Output:
 def cmd_prove(args) -> Output:
     theory = _load_theory(args.file)
     goal = _parse_goal(theory, args.goal)
-    result = prove(theory, goal, _bounds(args))
+    result = prove(theory, goal, Bounds(args.depth, args.ctx, args.rounds))
     if result.proved:
         return 0, [("proved", {"proved": True, "goal": args.goal}),
                    ("\n".join(proof_lines(result.proof)), None)]
@@ -126,7 +121,9 @@ def cmd_universal(args) -> Output:
     if not sep or len(result_sort.split()) != 1:
         raise TheoryError("hom must look like '<S> <S> -> <S>'")
     hom = (tuple(doms_text.split()), result_sort.strip())
-    part = universal_hom(theory, hom, _bounds(args))
+    # The ground engine derives closed equations only, which no context
+    # bound cuts, so any value gives the same quotient.
+    part = universal_hom(theory, hom, Bounds(args.depth, 1, args.rounds))
     items = [(f"{len(part.classes)} classes", None)]
     for i, cls in enumerate(part.classes):
         rep = sigma_term_str(part.sigma, cls[0])
@@ -198,26 +195,21 @@ def build_parser() -> argparse.ArgumentParser:
     prove_p.add_argument("--rounds", type=int, default=8)
     prove_p.set_defaults(handler=cmd_prove)
 
-    cm = sub.add_parser(
-        "countermodel",
-        help="sequential backtracking model search (the result never "
-             "depends on --workers)")
+    cm = sub.add_parser("countermodel",
+                        help="sequential backtracking model search")
     cm.add_argument("file")
     cm.add_argument("--goal", required=True)
     cm.add_argument("--max-size", type=int, default=2)
-    cm.add_argument("--workers", type=int)
     cm.set_defaults(handler=cmd_countermodel)
 
     uni = sub.add_parser("universal", help="bounded initial-model classes")
     uni.add_argument("file")
     uni.add_argument("--hom", required=True)
     uni.add_argument("--depth", type=int, default=3)
-    uni.add_argument("--ctx", type=int, default=3)
     uni.add_argument("--rounds", type=int, default=8)
     uni.set_defaults(handler=cmd_universal)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")
-    st.add_argument("--workers", type=int)
     st.add_argument("--only", type=_criteria,
                     help="comma-separated criterion numbers")
     st.set_defaults(handler=cmd_selftest)

@@ -26,6 +26,13 @@ emitted only at orders of the letters they use, so the engine never weakens
 an equation into a context with more letters; `prove` flags that gap too
 (`weakening`) when it could matter.
 
+Every registered term is governed by some context: axiom and goal sides
+are validated, rule 5 keeps conclusions governed, and a subterm of a
+governed term is governed.  So every term has a canonical view (below),
+and a child's mate, read from one of its views' spaces, is found there
+again, as spaces never split.  The engine relies on both, and raises
+rather than drop a candidate unflagged if either ever failed.
+
 A ground engine (`universal_hom`'s) registers closed terms only, so it
 instantiates at the closed terms its `ground` predicate accepts and sweeps
 closed parents only: every event after the axiom seeds is closed, and the
@@ -227,6 +234,9 @@ def _check_node(E: Theory, p: Proof
     if isinstance(p, Axiom):
         ax = E.axiom(p.name)
         c = p.concluded
+        if len(set(c.ctx)) != len(c.ctx):
+            raise ProofError(
+                f"axiom node {p.name}: stated context repeats a letter")
         if _canonicalize({}, ax.ctx, [ax.lhs, ax.rhs]) != _canonicalize(
                 {}, c.ctx, [c.lhs, c.rhs]):
             raise ProofError(
@@ -525,7 +535,7 @@ class _Saturator:
         self._tier_cache: dict[tuple[float, str], list[Term]] = {}
         self._swept = 0
         self._mates: dict[Term, Optional[Term]] = {}
-        self._sides: dict[Term, Optional[Word]] = {}
+        self._sides: dict[Term, Word] = {}
         self._templates: dict[str, tuple[Word, Term, Term]] = {}
         self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
         self._renamings: dict[Word, tuple[Word, dict[Term, Term]]] = {}
@@ -571,14 +581,22 @@ class _Saturator:
     # -- registration ------------------------------------------------------
 
     def _register(self, t: Term) -> None:
-        """Add t and its subterms; a ground engine's are closed only."""
-        if t in self.universe or (self.ground is not None and tau(t)):
+        """Add t and its subterms, each after its arguments, on an explicit
+        stack; a ground engine adds closed terms only, whose subterms are
+        closed too."""
+        universe = self.universe
+        if t in universe or (self.ground is not None and tau(t)):
             return
-        if isinstance(t, App):
-            for a in t.args:
-                self._register(a)
-        self.universe[t] = None
-        self.by_sort.setdefault(t.sort, []).append(t)
+        stack = [t]  # a path down t: each entry an argument of the one before
+        while stack:
+            u = stack[-1]
+            for a in (u.args if isinstance(u, App) else ()):
+                if a not in universe:
+                    stack.append(a)
+                    break
+            else:
+                universe[stack.pop()] = None
+                self.by_sort.setdefault(u.sort, []).append(u)
 
     def _space(self, canon_ctx: Word) -> _Space:
         sp = self.spaces.get(canon_ctx)
@@ -758,10 +776,8 @@ class _Saturator:
         """Conclude rule 5 from `event` at every combo of targets for its
         letters but the letter renamings of an earlier combo (see "renamed
         conclusions").  Each target's terminal context and canonical form
-        come from its first canonical view; a target with none has no
-        terminal context, so no combo holding it is concluded.  An event is
-        instantiated in one round, so the keys live for this call; closed
-        combos take none."""
+        come from its first canonical view.  An event is instantiated in one
+        round, so the keys live for this call; closed combos take none."""
         ctx = event[0]
         n = len(ctx)
         if n == 0:
@@ -780,8 +796,8 @@ class _Saturator:
                     math.prod(map(len, target_lists)) > _INST_BUDGET:
                 return
         # (target, canonical form, terminal context) off the first view
-        view_lists = [[(t, views[0][1], views[0][2]) for t in lst
-                       if (views := self._canonical_views(t))]
+        view_lists = [[(t, view[1], view[2]) for t in lst
+                       for view in [self._canonical_views(t)[0]]]
                       for lst in target_lists]
         keys: set[tuple] = set()
         for picks in itertools.product(*view_lists):
@@ -928,20 +944,14 @@ class _Saturator:
         with unit-style wrappers and never end).  The side premise, found
         at a fixed state of the spaces, is memoized per child for the
         sweep; every other argument stays at its terminal context, read off
-        its first view, and a parent with an argument that has none is
-        skipped."""
+        its first view."""
         old = parent.args[pos]
         if old in self._sides:
             w_i = self._sides[old]
         else:
             w_i = self._sides[old] = self._known_equal(old, replacement)
-        if w_i is None:
-            return
-        # the swapped child has views: w_i is one of them
-        views = [self._canonical_views(arg) for arg in parent.args]
-        if not all(views):
-            return
-        ws = tuple(w_i if j == pos else vs[0][2] for j, vs in enumerate(views))
+        ws = tuple(w_i if j == pos else self._canonical_views(arg)[0][2]
+                   for j, arg in enumerate(parent.args))
         images = parent.args[:pos] + (replacement,) + parent.args[pos + 1:]
         self._conclude(self._template(parent), parent.args, images, ws,
                        sum(ws, ()), pos, out)
@@ -958,7 +968,7 @@ class _Saturator:
                 template_ctx, template, template)
         return cached
 
-    def _known_equal(self, u: Term, v: Term) -> Optional[Word]:
+    def _known_equal(self, u: Term, v: Term) -> Word:
         """A context at which u ~ v is already derived, for v a mate of u:
         one of u's views, since the mate has only u's letters and a space
         holds only terms its context governs."""
@@ -969,7 +979,8 @@ class _Saturator:
             _, (cv,) = _canonicalize(self._renamings, perm, [v])
             if sp.same(cu, cv):
                 return perm
-        return None
+        raise DeductionError(
+            f"no view of {term_str(u)} holds its mate {term_str(v)}")
 
 
 # ---------------------------------------------------------------------------

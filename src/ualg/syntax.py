@@ -238,8 +238,9 @@ def is_r_context(R: ContextStructure, c: Word, t: Term) -> bool:
 
 def is_r_renaming(R: ContextStructure, s: Mapping[Letter, Term],
                   v: Word, w: Word, ws: Sequence[Word]) -> bool:
-    """Check a substitution triple: w governs the concatenation of the ws and
-    each ws[i] governs the variable word of s(v[i])."""
+    """Check a substitution triple: each s(v[i]) has v[i]'s sort, w governs
+    the concatenation of the ws, and each ws[i] governs the variable word of
+    s(v[i])."""
     check_context(v)
     if set(s.keys()) != set(v):
         raise TypingError("renaming domain must equal the context letters")
@@ -248,7 +249,8 @@ def is_r_renaming(R: ContextStructure, s: Mapping[Letter, Term],
     if not holds(R, w, tuple(x for wi in ws for x in wi)):
         return False
     for x, wi in zip(v, ws):
-        if not holds(R, wi, tau(s[x])):
+        image = s[x]
+        if image.sort != x.sort or not holds(R, wi, tau(image)):
             return False
     return True
 
@@ -379,28 +381,48 @@ class _TermParser:
         return t
 
     def parse_term(self) -> Term:
-        name, col = self.take()
-        if name in "(),":
-            raise ParseError(f"expected a name, got {name!r}", self.line, col)
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "(":
-            self.take()
-            args: list[Term] = []
-            if self.peek() is not None and self.peek()[0] == ")":
-                self.take()
+        """One term, on an explicit stack of the applications still open, so
+        no nesting depth reaches Python's recursion limit."""
+        open_apps: list[tuple[str, int, list[Term]]] = []
+        while True:
+            name, col = self.take()
+            if name in "(),":
+                raise ParseError(f"expected a name, got {name!r}", self.line,
+                                 col)
+            nxt = self.peek()
+            if nxt is None or nxt[0] != "(":
+                t = self._leaf(name, col)
             else:
-                while True:
-                    args.append(self.parse_term())
-                    tok, tcol = self.take()
-                    if tok == ")":
-                        break
-                    if tok != ",":
-                        raise ParseError(
-                            f"expected ',' or ')', got {tok!r}", self.line, tcol)
-            try:
-                return app(self.sig, name, args)
-            except TypingError as exc:
-                raise ParseError(str(exc), self.line, col) from exc
+                self.take()
+                nxt = self.peek()
+                if nxt is None or nxt[0] != ")":
+                    open_apps.append((name, col, []))
+                    continue
+                self.take()
+                t = self._apply(name, col, [])
+            # t ends an argument: close each application it completes
+            while open_apps:
+                op, op_col, args = open_apps[-1]
+                args.append(t)
+                tok, tcol = self.take()
+                if tok == ",":
+                    break
+                if tok != ")":
+                    raise ParseError(
+                        f"expected ',' or ')', got {tok!r}", self.line, tcol)
+                open_apps.pop()
+                t = self._apply(op, op_col, args)
+            else:
+                return t
+
+    def _apply(self, name: str, col: int, args: list[Term]) -> Term:
+        try:
+            return app(self.sig, name, args)
+        except TypingError as exc:
+            raise ParseError(str(exc), self.line, col) from exc
+
+    def _leaf(self, name: str, col: int) -> Term:
+        """A bare name: a declared constant or a context variable."""
         if name in self.sig.ops:
             decl = self.sig.op(name)
             if decl.arity:

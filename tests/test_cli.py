@@ -299,6 +299,36 @@ def test_deep_goal_gets_a_verdict():
     assert "Traceback" not in p.stderr
 
 
+def _deep_goal_lhs(depth: int) -> str:
+    lhs = "x"
+    for _ in range(depth):
+        lhs = f"f({lhs},y)"
+    return lhs
+
+
+def test_goal_past_the_recursion_limit_gets_a_verdict():
+    """The parser and the saturator's term registration run on explicit
+    stacks, so a goal nested 2000 deep, past the default recursion limit,
+    gets a verdict, not a RecursionError."""
+    p = ualg("prove", PROJ, "--goal",
+             f"{_deep_goal_lhs(2000)} ~ x ctx [ x:A y:A ]")
+    assert p.returncode == 1
+    assert p.stdout.startswith("inconclusive (")
+    assert "Traceback" not in p.stderr
+
+
+def test_deep_malformed_goal_is_a_parse_error():
+    """A malformed goal past the recursion limit is a ParseError at its
+    column (exit 3), whether the deep side parses or not."""
+    lhs = _deep_goal_lhs(2000)
+    for goal, col in ((f"{lhs} ~ f(x ctx [ x:A y:A ]", 10007),
+                      (f"{lhs[:-1]} ~ x ctx [ x:A y:A ]", 10001)):
+        p = ualg("prove", PROJ, "--goal", goal)
+        assert p.returncode == 3
+        assert p.stdout == ""
+        assert p.stderr == f"error: line 1, col {col}: unexpected end of term\n"
+
+
 def test_non_identifier_sort_exit_code(tmp_path):
     bad = tmp_path / "arrow.ua"
     bad.write_text("theory Arrow\nstructure cartesian\nsort A=>B\n"
@@ -356,25 +386,26 @@ def test_selftest_only_rejects_bad_criteria():
             assert "--only" in p.stderr and "Traceback" not in p.stderr
 
 
-def test_workers_is_an_accepted_no_op():
-    """`--workers` and UALG_WORKERS are accepted and change nothing; a
-    non-integer `--workers` is still a usage error."""
+def test_dropped_options_are_usage_errors():
+    """`countermodel --workers`, `selftest --workers` and `universal --ctx`
+    changed nothing and are gone: each is now a usage error that names the
+    option and prints nothing.  UALG_WORKERS, which nothing reads, still
+    changes nothing."""
     subset = ("selftest", "--only", "2,4,8,9")
     plain = ualg(*subset)
     assert plain.returncode == 0
     assert "all checks passed" in plain.stdout
-    for p in (ualg(*subset, "--workers", "4"),
-              ualg(*subset, env={"UALG_WORKERS": "4"})):
-        assert p.returncode == 0
-        assert p.stdout == plain.stdout
+    p = ualg(*subset, env={"UALG_WORKERS": "4"})
+    assert p.returncode == 0
+    assert p.stdout == plain.stdout
     goal = ("countermodel", PROJ, "--goal", "f(x,y) ~ f(y,x) ctx [ x:A y:A ]")
-    plain = ualg(*goal)
-    assert plain.returncode == 0
-    assert ualg(*goal, "--workers", "4").stdout == plain.stdout
-    for args in (subset, goal):
-        p = ualg(*args, "--workers", "x")
+    hom = ("universal", MONOID, "--hom", "M M -> M", "--depth", "2")
+    for args, option, value in ((goal, "--workers", "4"),
+                                (subset, "--workers", "4"),
+                                (hom, "--ctx", "3")):
+        p = ualg(*args, option, value)
         assert p.returncode == 3, args
-        assert p.stdout == "" and "--workers" in p.stderr
+        assert p.stdout == "" and option in p.stderr, args
 
 
 def test_universal_accepts_a_non_linear_theory(tmp_path):

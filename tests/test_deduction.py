@@ -227,6 +227,37 @@ def test_check_proof_rejects_bad_nodes(monoid):
                                                             monoid.axiom("runit"))))
 
 
+def test_check_proof_rejects_an_ill_sorted_substitution():
+    """A renaming must keep each letter's sort, even for a letter neither
+    side uses: mapping the unused x:A to a B-constant would drop x from the
+    context, and the conclusion fails in a model whose A is empty."""
+    E = parse_theory("theory T\nstructure cartesian\nsort A B\n"
+                     "op a : -> B\nop b : -> B\n"
+                     "eq k : a ~ b ctx [ x:A ]\n")
+    x = Letter("A", "x")
+    a = app(E.signature, "a")
+    forged = Subst(s1=((x, a),), s2=((x, a),), w=(), ws=((),),
+                   premise=Axiom("k", E.axiom("k")), sides=(Refl(a, ()),))
+    closed = equation("", a, app(E.signature, "b"), ())
+    assert find_model(E, 2, avoid=closed) is not None
+    with pytest.raises(ProofError):
+        check_proof(E, forged)
+
+
+def test_check_proof_rejects_an_axiom_stated_at_a_repeated_letter():
+    """An axiom node's stated context must not repeat a letter, though its
+    canonical form may match the axiom's: [x x] renames like [a b]."""
+    E = parse_theory("theory T\nstructure injective\nsort A\n"
+                     "op g : A -> A\nop h : A -> A\n"
+                     "eq k : g(b) ~ h(b) ctx [ a:A b:A ]\n")
+    x = var(Letter("A", "x"))
+    stated = syntax.Equation("", app(E.signature, "g", [x]),
+                             app(E.signature, "h", [x]),
+                             (x.letter, x.letter))
+    with pytest.raises(ProofError):
+        check_proof(E, Axiom("k", stated))
+
+
 def test_structure_ordering_on_projection_theory():
     goal_free = None
     derived = {}
@@ -1139,11 +1170,14 @@ def test_space_terms_stay_inside_their_context():
     """Every term of a space has its letters in that space's context, so a
     class's smallest member can always be renamed back through a view; and
     the context governs it, which lets `_known_equal` read a mate's
-    contexts off the child's views."""
+    contexts off the child's views.  Every registered term has a view,
+    which `_instantiate` and `_swap_child` read without a check."""
     runs = _sweep_workloads() + _sample_theories_under_every_admitted_structure()
     terms = 0
     for name, make in runs:
         engine = make()
+        for t in engine.universe:
+            assert engine._canonical_views(t), (name, t)
         for ctx, sp in engine.spaces.items():
             letters = set(ctx)
             for t in sp.parent:

@@ -382,3 +382,58 @@ def test_dead_attribute_check_sees_a_dead_attribute():
                   "    return c.seen\n")
     assert _dead_attributes({"a.py": a}, [a, b]) == [
         "a.py:5: dropped", "a.py:6: lost"]
+
+
+def _self_calls(tree: ast.Module, module: str) -> list[str]:
+    """Each function that calls itself, by its bare name or as
+    `self.<name>`, as `module.function:line`."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for n in ast.walk(fn):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if isinstance(f, ast.Name) and f.id == fn.name or \
+                    isinstance(f, ast.Attribute) and f.attr == fn.name \
+                    and isinstance(f.value, ast.Name) and f.value.id == "self":
+                out.append(f"{module}.{fn.name}:{n.lineno}")
+                break
+    return out
+
+
+# The walks that still recurse once per level, each with why it may.
+RECURSION_ALLOWED = {
+    "syntax.apply_renaming": "replay's substitution; ROADMAP item 11",
+    "syntax.denote": "the semantics of a term; ROADMAP item 11",
+    "setmodel._ground": "model search's compiled terms; ROADMAP item 11",
+    "universal.sigma_interpret": "a class's base reading; ROADMAP item 11",
+    "universal.sigma_term_str": "a class's printed form; ROADMAP item 11",
+    "universal._arg_splits": "one level per argument: the arity bound",
+}
+
+
+def test_no_recursion():
+    """No function in the package calls itself but the allowed walks, so a
+    term's depth cannot reach Python's recursion limit anywhere else (ROADMAP
+    item 11 lists the walks left)."""
+    found = [call for path in sorted(SRC.glob("*.py"))
+             for call in _self_calls(ast.parse(path.read_text()), path.stem)
+             if call.split(":")[0] not in RECURSION_ALLOWED]
+    assert not found, "recursive functions:\n" + "\n".join(found)
+
+
+def test_recursion_check_sees_a_recursive_function():
+    tree = ast.parse("def walk(t):\n"
+                     "    return [walk(a) for a in t.args]\n"
+                     "def loop(t):\n"
+                     "    while t:\n"
+                     "        t = t.next\n"
+                     "class C:\n"
+                     "    def visit(self, t):\n"
+                     "        self.other(t)\n"
+                     "        return self.visit(t.args[0])\n"
+                     "    def other(self, t):\n"
+                     "        return t.other(t)\n")
+    assert _self_calls(tree, "m") == ["m.walk:2", "m.visit:9"]
