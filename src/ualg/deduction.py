@@ -118,14 +118,11 @@ leaves every derived equation and proof unchanged:
     per engine, on an explicit stack that no term depth can overflow.  The
     tables and the memo of each conclusion word's governing orders belong
     to the engine and are freed with it; they are never iterated.
-    `check_proof` and `canonical_triple` pass fresh tables;
-  * pool letters: the _v and _p letters are cached per (sort, index), which
-    only saves building their names, since every letter is interned.
+    `check_proof` and `canonical_triple` pass fresh tables.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -209,20 +206,27 @@ class Subst(Proof):
 
 def check_proof(E: Theory, p: Proof) -> Equation:
     """Replay a proof against a theory; returns the equation it concludes.
+    Every malformed node raises ProofError, with the message of the check
+    that rejects it.
 
     Runs on an explicit stack of node checkers, so the left-nested `Trans`
     chains that `explain` builds never reach Python's recursion limit."""
     stack = [_check_node(E, p)]
     concluded = None
-    while stack:
-        try:
-            premise = stack[-1].send(concluded)
-        except StopIteration as done:
-            stack.pop()
-            concluded = done.value
-        else:
-            stack.append(_check_node(E, premise))
-            concluded = None
+    try:
+        while stack:
+            try:
+                premise = stack[-1].send(concluded)
+            except StopIteration as done:
+                stack.pop()
+                concluded = done.value
+            else:
+                stack.append(_check_node(E, premise))
+                concluded = None
+    except ProofError:
+        raise
+    except TheoryError as exc:
+        raise ProofError(str(exc)) from None
     return concluded
 
 
@@ -318,13 +322,11 @@ def proof_lines(p: Proof) -> list[str]:
 # Canonical form: context letters become _v1.._vn in context order
 
 
-@functools.cache
 def _pool_letter(sort: str, i: int) -> Letter:
-    """Cached per (sort, i); letters are interned, so this saves the name."""
+    """The i-th letter of a canonical context _v1.._vn."""
     return Letter(sort, f"_v{i}")
 
 
-@functools.cache
 def _template_letter(sort: str, j: int) -> Letter:
     """The j-th argument letter of a congruence template op(_p1, .., _pk)."""
     return Letter(sort, f"_p{j}")

@@ -4,7 +4,7 @@ A MultiMap is a total function from a cartesian product of finite carriers
 (identified by their sizes) into a carrier, stored as a dense row-major table
 (first coordinate most significant).  Carriers may be empty: a product with
 an empty factor has no rows and the table is the empty tuple.  A term's
-table is `syntax.denote` over these tables (`eval_term`).
+table is `syntax.denote` over Set's maps, built once by `set_multicategory`.
 
 Model search follows SEM and Mace4: for each size vector it assigns the table
 cells one at a time, ops in signature order and each table row-major, trying
@@ -166,9 +166,6 @@ class FinSetModel:
             if t.doms != want or t.cod != self.carriers[decl.result]:
                 raise ModelError(f"table for op {name} has the wrong shape")
 
-    def carrier_word(self, v: Word) -> tuple[int, ...]:
-        return tuple(self.carriers[x.sort] for x in v)
-
 
 def _require_context(R: ContextStructure, v: Word, t: Term) -> None:
     if not is_r_context(R, v, t):
@@ -177,14 +174,19 @@ def _require_context(R: ContextStructure, v: Word, t: Term) -> None:
             f"{term_str(t)} under {R}")
 
 
+def set_multicategory(m: FinSetModel) -> tuple[Callable, ...]:
+    """Set's `ident`, `op`, `compose` and `act` over m, for `syntax.denote`:
+    identity tables, op tables, `compose_multi` and `theta_action`."""
+    return (lambda sort: identity_map(m.carriers[sort]),
+            m.op_tables.__getitem__, compose_multi,
+            lambda f, th, b: theta_action(f, th, [m.carriers[s] for s in b]))
+
+
 def eval_term(m: FinSetModel, v: Word, t: Term) -> MultiMap:
-    """The table of t in context v: `syntax.denote` over identity tables,
-    the op tables, `compose_multi` and `theta_action`."""
+    """The table of t in context v: `syntax.denote` over Set's maps."""
     R = m.structure
     _require_context(R, v, t)
-    return denote(R, v, t, lambda sort: identity_map(m.carriers[sort]),
-                  m.op_tables.__getitem__, compose_multi,
-                  lambda f, th, u: theta_action(f, th, m.carrier_word(u)))
+    return denote(R, v, t, *set_multicategory(m))
 
 
 def satisfies(m: FinSetModel, eq: Equation) -> bool:

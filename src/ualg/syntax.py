@@ -208,10 +208,10 @@ def arg_contexts(R: ContextStructure, args: Sequence[Term]
 def denote(R: ContextStructure, v: Word, t: Term, ident: Callable,
            op: Callable, compose: Callable, act: Callable):
     """t in context v, in the multicategory of `ident(sort)`, `op(name)`,
-    `compose(head, args)` and `act(f, theta, u)` (reindex f along theta into
-    context u): an application composes at its `arg_contexts` words, and
-    each result is reindexed along its embedding.  An uncovered letter or
-    an argument with no context raises EquationContextError."""
+    `compose(head, args)` and `act(f, theta, b)` (reindex f along theta onto
+    v's sort word b): an application composes at its `arg_contexts` words,
+    and each result is reindexed along its embedding.  An uncovered letter
+    or an argument with no context raises EquationContextError."""
     if isinstance(t, Var):
         w, inner = (t.letter,), ident(t.sort)
     elif not t.args:
@@ -229,7 +229,7 @@ def denote(R: ContextStructure, v: Word, t: Term, ident: Callable,
     except KeyError:
         raise EquationContextError(
             f"context does not cover {term_str(t)}") from None
-    return act(inner, theta, v)
+    return act(inner, theta, tuple(x.sort for x in v))
 
 
 def is_r_context(R: ContextStructure, c: Word, t: Term) -> bool:

@@ -8,7 +8,8 @@ a structured key; code that needs a symbol's shape reads the key from the
 symbol table and never parses the name.  The categorization axioms make those
 symbols behave like a multicategory; internalizing a theory adds one closed
 equation per axiom, whose sides are read by `syntax.denote`, the recursion
-that also gives a term's table in a finite-set model.
+that also gives a term's table in a finite-set model; `_read` takes a
+closed term back over the same four maps, to tables or to printed forms.
 The initial model is then the quotient of closed terms by the ground
 congruence closure of the closed axiom instances (Birkhoff), which the
 shared saturation engine, run ground, computes at bounded depth.
@@ -25,11 +26,9 @@ from .finord import (
     FinFn, all_functions, compose as fn_compose, coproduct,
     identity as fn_identity, similarity_component,
 )
-from .setmodel import (
-    FinSetModel, MultiMap, compose_multi, identity_map, theta_action,
-)
+from .setmodel import FinSetModel, MultiMap, set_multicategory
 from .syntax import (
-    App, Equation, EquationContextError, OpDecl, Signature, Term, Theory,
+    Equation, EquationContextError, OpDecl, Signature, Term, Theory,
     TheoryError, Var, app, denote, equation, term_depth, term_str, var,
 )
 from .deduction import Bounds, _Saturator, _term_key
@@ -360,11 +359,11 @@ def internalize_term(S: SigmaSignature, v: Word, t: Term) -> Term:
     embeds at an argument's terminal context."""
     R = S.structure
 
-    def act(h: Term, theta: FinFn, u: Word) -> Term:
+    def act(h: Term, theta: FinFn, b: tuple[str, ...]) -> Term:
         if not delta_of(R, theta):
             raise UniversalError(
                 f"embedding of {term_str(t)} not admitted by {R}")
-        return _act(S, theta, [x.sort for x in u], S.hom_of[h.sort][1], h)
+        return _act(S, theta, b, S.hom_of[h.sort][1], h)
 
     try:
         return denote(R, v, t, lambda c: app(S.signature, S.id_name(c)),
@@ -494,6 +493,11 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
                         _engine=engine)
 
 
+# `default_sigma`'s reading of a term: the widest word it composes at.
+_WIDTHS = (lambda c: 0, lambda f: 0, lambda head, args: max(args, default=0),
+           lambda width, theta, b: max(width, theta.dom))
+
+
 def default_sigma(E: Theory, hom: tuple[Sequence[str], str]
                   ) -> SigmaSignature:
     """The extended signature wide enough for the hom sort, each op and
@@ -502,52 +506,43 @@ def default_sigma(E: Theory, hom: tuple[Sequence[str], str]
         [1, len(tuple(hom[0]))]
         + [len(d.arity) for d in E.signature.ops.values()]
         + [len(ax.ctx) for ax in E.equations]
-        + [denote(E.structure, ax.ctx, side, lambda c: 0, lambda f: 0,
-                  lambda head, args: max(args, default=0),
-                  lambda width, theta, u: max(width, theta.dom))
+        + [denote(E.structure, ax.ctx, side, *_WIDTHS)
            for ax in E.equations for side in (ax.lhs, ax.rhs)])
     return build_sigma(E.signature, E.structure, max_arity)
 
 
 # ---------------------------------------------------------------------------
-# Interpreting closed extended-signature terms in a finite-set model
+# Reading closed extended-signature terms
+
+
+def _read(S: SigmaSignature, t: Term, ident: Callable, op: Callable,
+          compose: Callable, act: Callable):
+    """A closed extended-signature term in the multicategory of the maps
+    `syntax.denote` takes: id[c] is ident(c), op:f is op(f), an action
+    act(arg, theta, b) and a composite compose(head, args)."""
+    if isinstance(t, Var):
+        raise UniversalError("only closed terms can be interpreted")
+    info = S.sym_info.get(t.op)
+    if info is None:
+        raise UniversalError(f"unknown symbol {t.op}")
+    if info[0] == "id":
+        return ident(info[1])
+    if info[0] == "op":
+        return op(info[1])
+    args = [_read(S, a, ident, op, compose, act) for a in t.args]
+    if info[0] == "act":
+        return act(args[0], info[1], info[2])
+    return compose(args[0], args[1:])
 
 
 def sigma_interpret(S: SigmaSignature, m: FinSetModel, t: Term) -> MultiMap:
     """Evaluate a closed extended-signature term to a concrete table."""
-    if isinstance(t, Var):
-        raise UniversalError("only closed terms can be interpreted")
-    assert isinstance(t, App)
-    info = S.sym_info.get(t.op)
-    if info is None:
-        raise UniversalError(f"unknown symbol {t.op}")
-    kind = info[0]
-    if kind == "id":
-        return identity_map(m.carriers[info[1]])
-    if kind == "op":
-        return m.op_tables[info[1]]
-    if kind == "act":
-        _, theta, b, _c = info
-        target = tuple(m.carriers[s] for s in b)
-        return theta_action(sigma_interpret(S, m, t.args[0]), theta, target)
-    if kind == "comp":
-        head = sigma_interpret(S, m, t.args[0])
-        inner = [sigma_interpret(S, m, g) for g in t.args[1:]]
-        return compose_multi(head, inner)
-    raise UniversalError(f"unknown symbol kind {kind}")
+    return _read(S, t, *set_multicategory(m))
 
 
 def sigma_term_str(S: SigmaSignature, t: Term) -> str:
     """Readable rendering: comp(...), id[S], act[images](...), op:<name>."""
-    if isinstance(t, Var):
-        return t.letter.name
-    assert isinstance(t, App)
-    info = S.sym_info.get(t.op)
-    if info is None:
-        raise UniversalError(f"unknown symbol {t.op}")
-    args = ", ".join(sigma_term_str(S, a) for a in t.args)
-    if info[0] == "comp":
-        return f"comp({args})"
-    if info[0] == "act":
-        return f"act[{','.join(map(str, info[1].images))}]({args})"
-    return t.op
+    return _read(S, t, S.id_name, S.op_name,
+                 lambda head, args: f"comp({', '.join((head, *args))})",
+                 lambda arg, theta, b:
+                     f"act[{','.join(map(str, theta.images))}]({arg})")

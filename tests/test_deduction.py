@@ -258,6 +258,25 @@ def test_check_proof_rejects_an_axiom_stated_at_a_repeated_letter():
         check_proof(E, Axiom("k", stated))
 
 
+def test_check_proof_rejects_every_malformed_node_with_a_proof_error(monoid):
+    """A node naming no axiom, and a substitution whose renamings miss the
+    premise's context or whose target contexts do not match its letters,
+    raise ProofError with the message of the check that rejects them."""
+    sig = monoid.signature
+    ax = monoid.axiom("lunit")
+    e = app(sig, "e")
+    with pytest.raises(ProofError, match="no axiom named 'nope'"):
+        check_proof(monoid, Axiom("nope", ax))
+    with pytest.raises(ProofError, match="renaming domain must equal"):
+        check_proof(monoid, Subst(s1=((Y, e),), s2=((Y, e),), w=(), ws=((),),
+                                  premise=Axiom("lunit", ax),
+                                  sides=(Refl(e, ()),)))
+    with pytest.raises(ProofError, match="need one target context per"):
+        check_proof(monoid, Subst(s1=((X, e),), s2=((X, e),), w=(),
+                                  ws=((), ()), premise=Axiom("lunit", ax),
+                                  sides=(Refl(e, ()),)))
+
+
 def test_structure_ordering_on_projection_theory():
     goal_free = None
     derived = {}

@@ -408,8 +408,8 @@ RECURSION_ALLOWED = {
     "syntax.apply_renaming": "replay's substitution; ROADMAP item 11",
     "syntax.denote": "the semantics of a term; ROADMAP item 11",
     "setmodel._ground": "model search's compiled terms; ROADMAP item 11",
-    "universal.sigma_interpret": "a class's base reading; ROADMAP item 11",
-    "universal.sigma_term_str": "a class's printed form; ROADMAP item 11",
+    "universal._read": "a closed term's tables or printed form; ROADMAP "
+                       "item 11",
     "universal._arg_splits": "one level per argument: the arity bound",
 }
 
@@ -437,3 +437,27 @@ def test_recursion_check_sees_a_recursive_function():
                      "    def other(self, t):\n"
                      "        return t.other(t)\n")
     assert _self_calls(tree, "m") == ["m.walk:2", "m.visit:9"]
+
+
+# Set's multicategory maps, which only `setmodel.set_multicategory` hands out.
+SET_MAPS = {"identity_map", "compose_multi", "theta_action"}
+
+
+def _set_map_imports(tree: ast.Module) -> list[str]:
+    """The Set maps the module imports by name, aliased or not."""
+    return sorted(SET_MAPS & {a.name for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)
+                              for a in node.names})
+
+
+def test_universal_reads_through_set_multicategory():
+    """`universal` reads closed terms into Set through `set_multicategory`,
+    so Set's maps have one home and are not rebuilt beside `eval_term`'s."""
+    tree = ast.parse((SRC / "universal.py").read_text())
+    assert _set_map_imports(tree) == []
+
+
+def test_set_map_check_sees_an_import():
+    tree = ast.parse("from .setmodel import MultiMap, theta_action\n"
+                     "from .setmodel import identity_map as ident\n")
+    assert _set_map_imports(tree) == ["identity_map", "theta_action"]

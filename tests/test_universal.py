@@ -15,12 +15,13 @@ from ualg.selftest import (
 from ualg.setmodel import (
     FinSetModel, MultiMap, eval_term, iter_models, table_from,
 )
-from ualg.syntax import Theory, app, equation, parse_equation_text, \
-    parse_theory, signature, var
+from ualg.syntax import Theory, app, denote, equation, \
+    parse_equation_text, parse_theory, signature, var
 from ualg.universal import (
-    UniversalError, _categorization, build_sigma, categorization_axioms,
-    default_sigma, enumerate_pure_terms, internalize, internalize_term,
-    sigma_interpret, sigma_term_str, sigma_theory, universal_hom,
+    _WIDTHS, UniversalError, _act, _categorization, _read, build_sigma,
+    categorization_axioms, default_sigma, enumerate_pure_terms, internalize,
+    internalize_term, sigma_interpret, sigma_term_str, sigma_theory,
+    universal_hom,
 )
 
 X, Y = Letter("M", "x"), Letter("M", "y")
@@ -395,15 +396,20 @@ def test_sigma_interpret_examples(monoid):
 
 def test_internalized_terms_denote_their_tables():
     """`internalize_term` and `eval_term` are one recursion, `denote`, over
-    two multicategories, and `sigma_interpret` maps the first to the
-    second: in every model up to size 2, an axiom or goal side's
-    internalized term interprets to the side's table."""
+    two multicategories, and `_read` maps the first to any other: in every
+    model up to size 2, an axiom or goal side's internalized term
+    interprets to the side's table, and read over the printed forms or
+    `default_sigma`'s widths it gives what `denote` gives the side."""
     pairs = 0
     for key, E in (("monoid", monoid_theory()),
                    ("eh", eckmann_hilton_theory()),
                    ("projection", projection_theory(CARTESIAN)),
                    ("projection", projection_theory(INJECTIVE))):
         S = default_sigma(E, SAMPLE_HOMS[key][1])
+        printed = (S.id_name, S.op_name,
+                   lambda head, args: f"comp({', '.join((head, *args))})",
+                   lambda arg, theta, b:
+                       f"act[{','.join(map(str, theta.images))}]({arg})")
         goals = [parse_equation_text(E.signature, text,
                                      structure=E.structure)
                  for goal_key, text, _ in GOAL_LIST if goal_key == key]
@@ -417,7 +423,31 @@ def test_internalized_terms_denote_their_tables():
                 assert sigma_interpret(S, m, internal) == eval_term(
                     m, ctx, t), (key, E.structure, t)
                 pairs += 1
+            for maps in (printed, _WIDTHS):
+                assert _read(S, internal, *maps) == denote(
+                    E.structure, ctx, t, *maps), (key, E.structure, t)
+            assert sigma_term_str(S, internal) == denote(
+                E.structure, ctx, t, *printed)
     assert pairs >= 154
+
+
+def test_reading_an_open_term_or_unknown_symbol_fails(monoid):
+    """Only closed extended-signature terms have a table or a printed form;
+    a letter, at the top or under an action, and a symbol outside the
+    extended signature both raise."""
+    S = default_sigma(monoid, (("M", "M"), "M"))
+    h = var(Letter(S.hom_sort_name(("M",), "M"), "h"))
+    m = next(iter_models(monoid, 1))
+    for t in (h, _act(S, identity(1), ("M",), "M", h)):
+        with pytest.raises(UniversalError, match="only closed terms"):
+            sigma_interpret(S, m, t)
+        with pytest.raises(UniversalError, match="only closed terms"):
+            sigma_term_str(S, t)
+    base = app(monoid.signature, "e")
+    with pytest.raises(UniversalError, match="unknown symbol e"):
+        sigma_interpret(S, m, base)
+    with pytest.raises(UniversalError, match="unknown symbol e"):
+        sigma_term_str(S, base)
 
 
 @pytest.mark.parametrize("kind", sorted(NON_LINEAR))
