@@ -61,7 +61,8 @@ def cmd_delta_check(args) -> Output:
     report = verify_structure_category(family, args.max)
     items = [("\n".join(report.lines()), None)] + [
         (None, {"family": str(report.family), "max": report.max_n,
-                "check": check.name, "ok": check.ok, "detail": check.detail})
+                "check": check.name, "ok": check.ok,
+                "detail": "\n".join(check.detail)})
         for check in report.checks]
     return (0 if report.passed else 2), items
 

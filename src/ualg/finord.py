@@ -278,7 +278,7 @@ def family_members(d: DeltaFamily, max_n: int) -> list[FinFn]:
 class CategoryCheck:
     name: str
     ok: bool
-    detail: str = ""
+    detail: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,7 @@ class CategoryReport:
         out = [head, f"  members (dom,cod <= {self.max_n}): {self.member_count}"]
         for c in self.checks:
             out.append(f"  {c.name}: {'ok' if c.ok else 'FAIL'}")
-            if c.detail:
-                out.extend("    " + line for line in c.detail.splitlines())
+            out.extend("    " + line for line in c.detail)
         return out
 
 
@@ -321,38 +320,35 @@ def verify_structure_category(d: DeltaFamily, max_n: int) -> CategoryReport:
     missing = [n for n in range(max_n + 1) if not in_family(d, identity(n))]
     checks.append(CategoryCheck(
         "identities", not missing,
-        "" if not missing else f"id on [{missing[0]}] not in family"))
+        tuple(f"id on [{n}] not in family" for n in missing[:1])))
 
-    def closure(name: str, labels: str, pairs: Iterable[tuple], op: Callable,
+    def closure(name: str, labels: tuple[str, str, str],
+                pairs: Iterable[tuple], op: Callable,
                 show: Callable = str) -> None:
-        bad = _first_outside(d, pairs, op)
-        detail = ""
-        if bad is not None:
-            (a, b, c), (x, y, z) = labels.split(), bad
-            detail = f"{a} = {x}\n{b} = {show(y)}\n{c} = {z}  (not in family)"
-        checks.append(CategoryCheck(name, bad is None, detail))
+        """Check `name`; its detail is the first (x, y, op(x, y)) over
+        pairs with op(x, y) outside d, one line each."""
+        for x, y in pairs:
+            z = op(x, y)
+            if not in_family(d, z):
+                a, b, c = labels
+                checks.append(CategoryCheck(name, False, (
+                    f"{a} = {x}", f"{b} = {show(y)}",
+                    f"{c} = {z}  (not in family)")))
+                return
+        checks.append(CategoryCheck(name, True))
 
-    closure("composition", "f g g.f",
+    closure("composition", ("f", "g", "g.f"),
             ((f, g) for f in members for g in by_dom.get(f.cod, ())),
             lambda f, g: compose(g, f))
-    closure("coproduct", "f g f+g", itertools.product(members, repeat=2),
+    closure("coproduct", ("f", "g", "f+g"),
+            itertools.product(members, repeat=2),
             lambda f, g: coproduct([f, g]))
-    closure("similarity", "theta ks component",
+    closure("similarity", ("theta", "ks", "component"),
             ((theta, ks) for theta in members
              for ks in itertools.product(range(max_n + 1), repeat=theta.cod)),
             similarity_component, lambda ks: " ".join(map(str, ks)))
 
     return CategoryReport(d, max_n, len(members), tuple(checks))
-
-
-def _first_outside(d: DeltaFamily, pairs: Iterable[tuple], op: Callable
-                   ) -> Optional[tuple]:
-    """The first (x, y, op(x, y)) over pairs whose result is not in d."""
-    for x, y in pairs:
-        z = op(x, y)
-        if not in_family(d, z):
-            return x, y, z
-    return None
 
 
 def parse_family(token: str) -> DeltaFamily:

@@ -122,7 +122,7 @@ def check_structure_categories() -> Outcome:
         details.append("increasing: expected a similarity failure, got pass")
     else:
         details.append("increasing: fails similarity as required")
-        details.extend("  " + line for line in sim.detail.splitlines())
+        details.extend("  " + line for line in sim.detail)
     return ok, details
 
 

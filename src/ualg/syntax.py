@@ -7,6 +7,7 @@ DSL is line-oriented; see `parse_theory` for the grammar.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -189,8 +190,6 @@ def apply_renaming(s: Mapping[Letter, Term], t: Term) -> Term:
                 f"renaming maps {t.letter.name}:{t.sort} to a {image.sort} term")
         return image
     assert isinstance(t, App)
-    if not t.args:
-        return t
     new_args = tuple(apply_renaming(s, a) for a in t.args)
     if new_args == t.args:
         return t
@@ -327,114 +326,75 @@ class Theory:
 #   op <name> : [<S> ...] -> <S>   (<name> an identifier)
 #   eq <name> : <term> ~ <term> ctx [ <var>:<S> ... ]
 #
-# '#' starts a comment.  A bare name in a term is a declared constant or a
-# context variable; everything else is op(arg, ..., arg).
+# '#' starts a comment.  A term is read by `_parse_term` from its tokens:
+# names ([\w\-.*']+) and '(', ')', ','.  A bare name is a declared constant
+# or a context variable; everything else is op(arg, ..., arg), where op()
+# applies op to no arguments.
 
 
-def _tokenize_term(text: str, line: int, col0: int) -> list[tuple[str, int]]:
+_TOKEN = re.compile(r"([\w\-.*']+|[(),])|\S")
+
+
+def _parse_term(text: str, line: int, col0: int, sig: Signature,
+                ctx_sorts: Mapping[str, str]) -> Term:
+    """One term, on an explicit stack of the applications still open, so no
+    nesting depth reaches Python's recursion limit.  A token is a name, one
+    of '(),', or any other non-space character, which is rejected; the
+    tokens end in the sentinel ("", end of term), so a lookahead is one
+    comparison."""
     toks: list[tuple[str, int]] = []
+    for m in _TOKEN.finditer(text):
+        if m[1] is None:
+            raise ParseError(f"unexpected character {m[0]!r}", line,
+                             col0 + m.start())
+        toks.append((m[0], col0 + m.start()))
+    toks.append(("", col0 + len(text)))
+    open_apps: list[tuple[str, int, list[Term]]] = []
     i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
+    while True:
+        name, col = toks[i]
+        if name in "(),":  # the sentinel "" too
+            raise ParseError(f"expected a name, got {name!r}" if name
+                             else "unexpected end of term", line, col)
+        i += 1
+        if toks[i][0] == "(" and toks[i + 1][0] != ")":
+            open_apps.append((name, col, []))
             i += 1
             continue
-        if ch in "(),":
-            toks.append((ch, col0 + i))
+        if toks[i][0] != "(" and name not in sig.ops:
+            if name not in ctx_sorts:
+                raise ParseError(f"{name!r} is neither a declared constant "
+                                 "nor a context variable", line, col)
+            t = var(Letter(ctx_sorts[name], name))
+        else:
+            # a declared constant, or name() applying name to no arguments
+            if toks[i][0] == "(":
+                i += 2
+            try:
+                t = const(sig, name)
+            except TypingError as exc:
+                raise ParseError(str(exc), line, col) from exc
+        # t ends an argument: close each application it completes
+        while open_apps:
+            op, op_col, args = open_apps[-1]
+            args.append(t)
+            tok, tcol = toks[i]
             i += 1
-            continue
-        j = i
-        while j < len(text) and (text[j].isalnum() or text[j] in "_-.*'"):
-            j += 1
-        if j == i:
-            raise ParseError(f"unexpected character {ch!r}", line, col0 + i)
-        toks.append((text[i:j], col0 + i))
-        i = j
-    return toks
-
-
-class _TermParser:
-    def __init__(self, text: str, line: int, col0: int,
-                 sig: Signature, ctx_sorts: Mapping[str, str]):
-        self.toks = _tokenize_term(text, line, col0)
-        self.end = col0 + len(text)
-        self.pos = 0
-        self.line = line
-        self.sig = sig
-        self.ctx_sorts = ctx_sorts
-
-    def peek(self) -> Optional[tuple[str, int]]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> tuple[str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of term", self.line, self.end)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Term:
-        t = self.parse_term()
-        left = self.peek()
-        if left is not None:
-            raise ParseError(f"trailing input {left[0]!r}", self.line, left[1])
-        return t
-
-    def parse_term(self) -> Term:
-        """One term, on an explicit stack of the applications still open, so
-        no nesting depth reaches Python's recursion limit."""
-        open_apps: list[tuple[str, int, list[Term]]] = []
-        while True:
-            name, col = self.take()
-            if name in "(),":
-                raise ParseError(f"expected a name, got {name!r}", self.line,
-                                 col)
-            nxt = self.peek()
-            if nxt is None or nxt[0] != "(":
-                t = self._leaf(name, col)
-            else:
-                self.take()
-                nxt = self.peek()
-                if nxt is None or nxt[0] != ")":
-                    open_apps.append((name, col, []))
-                    continue
-                self.take()
-                t = self._apply(name, col, [])
-            # t ends an argument: close each application it completes
-            while open_apps:
-                op, op_col, args = open_apps[-1]
-                args.append(t)
-                tok, tcol = self.take()
-                if tok == ",":
-                    break
-                if tok != ")":
-                    raise ParseError(
-                        f"expected ',' or ')', got {tok!r}", self.line, tcol)
-                open_apps.pop()
-                t = self._apply(op, op_col, args)
-            else:
-                return t
-
-    def _apply(self, name: str, col: int, args: list[Term]) -> Term:
-        try:
-            return app(self.sig, name, args)
-        except TypingError as exc:
-            raise ParseError(str(exc), self.line, col) from exc
-
-    def _leaf(self, name: str, col: int) -> Term:
-        """A bare name: a declared constant or a context variable."""
-        if name in self.sig.ops:
-            decl = self.sig.op(name)
-            if decl.arity:
-                raise ParseError(
-                    f"op {name} expects {len(decl.arity)} arguments, got 0",
-                    self.line, col)
-            return const(self.sig, name)
-        if name in self.ctx_sorts:
-            return var(Letter(self.ctx_sorts[name], name))
-        raise ParseError(
-            f"{name!r} is neither a declared constant nor a context variable",
-            self.line, col)
+            if tok == ",":
+                break
+            if tok != ")":
+                raise ParseError(f"expected ',' or ')', got {tok!r}" if tok
+                                 else "unexpected end of term", line, tcol)
+            open_apps.pop()
+            try:
+                t = app(sig, op, args)
+            except TypingError as exc:
+                raise ParseError(str(exc), line, op_col) from exc
+        else:
+            if toks[i][0]:
+                raise ParseError(f"trailing input {toks[i][0]!r}", line,
+                                 toks[i][1])
+            return t
 
 
 def _parse_ctx_block(text: str, line: int, sig: Signature) -> Word:
@@ -476,8 +436,8 @@ def parse_equation_text(sig: Signature, text: str, *, name: str = "",
         raise ParseError("equation needs '~' between its sides", line)
     ctx = _parse_ctx_block(ctx_part, line, sig)
     ctx_sorts = {x.name: x.sort for x in ctx}
-    lhs = _TermParser(lhs_text, line, 0, sig, ctx_sorts).parse()
-    rhs = _TermParser(rhs_text, line, len(lhs_text) + 1, sig, ctx_sorts).parse()
+    lhs = _parse_term(lhs_text, line, 0, sig, ctx_sorts)
+    rhs = _parse_term(rhs_text, line, len(lhs_text) + 1, sig, ctx_sorts)
     try:
         return equation(name, lhs, rhs, ctx, structure)
     except (TypingError, EquationContextError) as exc:

@@ -1231,3 +1231,63 @@ def test_right_surjective_keeps_its_terminal_context_beyond_four_letters():
     concluded = check_proof(E, res.proof)
     assert (concluded.lhs, concluded.rhs, concluded.ctx) == (
         goal.lhs, goal.rhs, goal.ctx)
+
+
+ORACLE_SIG = syntax.signature(["A", "B"], {
+    "f": (["A"], "B"), "g": (["B"], "B"), "h": (["B", "B"], "B"),
+    "a": ([], "A"), "b": ([], "B")})
+AXIOM_LETTERS = (Letter("A", "x"), Letter("A", "y"), Letter("B", "u"),
+                 Letter("B", "v"))
+GOAL_LETTERS = (Letter("A", "p"), Letter("A", "q"), Letter("B", "r"),
+                Letter("B", "s"))
+
+
+def _draw_term(draw, sort, letters, depth):
+    """A term of the sort over the letters, at most `depth` ops deep."""
+    leaves = [var(x) for x in letters if x.sort == sort]
+    leaves.append(app(ORACLE_SIG, sort.lower()))
+    if sort == "A" or depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(leaves))
+    op = draw(st.sampled_from(["f", "g", "h"]))
+    return app(ORACLE_SIG, op, [_draw_term(draw, s, letters, depth - 1)
+                                for s in ORACLE_SIG.ops[op].arity])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_wrapped_substitution_instances_are_proved_or_truncated(data):
+    """Every goal derivable from a one-axiom cartesian theory by one
+    substitution and 0-2 congruence steps in one context is, at the decide
+    bounds, proved with a proof that replays to it, or left with a
+    truncation flag: saturation never calls such a goal underivable."""
+    draw = data.draw
+    ctx = tuple(draw(st.lists(st.sampled_from(AXIOM_LETTERS), min_size=1,
+                              max_size=3, unique=True)))
+    sort = draw(st.sampled_from(["A", "B"]))
+    axiom = equation("ax", _draw_term(draw, sort, ctx, 2),
+                     _draw_term(draw, sort, ctx, 2), ctx)
+    E = Theory("Oracle", ORACLE_SIG, CARTESIAN, (axiom,))
+    images = {x: _draw_term(draw, x.sort, GOAL_LETTERS, 2) for x in ctx}
+    sides = [apply_renaming(images, axiom.lhs),
+             apply_renaming(images, axiom.rhs)]
+    for _ in range(draw(st.integers(0, 2))):
+        if sides[0].sort == "A":
+            sides = [app(ORACLE_SIG, "f", [t]) for t in sides]
+            continue
+        op = draw(st.sampled_from(["g", "h-left", "h-right"]))
+        if op == "g":
+            sides = [app(ORACLE_SIG, "g", [t]) for t in sides]
+        else:
+            other = _draw_term(draw, "B", GOAL_LETTERS, 1)
+            sides = [app(ORACLE_SIG, "h", [t, other] if op == "h-left"
+                         else [other, t]) for t in sides]
+    used = set(tau(sides[0])) | set(tau(sides[1]))
+    goal = equation("", sides[0], sides[1],
+                    [x for x in GOAL_LETTERS if x in used], CARTESIAN)
+    res = prove(E, goal, Bounds(3, 3, 4))
+    if res.proved:
+        concluded = check_proof(E, res.proof)
+        assert (concluded.lhs, concluded.rhs, concluded.ctx) == (
+            goal.lhs, goal.rhs, goal.ctx)
+    else:
+        assert res.truncated_by, (str(axiom), str(goal))

@@ -256,6 +256,14 @@ def test_iter_models_order_and_count(monoid):
         assert satisfies_theory(m, monoid)
 
 
+def test_size_whose_axiom_fails_before_any_cell_gives_no_tables():
+    """At two points `x ~ y` fails on a ground instance with no op cell in
+    it, so the search stops that size before filling a table."""
+    T = parse_theory("theory T\nstructure cartesian\nsort A\n"
+                     "op f : A A -> A\neq k : x ~ y ctx [ x:A y:A ]\n")
+    assert [m.carriers["A"] for m in iter_models(T, 2)] == [0, 1]
+
+
 def test_eh_has_enough_models():
     EH = eckmann_hilton_theory()
     models = list(itertools.islice(iter_models(EH, 2), 3))

@@ -66,6 +66,17 @@ def test_parse_error_column_counts_from_equation_start(monoid, text, col,
     assert message in str(err.value)
 
 
+def test_empty_application_is_read_like_a_bare_name(monoid):
+    """`e()` is the constant `e`; `mul()` applies `mul` to no arguments and
+    is rejected at its column."""
+    eq = parse_equation_text(monoid.signature, "e() ~ e ctx [ ]")
+    assert eq.lhs is eq.rhs is const(monoid.signature, "e")
+    with pytest.raises(ParseError) as err:
+        parse_equation_text(monoid.signature, "mul() ~ e ctx [ ]")
+    assert err.value.col == 0
+    assert "op mul expects 2 arguments, got 0" in str(err.value)
+
+
 HEAD = "theory T\nstructure cartesian\nsort M\nop mul : M M -> M\nop e : -> M\n"
 
 
@@ -92,7 +103,7 @@ HEAD = "theory T\nstructure cartesian\nsort M\nop mul : M M -> M\nop e : -> M\n"
     # parse_equation_text
     (HEAD + "eq a : x ~ x\n", ParseError, 6, "needs a 'ctx [ ... ]' part"),
     (HEAD + "eq a : x ctx [ x:M ]\n", ParseError, 6, "needs '~'"),
-    # _TermParser
+    # _parse_term
     (HEAD + "eq a : mul(,x) ~ x ctx [ x:M ]\n", ParseError, 6,
      "expected a name, got ','"),
     (HEAD + "eq a : mul(x x) ~ x ctx [ x:M ]\n", ParseError, 6,

@@ -4,7 +4,9 @@ import hashlib
 
 import pytest
 
-from ualg.context import CARTESIAN, INJECTIVE, TRIVIAL, Letter
+from ualg.context import (
+    CARTESIAN, INJECTIVE, STRICT_INCREASING, TRIVIAL, Letter,
+)
 from ualg.deduction import (
     Bounds, _canonicalize, _Saturator, check_proof, proof_lines,
 )
@@ -113,6 +115,25 @@ def test_internalize_bound_overflow(monoid):
     with pytest.raises(UniversalError) as err:
         internalize(monoid, S)  # assoc needs three-letter hom sorts
     assert "assoc" in str(err.value)
+
+
+@pytest.mark.parametrize("structure, ctx, nested, message", [
+    (STRICT_INCREASING, "yx", False,
+     "embedding of f(x, y) not admitted by strict-increasing"),
+    (STRICT_INCREASING, "x", False, "context does not cover f(x, y)"),
+    (INJECTIVE, "xy", True, "an argument of f(f(x, x), y) has no context"),
+])
+def test_internalize_term_rejections(structure, ctx, nested, message):
+    """An embedding outside Delta_R, an uncovered letter and an argument
+    with no terminal context each raise UniversalError."""
+    E = projection_theory(structure)
+    S = default_sigma(E, (("A", "A"), "A"))
+    x, y = (var(Letter("A", n)) for n in "xy")
+    t = app(E.signature, "f", [app(E.signature, "f", [x, x]) if nested
+                               else x, y])
+    with pytest.raises(UniversalError) as err:
+        internalize_term(S, tuple(Letter("A", n) for n in ctx), t)
+    assert str(err.value) == message
 
 
 def test_enumerate_pure_terms(monoid):
