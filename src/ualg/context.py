@@ -132,9 +132,9 @@ def holds(R: ContextStructure, c: Word, v: Word) -> bool:
     if kind == "surjective":
         return set(v) == set(c)
     if kind == "left-surjective":
-        return set(v) == set(c) and _first_occurrence_order(v) == c
+        return _first_occurrence_order(v) == c
     if kind == "right-surjective":
-        return set(v) == set(c) and _last_occurrence_order(v) == c
+        return _last_occurrence_order(v) == c
     return set(v) <= set(c)  # cartesian
 
 

@@ -974,12 +974,8 @@ class _Saturator:
         """A context at which u ~ v is already derived, for v a mate of u:
         one of u's views, since the mate has only u's letters and a space
         holds only terms its context governs."""
-        for canon_ctx, cu, perm in self._canonical_views(u):
-            sp = self.spaces.get(canon_ctx)
-            if sp is None or cu not in sp.parent:
-                continue
-            _, (cv,) = _canonicalize(self._renamings, perm, [v])
-            if sp.same(cu, cv):
+        for _, _, perm in self._canonical_views(u):
+            if self.holds_canonically(perm, u, v):
                 return perm
         raise DeductionError(
             f"no view of {term_str(u)} holds its mate {term_str(v)}")

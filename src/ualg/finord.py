@@ -110,10 +110,6 @@ def fiber_sizes(f: FinFn) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def fiber(f: FinFn, j: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, f.dom + 1) if f.images[i - 1] == j)
-
-
 # ---------------------------------------------------------------------------
 # Structure monoids
 
@@ -216,14 +212,14 @@ class DeltaFamily:
         return f"{self.kind}:{gens}"
 
 
-def _min_fibers_monotone(f: FinFn) -> bool:
-    mins = [min(fiber(f, j), default=0) for j in range(1, f.cod + 1)]
-    return all(a <= b for a, b in zip(mins, mins[1:]))
-
-
-def _max_fibers_monotone(f: FinFn) -> bool:
-    maxs = [max(fiber(f, j), default=0) for j in range(1, f.cod + 1)]
-    return all(a <= b for a, b in zip(maxs, maxs[1:]))
+def _fiber_ends_rise(f: FinFn, last: bool) -> bool:
+    """Whether each fiber's first point (its last, if `last`) is at most the
+    next fiber's; an empty fiber counts as 0."""
+    ends = [0] * f.cod
+    for i, e in enumerate(f.images, start=1):
+        if last or not ends[e - 1]:
+            ends[e - 1] = i
+    return all(a <= b for a, b in zip(ends, ends[1:]))
 
 
 def in_family(d: DeltaFamily, f: FinFn) -> bool:
@@ -244,16 +240,16 @@ def in_family(d: DeltaFamily, f: FinFn) -> bool:
     if d.kind == SURJECTIONS:
         return all(s >= 1 for s in sizes)
     if d.kind == LEFT_SURJECTIONS:
-        return all(s >= 1 for s in sizes) and _min_fibers_monotone(f)
+        return all(s >= 1 for s in sizes) and _fiber_ends_rise(f, last=False)
     if d.kind == RIGHT_SURJECTIONS:
-        return all(s >= 1 for s in sizes) and _max_fibers_monotone(f)
+        return all(s >= 1 for s in sizes) and _fiber_ends_rise(f, last=True)
     assert d.monoid is not None
     if not all(monoid_contains(d.monoid, s) for s in sizes):
         return False
     if d.kind == PSI_LOWER:
-        return _min_fibers_monotone(f)
+        return _fiber_ends_rise(f, last=False)
     if d.kind == PSI_UPPER:
-        return _max_fibers_monotone(f)
+        return _fiber_ends_rise(f, last=True)
     return True  # delta-upper
 
 

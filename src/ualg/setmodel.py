@@ -69,9 +69,6 @@ class MultiMap:
             if not 0 <= e < self.cod:
                 raise ModelError(f"table entry {e} outside carrier of size {self.cod}")
 
-    def index(self, args: Sequence[int]) -> int:
-        return _row_index(self.doms, args)
-
     def __call__(self, *args: int) -> int:
         if len(args) != len(self.doms):
             raise ModelError(
@@ -79,7 +76,7 @@ class MultiMap:
         for a, d in zip(args, self.doms):
             if not 0 <= a < d:
                 raise ModelError(f"argument {a} outside carrier of size {d}")
-        return self.table[self.index(args)]
+        return self.table[_row_index(self.doms, args)]
 
 
 def table_from(doms: Sequence[int], cod: int, fn) -> MultiMap:

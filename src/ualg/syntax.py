@@ -327,12 +327,12 @@ class Theory:
 #   eq <name> : <term> ~ <term> ctx [ <var>:<S> ... ]
 #
 # '#' starts a comment.  A term is read by `_parse_term` from its tokens:
-# names ([\w\-.*']+) and '(', ')', ','.  A bare name is a declared constant
-# or a context variable; everything else is op(arg, ..., arg), where op()
-# applies op to no arguments.
+# names (\w+, as op names and letters are identifiers) and '(', ')', ','.
+# A bare name is a declared constant or a context variable; everything else
+# is op(arg, ..., arg), where op() applies op to no arguments.
 
 
-_TOKEN = re.compile(r"([\w\-.*']+|[(),])|\S")
+_TOKEN = re.compile(r"(\w+|[(),])|\S")
 
 
 def _parse_term(text: str, line: int, col0: int, sig: Signature,

@@ -29,7 +29,7 @@ from .finord import (
 from .setmodel import FinSetModel, MultiMap, set_multicategory
 from .syntax import (
     Equation, EquationContextError, OpDecl, Signature, Term, Theory,
-    TheoryError, Var, app, denote, equation, term_depth, term_str, var,
+    TheoryError, Var, app, denote, equation, term_str, var,
 )
 from .deduction import Bounds, _Saturator, _term_key
 
@@ -404,27 +404,22 @@ def _extended_theory(S: SigmaSignature, E: Theory,
 
 def enumerate_pure_terms(S: SigmaSignature, depth: int
                          ) -> dict[str, list[Term]]:
-    """All closed extended-signature terms up to the given depth, per sort,
-    depth by depth."""
-    by_depth: dict[str, list[list[Term]]] = {
-        s: [[] for _ in range(depth + 1)] for s in S.signature.sorts}
-    for name, decl in S.signature.ops.items():
+    """All closed extended-signature terms of depth 1 or 2, per sort: the
+    constants, then at depth 2 each symbol applied to constants."""
+    if depth not in (1, 2):
+        raise UniversalError(f"pure terms go to depth 1 or 2, not {depth}")
+    sig = S.signature
+    consts: dict[str, list[Term]] = {s: [] for s in sig.sorts}
+    for name, decl in sig.ops.items():
         if not decl.arity:
-            by_depth[decl.result][1].append(app(S.signature, name))
-    for d in range(2, depth + 1):
-        for name, decl in S.signature.ops.items():
-            if not decl.arity:
-                continue
-            pools = [
-                [t for dd in range(1, d) for t in by_depth[s][dd]]
-                for s in decl.arity]
-            for combo in itertools.product(*pools):
-                if max(term_depth(t) for t in combo) != d - 1:
-                    continue
-                by_depth[decl.result][d].append(
-                    app(S.signature, name, list(combo)))
-    return {s: [t for level in levels[1:] for t in level]
-            for s, levels in by_depth.items()}
+            consts[decl.result].append(app(sig, name))
+    out = {s: list(terms) for s, terms in consts.items()}
+    for name, decl in sig.ops.items():
+        if depth == 2 and decl.arity:
+            out[decl.result].extend(
+                app(sig, name, list(combo)) for combo in
+                itertools.product(*(consts[s] for s in decl.arity)))
+    return out
 
 
 @dataclass

@@ -26,7 +26,7 @@ from ualg.selftest import (
     GOAL_LIST, MONOID_TEXT, eckmann_hilton_theory, monoid_theory,
     projection_theory,
 )
-from ualg.setmodel import find_model
+from ualg.setmodel import find_model, iter_models, satisfies
 from ualg.syntax import (
     App, Theory, TheoryError, TypingError, app, apply_renaming, equation,
     parse_equation_text, parse_theory, tau, term_depth, var,
@@ -275,6 +275,34 @@ def test_check_proof_rejects_every_malformed_node_with_a_proof_error(monoid):
         check_proof(monoid, Subst(s1=((X, e),), s2=((X, e),), w=(),
                                   ws=((), ()), premise=Axiom("lunit", ax),
                                   sides=(Refl(e, ()),)))
+
+
+def test_replay_rejects_each_single_fault_node(monoid):
+    """One fault per node, each caught by its own check: the premises of a
+    transitivity step at different contexts, a second renaming outside its
+    guard, too few side premises, a side premise concluding the wrong
+    equation, and a node of no proof rule, which the printer rejects too."""
+    ax = Axiom("lunit", monoid.axiom("lunit"))
+    e = app(monoid.signature, "e")
+
+    def subst(s2, sides):
+        return Subst(s1=((X, var(Y)),), s2=((X, s2),), w=(Y,), ws=((Y,),),
+                     premise=ax, sides=sides)
+
+    forged = [
+        (Trans(ax, Refl(var(Y), (Y,))), "premises use different contexts"),
+        (subst(var(X), (Refl(var(Y), (Y,)),)),
+         "second renaming violates the guard"),
+        (subst(var(Y), ()), "need one side premise per letter"),
+        (subst(var(Y), (Refl(e, ()),)),
+         "side premise for x does not conclude"),
+        (Sym(deduction.Proof()), "unknown proof node Proof"),
+    ]
+    for node, message in forged:
+        with pytest.raises(ProofError, match=message):
+            check_proof(monoid, node)
+    with pytest.raises(ProofError, match="unknown proof node Proof"):
+        proof_lines(Sym(deduction.Proof()))
 
 
 def test_structure_ordering_on_projection_theory():
@@ -1291,3 +1319,61 @@ def test_wrapped_substitution_instances_are_proved_or_truncated(data):
             goal.lhs, goal.rhs, goal.ctx)
     else:
         assert res.truncated_by, (str(axiom), str(goal))
+
+
+SOUND_SIG = syntax.signature(["A"], {
+    "f": (["A"], "A"), "g": (["A", "A"], "A"), "a": ([], "A"), "c": ([], "A")})
+SOUND_LETTERS = tuple(Letter("A", n) for n in "xyz")
+
+
+def _draw_one_sort_term(draw, letters, depth):
+    """A term over the letters, `a` and `c`, of depth at most `depth`."""
+    if depth == 1 or draw(st.booleans()):
+        return draw(st.sampled_from(
+            [var(x) for x in letters] + [app(SOUND_SIG, "a"),
+                                         app(SOUND_SIG, "c")]))
+    op = draw(st.sampled_from(["f", "g"]))
+    return app(SOUND_SIG, op, [_draw_one_sort_term(draw, letters, depth - 1)
+                               for _ in SOUND_SIG.ops[op].arity])
+
+
+def _draw_governed_equation(draw, R, name):
+    """An equation over 1-3 letters with sides of depth at most 3, stated at
+    the terminal context of the letters it uses; None when that context
+    does not govern both sides."""
+    letters = draw(st.lists(st.sampled_from(SOUND_LETTERS), min_size=1,
+                            max_size=3, unique=True))
+    lhs = _draw_one_sort_term(draw, letters, 3)
+    rhs = _draw_one_sort_term(draw, letters, 3)
+    ctx = terminal_context(R, tau(lhs) + tau(rhs))
+    if ctx is None or not all(holds(R, ctx, tau(t)) for t in (lhs, rhs)):
+        return None
+    return equation(name, lhs, rhs, ctx)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_derived_equations_are_sound(data):
+    """Under each of the eight structures, every equation saturation derives
+    from 1-2 drawn axioms has a proof that replays to it and holds in every
+    model of size at most 2, and a drawn goal that `prove` proves has no
+    countermodel of size at most 2.  (A saturated goal may still need a
+    larger countermodel, so no claim is made about those.)"""
+    draw = data.draw
+    R = draw(st.sampled_from(STRUCTURES))
+    axioms = [eq for eq in (_draw_governed_equation(draw, R, f"k{i}")
+                            for i in range(draw(st.integers(1, 2))))
+              if eq is not None]
+    if not axioms:
+        return
+    E = Theory("Sound", SOUND_SIG, R, tuple(axioms))
+    sat = saturate(E, Bounds(3, 3, 4))
+    models = list(iter_models(E, 2))
+    for eq in sat.equations:
+        concluded = check_proof(E, sat.proof_of(eq))
+        assert (concluded.lhs, concluded.rhs, concluded.ctx) == (
+            eq.lhs, eq.rhs, eq.ctx)
+        assert all(satisfies(m, eq) for m in models), (str(R), str(eq))
+    goal = _draw_governed_equation(draw, R, "")
+    if goal is not None and prove(E, goal, Bounds(3, 3, 4)).proved:
+        assert find_model(E, 2, avoid=goal) is None, (str(R), str(goal))

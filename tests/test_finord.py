@@ -184,6 +184,28 @@ def test_in_family_examples():
     assert not in_family(parse_family("delta-upper:0,1"), fn((1, 1), 1))
 
 
+def test_fiber_order_families_read_each_fibers_end():
+    """Left-surjections and psi-lower ask that each fiber's least point
+    rises with the fiber, right-surjections and psi-upper its greatest;
+    checked against the fibers themselves for every map up to [4]."""
+    def ends(f, pick):
+        fibers = [[i for i in range(1, f.dom + 1) if f(i) == j]
+                  for j in range(1, f.cod + 1)]
+        points = [pick(fb, default=0) for fb in fibers]
+        return all(a <= b for a, b in zip(points, points[1:]))
+
+    for f in all_functions(4):
+        onto = all(fiber_sizes(f))
+        assert in_family(parse_family("left-surjections"), f) == (
+            onto and ends(f, min))
+        assert in_family(parse_family("right-surjections"), f) == (
+            onto and ends(f, max))
+        assert in_family(parse_family("psi-lower:2"), f) == (
+            onto and ends(f, min))
+        assert in_family(parse_family("psi-upper:2"), f) == (
+            onto and ends(f, max))
+
+
 def test_family_parse_and_invariants():
     with pytest.raises(FinOrdError):
         parse_family("nonsense")

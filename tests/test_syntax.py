@@ -56,6 +56,8 @@ def test_parse_errors_carry_location():
     ("x ~ mul(x,x) y ctx [ x:M ]", 13, "trailing input 'y'"),
     ("x ~  ctx [ x:M ]", 4, "unexpected end of term"),
     ("x ~ mul(x, ctx [ x:M ]", 10, "unexpected end of term"),
+    ("x' ~ x ctx [ x:M ]", 1, "unexpected character \"'\""),
+    ("mul(x,y.z) ~ x ctx [ x:M y:M z:M ]", 7, "unexpected character '.'"),
 ])
 def test_parse_error_column_counts_from_equation_start(monoid, text, col,
                                                        message):

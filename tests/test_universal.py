@@ -147,6 +147,22 @@ def test_enumerate_pure_terms(monoid):
     assert any(name.startswith("comp(id[M]") for name in terms)
 
 
+def test_enumerate_pure_terms_seeds_depths_one_and_two_only(monoid):
+    """Depth 1 is the constants, depth 2 adds each symbol applied to
+    constants after them; no caller asks for more, so any other depth is
+    an error."""
+    S = default_sigma(monoid, (("M", "M"), "M"))
+    one, two = enumerate_pure_terms(S, 1), enumerate_pure_terms(S, 2)
+    for sort, terms in one.items():
+        assert all(not t.args for t in terms)
+        assert two[sort][:len(terms)] == terms
+        assert all(t.args and not any(a.args for a in t.args)
+                   for t in two[sort][len(terms):])
+    for depth in (0, 3):
+        with pytest.raises(UniversalError, match="depth 1 or 2"):
+            enumerate_pure_terms(S, depth)
+
+
 def test_universal_hom_unit_class():
     sig1 = signature(["M"], {})
     E0 = Theory("E0", sig1, CARTESIAN, ())
