@@ -214,7 +214,7 @@ class DeltaFamily:
 
 def _fiber_ends_rise(f: FinFn, last: bool) -> bool:
     """Whether each fiber's first point (its last, if `last`) is at most the
-    next fiber's; an empty fiber counts as 0."""
+    next fiber's; every fiber is non-empty when this is called."""
     ends = [0] * f.cod
     for i, e in enumerate(f.images, start=1):
         if last or not ends[e - 1]:
@@ -236,21 +236,15 @@ def in_family(d: DeltaFamily, f: FinFn) -> bool:
         return all(a <= b for a, b in zip(f.images, f.images[1:]))
     if d.kind == INJECTIONS:
         return len(set(f.images)) == f.dom
-    sizes = fiber_sizes(f)
-    if d.kind == SURJECTIONS:
-        return all(s >= 1 for s in sizes)
-    if d.kind == LEFT_SURJECTIONS:
-        return all(s >= 1 for s in sizes) and _fiber_ends_rise(f, last=False)
-    if d.kind == RIGHT_SURJECTIONS:
-        return all(s >= 1 for s in sizes) and _fiber_ends_rise(f, last=True)
-    assert d.monoid is not None
-    if not all(monoid_contains(d.monoid, s) for s in sizes):
+    # the three surjection kinds, then the monoid kinds
+    if not all(s >= 1 if d.monoid is None else monoid_contains(d.monoid, s)
+               for s in fiber_sizes(f)):
         return False
-    if d.kind == PSI_LOWER:
+    if d.kind in (LEFT_SURJECTIONS, PSI_LOWER):
         return _fiber_ends_rise(f, last=False)
-    if d.kind == PSI_UPPER:
+    if d.kind in (RIGHT_SURJECTIONS, PSI_UPPER):
         return _fiber_ends_rise(f, last=True)
-    return True  # delta-upper
+    return True  # surjections and delta-upper
 
 
 def functions(m: int, n: int) -> Iterator[FinFn]:

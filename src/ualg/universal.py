@@ -50,16 +50,15 @@ class SigmaSignature:
     structured key: ("id", c), ("op", f), ("act", theta, b, c) or
     ("comp", a_words, bs, c), and ("hom", a, b) for the hom sort of arity a
     and result b.
-    `sym_info` maps symbol names to keys, `hom_of` hom-sort names to (a, b),
-    and `name_of` every key to its name; nothing parses a name back."""
+    `name_of` maps every key to its name and `key_of` every name back to its
+    key; nothing parses a name."""
 
     base: Signature
     structure: ContextStructure
     max_arity: int
     signature: Signature = field(compare=False)
-    sym_info: Mapping[str, tuple] = field(compare=False)
-    hom_of: Mapping[str, tuple[tuple[str, ...], str]] = field(compare=False)
     name_of: Mapping[tuple, str] = field(compare=False)
+    key_of: Mapping[str, tuple] = field(compare=False)
     thetas: tuple[FinFn, ...] = field(compare=False)
 
     def _lookup(self, key: tuple, what: Callable[[], str]) -> str:
@@ -102,15 +101,15 @@ def build_sigma(base: Signature, R: ContextStructure,
     if max_arity < 1:
         raise UniversalError("bounds must be >= 1")
     S = base.sorts
-    hom_of: dict[str, tuple[tuple[str, ...], str]] = {}
     name_of: dict[tuple, str] = {}
+    key_of: dict[str, tuple] = {}
     for a in _words(S, max_arity):
         for b in S:
             name = f"[{' '.join(a)}=>{b}]"
-            hom_of[name] = (a, b)
+            key_of[name] = ("hom", a, b)
             name_of[("hom", a, b)] = name
+    sorts = tuple(key_of)
     ops: dict[str, OpDecl] = {}
-    sym_info: dict[str, tuple] = {}
 
     def hom(a: Sequence[str], b: str) -> str:
         return name_of[("hom", tuple(a), b)]
@@ -118,7 +117,7 @@ def build_sigma(base: Signature, R: ContextStructure,
     def declare(name: str, key: tuple, arity: tuple[str, ...],
                 result: str) -> None:
         ops[name] = OpDecl(arity, result)
-        sym_info[name] = key
+        key_of[name] = key
         name_of[key] = name
 
     for c in S:
@@ -150,9 +149,8 @@ def build_sigma(base: Signature, R: ContextStructure,
                     declare(name, ("comp", a_words, bs, c), arity,
                             hom(flat, c))
 
-    sig = Signature(tuple(hom_of), ops)
-    return SigmaSignature(base, R, max_arity, sig, sym_info, hom_of, name_of,
-                          tuple(thetas))
+    return SigmaSignature(base, R, max_arity, Signature(sorts, ops), name_of,
+                          key_of, tuple(thetas))
 
 
 def _arg_splits(S: Sequence[str], n: int, max_total: int):
@@ -175,9 +173,9 @@ def _hvar(S: SigmaSignature, name: str, a: Sequence[str], b: str) -> Var:
 
 
 def _comp(S: SigmaSignature, head: Term, args: Sequence[Term]) -> Term:
-    a_words = [S.hom_of[g.sort][0] for g in args]
-    bs = [S.hom_of[g.sort][1] for g in args]
-    name = S.comp_name(a_words, bs, S.hom_of[head.sort][1])
+    homs = [S.key_of[g.sort] for g in args]
+    name = S.comp_name([a for _, a, _ in homs], [b for _, _, b in homs],
+                       S.key_of[head.sort][2])
     return app(S.signature, name, [head, *args])
 
 
@@ -212,21 +210,23 @@ def _categorization(S: SigmaSignature,
     A3 = min(A, 3)
     counter = itertools.count()
 
-    def emit(tag: str, ctx: Sequence[Letter],
+    def emit(tag: str, letters: Sequence[Var],
              sides: Callable[[], tuple[Term, Term]]) -> None:
         number = next(counter)
+        ctx = tuple(v.letter for v in letters)
         if keep(ctx):
             out.append(equation(f"cat:{tag}:{number}", *sides(), ctx))
 
     # identity laws and the unit action: a hom word has at most max_arity
     # letters, and every structure admits identities
-    for a, d in S.hom_of.values():
+    for sort in S.signature.sorts:
+        _, a, d = S.key_of[sort]
         h = _hvar(S, "h", a, d)
-        emit("idl", (h.letter,), lambda: (
+        emit("idl", [h], lambda: (
             _comp(S, app(S.signature, S.id_name(d)), [h]), h))
-        emit("idr", (h.letter,), lambda: (
+        emit("idr", [h], lambda: (
             _comp(S, h, [app(S.signature, S.id_name(c)) for c in a]), h))
-        emit("actid", (h.letter,), lambda: (
+        emit("actid", [h], lambda: (
             _act(S, fn_identity(len(a)), a, d, h), h))
 
     # action composition: (phi . theta)* h = phi* (theta* h); phi . theta
@@ -243,14 +243,14 @@ def _categorization(S: SigmaSignature,
                 dom_word = theta.pull(b_phi)
                 for c in base_sorts:
                     h = _hvar(S, "h", dom_word, c)
-                    emit("actcomp", (h.letter,), lambda: (
+                    emit("actcomp", [h], lambda: (
                         _act(S, comp_fn, b, c, h),
                         _act(S, phi, b, c, _act(S, theta, b_phi, c, h))))
 
     # The interchange schemas' left sides are in bounds for every shape;
     # their right sides compose and reindex at words that may not be, and
-    # an instance whose right-side symbols fall outside is skipped
-    # unnumbered.  The symbols are looked up before `keep` is asked.
+    # an instance whose right-side symbol keys have no name is skipped
+    # unnumbered, before `keep` is asked.
 
     # interchange of action and composition, outer side:
     #   comp(theta* h, g_1..g_n) = theta'* comp(h, g_theta(1)..g_theta(m))
@@ -264,19 +264,17 @@ def _categorization(S: SigmaSignature,
                 for b_words in _arg_splits(base_sorts, n, A3):
                     ks = tuple(len(b) for b in b_words)
                     sim = similarity_component(theta, ks)
+                    flat = tuple(x for b in b_words for x in b)
+                    if (("comp", theta.pull(b_words), cs_theta, d)
+                            not in S.name_of
+                            or ("act", sim, flat, d) not in S.name_of):
+                        continue
                     h = _hvar(S, "h", cs_theta, d)
                     gs = [_hvar(S, f"g{i + 1}", b_words[i], cs[i])
                           for i in range(n)]
-                    flat = tuple(x for b in b_words for x in b)
-                    try:
-                        S.comp_name(theta.pull(b_words), cs_theta, d)
-                        S.act_name(sim, flat, d)
-                    except UniversalError:
-                        continue
-                    emit("actout", (h.letter,) + tuple(g.letter for g in gs),
-                         lambda: (_comp(S, _act(S, theta, cs, d, h), gs),
-                                  _act(S, sim, flat, d,
-                                       _comp(S, h, theta.pull(gs)))))
+                    emit("actout", [h, *gs], lambda: (
+                        _comp(S, _act(S, theta, cs, d, h), gs),
+                        _act(S, sim, flat, d, _comp(S, h, theta.pull(gs)))))
 
     # interchange, inner side:
     #   comp(h, theta1* g1, .., thetan* gn) = (theta1+..+thetan)* comp(h, g..)
@@ -292,24 +290,21 @@ def _categorization(S: SigmaSignature,
                         if all(t.is_identity() for t in thetas):
                             continue
                         total = coproduct(list(thetas))
-                        h = _hvar(S, "h", cs, d)
-                        gs = [_hvar(S, f"g{i + 1}", th.pull(b), cs[i])
-                              for i, (b, th) in enumerate(zip(b_words, thetas))]
+                        pulled = tuple(th.pull(b)
+                                       for b, th in zip(b_words, thetas))
                         flat = tuple(x for b in b_words for x in b)
-                        try:
-                            S.comp_name([th.pull(b) for b, th in zip(
-                                b_words, thetas)], cs, d)
-                            S.act_name(total, flat, d)
-                        except UniversalError:
+                        if (("comp", pulled, cs, d) not in S.name_of
+                                or ("act", total, flat, d) not in S.name_of):
                             continue
-                        emit("actin",
-                             (h.letter,) + tuple(g.letter for g in gs),
-                             lambda: (
-                                 _comp(S, h, [
-                                     _act(S, th, b, cs[i], gs[i])
-                                     for i, (b, th) in enumerate(
-                                         zip(b_words, thetas))]),
-                                 _act(S, total, flat, d, _comp(S, h, gs))))
+                        h = _hvar(S, "h", cs, d)
+                        gs = [_hvar(S, f"g{i + 1}", pulled[i], cs[i])
+                              for i in range(n)]
+                        emit("actin", [h, *gs], lambda: (
+                            _comp(S, h, [
+                                _act(S, th, b, cs[i], gs[i])
+                                for i, (b, th) in enumerate(
+                                    zip(b_words, thetas))]),
+                            _act(S, total, flat, d, _comp(S, h, gs))))
 
     # associativity (bounded shapes): every composition has at most A3
     # slots and A3 letters
@@ -329,9 +324,7 @@ def _categorization(S: SigmaSignature,
                             flat_bs = [x for b in b_words for x in b]
                             fs = [_hvar(S, f"f{j + 1}", a_words[j], flat_bs[j])
                                   for j in range(sum(m_vec))]
-                            emit("assoc",
-                                 (h.letter,) + tuple(g.letter for g in gs)
-                                 + tuple(f.letter for f in fs),
+                            emit("assoc", [h, *gs, *fs],
                                  lambda: _assoc_sides(S, h, gs, fs, m_vec))
     return out
 
@@ -363,7 +356,7 @@ def internalize_term(S: SigmaSignature, v: Word, t: Term) -> Term:
         if not delta_of(R, theta):
             raise UniversalError(
                 f"embedding of {term_str(t)} not admitted by {R}")
-        return _act(S, theta, b, S.hom_of[h.sort][1], h)
+        return _act(S, theta, b, S.key_of[h.sort][2], h)
 
     try:
         return denote(R, v, t, lambda c: app(S.signature, S.id_name(c)),
@@ -473,7 +466,7 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     # categorization instances instantiated there (see the docstring).
     engine = _Saturator(_extended_theory(sigma, E, ()), bounds,
                         extra_terms=seeds,
-                        ground=lambda t: sigma.sym_info[t.op][0] != "act")
+                        ground=lambda t: sigma.key_of[t.op][0] != "act")
     engine.seed(_categorization(sigma, engine.instantiable))
     engine.run()
     # Every seed is in the closed space; a class is listed from its least
@@ -517,8 +510,8 @@ def _read(S: SigmaSignature, t: Term, ident: Callable, op: Callable,
     act(arg, theta, b) and a composite compose(head, args)."""
     if isinstance(t, Var):
         raise UniversalError("only closed terms can be interpreted")
-    info = S.sym_info.get(t.op)
-    if info is None:
+    info = S.key_of.get(t.op)
+    if info is None or info[0] == "hom":
         raise UniversalError(f"unknown symbol {t.op}")
     if info[0] == "id":
         return ident(info[1])

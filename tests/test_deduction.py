@@ -1351,6 +1351,16 @@ def _draw_governed_equation(draw, R, name):
     return equation(name, lhs, rhs, ctx)
 
 
+def _draw_sound_theory(draw):
+    """A one-sort theory under a drawn structure with the 1-2 drawn axioms
+    whose context governs both sides, or None when none does."""
+    R = draw(st.sampled_from(STRUCTURES))
+    axioms = [eq for eq in (_draw_governed_equation(draw, R, f"k{i}")
+                            for i in range(draw(st.integers(1, 2))))
+              if eq is not None]
+    return Theory("Sound", SOUND_SIG, R, tuple(axioms)) if axioms else None
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_derived_equations_are_sound(data):
@@ -1358,15 +1368,16 @@ def test_derived_equations_are_sound(data):
     from 1-2 drawn axioms has a proof that replays to it and holds in every
     model of size at most 2, and a drawn goal that `prove` proves has no
     countermodel of size at most 2.  (A saturated goal may still need a
-    larger countermodel, so no claim is made about those.)"""
+    larger countermodel, so no claim is made about those.)  A goal that is
+    one axiom with its letters permuted, wrapped 0-1 times in f, is
+    derivable by construction: it is proved, by a proof that replays to it
+    and with no such countermodel, or it carries a truncation flag; it is
+    never saturated."""
     draw = data.draw
-    R = draw(st.sampled_from(STRUCTURES))
-    axioms = [eq for eq in (_draw_governed_equation(draw, R, f"k{i}")
-                            for i in range(draw(st.integers(1, 2))))
-              if eq is not None]
-    if not axioms:
+    E = _draw_sound_theory(draw)
+    if E is None:
         return
-    E = Theory("Sound", SOUND_SIG, R, tuple(axioms))
+    R = E.structure
     sat = saturate(E, Bounds(3, 3, 4))
     models = list(iter_models(E, 2))
     for eq in sat.equations:
@@ -1377,3 +1388,94 @@ def test_derived_equations_are_sound(data):
     goal = _draw_governed_equation(draw, R, "")
     if goal is not None and prove(E, goal, Bounds(3, 3, 4)).proved:
         assert find_model(E, 2, avoid=goal) is None, (str(R), str(goal))
+    axiom = draw(st.sampled_from(E.equations))
+    images = dict(zip(SOUND_LETTERS,
+                      map(var, draw(st.permutations(SOUND_LETTERS)))))
+    sides = [apply_renaming(images, t) for t in (axiom.lhs, axiom.rhs)]
+    if draw(st.booleans()):
+        sides = [app(SOUND_SIG, "f", [t]) for t in sides]
+    goal = equation("", *sides, [images[x].letter for x in axiom.ctx])
+    res = prove(E, goal, Bounds(3, 3, 4))
+    if res.proved:
+        concluded = check_proof(E, res.proof)
+        assert (concluded.lhs, concluded.rhs, concluded.ctx) == (
+            goal.lhs, goal.rhs, goal.ctx)
+        assert find_model(E, 2, avoid=goal) is None, (str(R), str(goal))
+    else:
+        assert res.truncated_by, (str(R), str(goal))
+
+
+SMALL, LARGE = Bounds(3, 3, 4), Bounds(4, 4, 6)
+
+
+def _verdict(E, goal, bounds):
+    """`prove`'s verdict: proved, inconclusive (flagged) or saturated."""
+    res = prove(E, goal, bounds)
+    return "proved" if res.proved else (
+        "inconclusive" if res.truncated_by else "saturated")
+
+
+def _renamed(E, goal, ops, letters):
+    """E and the goal under a renaming of ops and letters, each op declared
+    in its old place."""
+    sig = syntax.signature(E.signature.sorts, {
+        ops[f]: (d.arity, d.result) for f, d in E.signature.ops.items()})
+
+    def term(t):
+        if isinstance(t, App):
+            return app(sig, ops[t.op], [term(a) for a in t.args])
+        return var(letters.get(t.letter, t.letter))
+
+    def eq(e):
+        return equation(e.name, term(e.lhs), term(e.rhs),
+                        [letters.get(x, x) for x in e.ctx])
+
+    return (Theory(E.name, sig, E.structure, tuple(map(eq, E.equations))),
+            eq(goal))
+
+
+def _verdict_under_renaming(E, goal, ops, letters, bounds):
+    """The goal's verdict, after checking that the renamed goal in the
+    renamed theory does not get the opposite definite verdict."""
+    verdict = _verdict(E, goal, bounds)
+    renamed = _verdict(*_renamed(E, goal, ops, letters), bounds)
+    assert {verdict, renamed} != {"proved", "saturated"}, (
+        str(E.structure), str(goal), str(bounds))
+    return verdict
+
+
+# Each reverses the `repr` order of the ops, the constants and the letters.
+SOUND_RENAMING = ({"f": "q", "g": "p", "a": "c", "c": "a"},
+                  {Letter("A", "x"): Letter("A", "z"),
+                   Letter("A", "z"): Letter("A", "x")})
+MATE_RENAMING = ({"f": "r", "g": "q", "h": "p", "a": "z"},
+                 {Letter("A", "x"): Letter("A", "w")})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_definite_verdicts_survive_renaming_and_larger_bounds(data):
+    """A drawn goal is never proved on one side of a renaming that reverses
+    the `repr` order and saturated on the other, and a goal saturated at
+    the decide bounds stays unproved at larger ones.  (A truncation flag
+    may still fire on one side only, so an inconclusive verdict may face a
+    definite one.)"""
+    draw = data.draw
+    E = _draw_sound_theory(draw)
+    goal = _draw_governed_equation(draw, E.structure, "") if E else None
+    if goal is None:
+        return
+    if _verdict_under_renaming(E, goal, *SOUND_RENAMING, SMALL) == "saturated":
+        assert not prove(E, goal, LARGE).proved, (str(E.structure), str(goal))
+
+
+@pytest.mark.parametrize("kind", sorted(MATE_GOALS))
+def test_mate_verdicts_survive_renaming_and_larger_bounds(kind):
+    """The same property on the `Mates` goals, at both bounds."""
+    E = parse_theory(MATE_TEXT.format(kind))
+    for text in MATE_GOALS[kind]:
+        goal = parse_equation_text(E.signature, f"{text} ctx [ x:A ]",
+                                   structure=E.structure)
+        verdicts = [_verdict_under_renaming(E, goal, *MATE_RENAMING, bounds)
+                    for bounds in (SMALL, LARGE)]
+        assert verdicts != ["saturated", "proved"], (kind, text)

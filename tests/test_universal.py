@@ -37,9 +37,9 @@ def monoid():
 def test_build_sigma_counts(monoid):
     sig1 = signature(["M"], {"mul": (("M", "M"), "M")})
     S = build_sigma(sig1, CARTESIAN, 2)
-    assert len(S.hom_of) == 3  # words of length 0,1,2 paired with M
-    assert {a for a, _ in S.hom_of.values()} == {
-        (), ("M",), ("M", "M")}
+    homs = [S.key_of[s] for s in S.signature.sorts]
+    assert len(homs) == 3  # words of length 0,1,2 paired with M
+    assert {a for _, a, _ in homs} == {(), ("M",), ("M", "M")}
     assert len(S.thetas) == 11  # functions [m]->[n] with m,n <= 2
 
     S_triv = build_sigma(sig1, TRIVIAL, 3)
@@ -53,12 +53,15 @@ def test_sigma_names_round_trip(make):
     S = default_sigma(make(), (("M", "M"), "M"))
     accessors = {"id": S.id_name, "op": S.op_name, "act": S.act_name,
                  "comp": S.comp_name}
-    assert set(S.sym_info) == set(S.signature.ops)
-    for name, (kind, *key) in S.sym_info.items():
+    assert set(S.key_of) == set(S.signature.sorts) | set(S.signature.ops)
+    for name in S.signature.ops:
+        kind, *key = S.key_of[name]
         assert accessors[kind](*key) == name
-    assert set(S.hom_of) == set(S.signature.sorts)
     for s in S.signature.sorts:
-        assert S.hom_sort_name(*S.hom_of[s]) == s
+        kind, *key = S.key_of[s]
+        assert kind == "hom" and S.hom_sort_name(*key) == s
+    assert len(S.name_of) == len(S.key_of)
+    assert all(S.name_of[key] == name for name, key in S.key_of.items())
 
     # at the arity bound, and one step beyond it
     top = ("M",) * S.max_arity
@@ -276,7 +279,7 @@ def _unfiltered_engine(E, part, bounds, extra):
     universe = enumerate_pure_terms(sigma, min(2, bounds.max_term_depth))
     seeds = [((), t) for terms in (*universe.values(), extra) for t in terms]
     return _Saturator(sigma_theory(sigma, E), bounds, extra_terms=seeds,
-                      ground=lambda t: sigma.sym_info[t.op][0] != "act")
+                      ground=lambda t: sigma.key_of[t.op][0] != "act")
 
 
 def _round_one_targets(engine, ctx):
