@@ -91,7 +91,7 @@ leaves every derived equation and proof unchanged:
 
   * canonical views: a term's (canonical context, canonical term, letter
     order) for each of its governing orders (`context.governing_orders`)
-    depends on the term alone, so it is computed once per engine, as is
+    depends on the term alone, so it is computed once per theory, as is
     each op's congruence template.  The first view is the term at its
     terminal context, so an instantiation target's context and canonical
     form are read off it, and so is the context of each argument a
@@ -115,10 +115,13 @@ leaves every derived equation and proof unchanged:
     canonical form fixes its target up to renaming its own context;
   * renaming tables: `_canonicalize` keeps, per context word, its _v word
     and the image of each subterm renamed at it, so an image is built once
-    per engine, on an explicit stack that no term depth can overflow.  The
-    tables and the memo of each conclusion word's governing orders belong
-    to the engine and are freed with it; they are never iterated.
-    `check_proof` and `canonical_triple` pass fresh tables.
+    per theory, on an explicit stack that no term depth can overflow.  The
+    tables, the views, the memo of each conclusion word's governing orders
+    and the templates depend on the structure, the signature and the term
+    alone, so they belong to the theory (`Theory._memo`): every goal of
+    one theory reuses them, and they are freed with it.  They are never
+    iterated.  The terms they hold are kept alive by `syntax._TERMS` in
+    any case.  `check_proof` and `canonical_triple` pass fresh tables.
 """
 
 from __future__ import annotations
@@ -538,10 +541,14 @@ class _Saturator:
         self._swept = 0
         self._mates: dict[Term, Optional[Term]] = {}
         self._sides: dict[Term, Word] = {}
-        self._templates: dict[str, tuple[Word, Term, Term]] = {}
-        self._views: dict[Term, list[tuple[Word, Term, Word]]] = {}
-        self._renamings: dict[Word, tuple[Word, dict[Term, Term]]] = {}
-        self._orders: dict[Word, list[Word]] = {}
+        memo = E._memo  # the theory's own tables (see "renaming tables")
+        self._templates: dict[str, tuple[Word, Term, Term]] = \
+            memo.setdefault("templates", {})
+        self._views: dict[Term, list[tuple[Word, Term, Word]]] = \
+            memo.setdefault("views", {})
+        self._renamings: dict[Word, tuple[Word, dict[Term, Term]]] = \
+            memo.setdefault("renamings", {})
+        self._orders: dict[Word, list[Word]] = memo.setdefault("orders", {})
         self._concluded: set[tuple] = set()
         self.truncated_by: set[str] = set()
         self.events: list[tuple[Word, Term, Term]] = []
@@ -928,7 +935,7 @@ class _Saturator:
 
     def _canonical_views(self, u: Term) -> list[tuple[Word, Term, Word]]:
         """(canon_ctx, canonical u, perm) for each governing order perm of
-        u's letters, in permutation order; fixed for the engine's life."""
+        u's letters, in permutation order; fixed for the theory's life."""
         views = self._views.get(u)
         if views is None:
             views = []

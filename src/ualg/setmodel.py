@@ -10,11 +10,13 @@ Model search follows SEM and Mace4: for each size vector it assigns the table
 cells one at a time, ops in signature order and each table row-major, trying
 values in ascending order.  Every ground instance of every axiom is checked
 as soon as all the cells it reads are assigned (it waits on the first
-unassigned cell it reads), and a mismatch prunes the branch.  Cells and values
-are taken in the order of the full product of all tables, so the complete
-tables are reached in that order, less those some axiom instance rules out:
-the first model found is the one the brute-force product gives first.  The
-ground instances of the goal to `avoid` are compiled the same way, and a
+unassigned cell it reads), and a mismatch prunes the branch.  The axioms'
+ground instances are compiled once per size vector and kept on the theory, so
+every search of one theory reuses them.  Cells and values are taken in the
+order of the full product of all tables, so the complete tables are reached
+in that order, less those some axiom instance rules out: the first model
+found is the one the brute-force product gives first.  The ground instances
+of the goal to `avoid` are compiled the same way, on each call, and a
 complete table on which they all hold is skipped before any MultiMap is
 built: in Set a term's table at a point is its ground value there.  Every
 other complete table is confirmed by `satisfies_theory` and checked against
@@ -287,7 +289,11 @@ def _op_tables(E: Theory, sizes: Mapping[str, int],
     n = len(cods)
     val = [-1] * n
     watch: list[list] = [[] for _ in range(n)]
-    if not _check(_instances(E.equations, sizes, layout), val, watch, []):
+    compiled = E._memo.setdefault("instances", {})  # by size vector
+    key = tuple(sizes[s] for s in sig.sorts)
+    if key not in compiled:
+        compiled[key] = _instances(E.equations, sizes, layout)
+    if not _check(compiled[key], val, watch, []):
         return
     added: list[list[int]] = [[] for _ in range(n)]
     k = 0

@@ -8,7 +8,7 @@ DSL is line-oriented; see `parse_theory` for the grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .context import (
@@ -295,12 +295,25 @@ def validate_equation(R: ContextStructure, eq: Equation) -> None:
                 f"valid context for {term_str(side)} under {R}")
 
 
+class _Memo(dict):
+    """A theory's tables that depend on it alone, by owner: the saturator's
+    renaming tables, views, orders and templates, and the model search's
+    compiled axiom instances.  A deep copy or an unpickled theory starts
+    with an empty one, as the instances are closures."""
+
+    def __reduce__(self):
+        return (_Memo, ())
+
+
 @dataclass(frozen=True)
 class Theory:
     name: str
     signature: Signature
     structure: ContextStructure
     equations: tuple[Equation, ...]
+    # Not an init field, so a theory rebuilt with `Theory(...)` starts empty.
+    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self) -> None:
         seen = set()

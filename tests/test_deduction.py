@@ -1,15 +1,17 @@
 """The bounded saturation engine, proof replay, and the refutation invariant."""
 
 import collections
+import copy
 import gc
 import hashlib
 import itertools
 import math
+import pickle
 import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from ualg import context, deduction, syntax, universal
 from ualg.context import (
@@ -26,7 +28,7 @@ from ualg.selftest import (
     GOAL_LIST, MONOID_TEXT, eckmann_hilton_theory, monoid_theory,
     projection_theory,
 )
-from ualg.setmodel import find_model, iter_models, satisfies
+from ualg.setmodel import find_model, format_model, iter_models, satisfies
 from ualg.syntax import (
     App, Theory, TheoryError, TypingError, app, apply_renaming, equation,
     parse_equation_text, parse_theory, tau, term_depth, var,
@@ -954,16 +956,18 @@ def test_first_view_is_the_terminal_context(R):
         R in (TRIVIAL, BIJECTIVE, STRICT_INCREASING, INJECTIVE))
 
 
-def test_instantiation_reads_targets_off_their_views(monkeypatch, monoid):
+def test_instantiation_reads_targets_off_their_views(monkeypatch):
     """One `_instantiate` of `assoc` at its four depth-1 targets concludes
     the same 15 combos as keying by images canonicalized at the
     first-occurrence order, and reaches `terminal_context` and
     `_canonicalize` only through `_canonical_views`, at most once per
     target it had no views for: never once per combo.  Every
-    `_canonicalize` call renames through the engine's own tables."""
+    `_canonicalize` call renames through the tables the engine holds, its
+    theory's.  A freshly parsed theory has no views yet."""
     calls = []
     monkeypatch.setattr(_Saturator, "_conclude",
                         lambda self, *args: calls.append(args[1]))
+    monoid = monoid_theory()
     engine = _Saturator(monoid, Bounds(3, 3, 4))
     event = engine.events[0]
     targets = engine._targets_for(3, "M", True)
@@ -1041,7 +1045,9 @@ def warm_engine(monoid):
     return saturate(monoid, Bounds(3, 3, 2))._engine
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@seed(1)
+@settings(derandomize=False, database=None, max_examples=200,
+          deadline=None)
 @given(requests=st.lists(st.tuples(
     st.lists(st.sampled_from(CANON_LETTERS), min_size=1, max_size=4,
              unique=True),
@@ -1066,10 +1072,11 @@ def test_warm_tables_agree_with_the_reference(warm_engine, requests):
                 _ref_canonicalize(ctx, terms)
 
 
-def test_each_image_is_built_once_per_engine(monkeypatch):
-    """On a derive goal, every `_canonicalize` call renames through the one
-    engine's tables, and no (context word, subterm) image is built twice,
-    though the engine asks for many a term's image again."""
+def test_each_image_is_built_once_per_theory(monkeypatch):
+    """On both derive goals of one theory, every `_canonicalize` call
+    renames through the theory's one set of tables, and no (context word,
+    subterm) image is built twice, in one goal or across the two, though
+    the engines ask for many a term's image again."""
     canonicalize = deduction._canonicalize
     tables, built = set(), collections.Counter()
     asked = collections.Counter()
@@ -1088,12 +1095,120 @@ def test_each_image_is_built_once_per_engine(monkeypatch):
 
     monkeypatch.setattr(deduction, "_canonicalize", counting)
     EH = eckmann_hilton_theory()
-    goal = parse_equation_text(EH.signature, "o(x,y) ~ o(y,x) ctx [ x:M y:M ]",
-                               structure=EH.structure)
-    assert prove(EH, goal, Bounds(4, 4, 8)).proved
+    for op in ("o", "star"):
+        goal = parse_equation_text(EH.signature,
+                                   f"{op}(x,y) ~ {op}(y,x) ctx [ x:M y:M ]",
+                                   structure=EH.structure)
+        assert prove(EH, goal, Bounds(4, 4, 8)).proved
     assert len(tables) == 1
     assert built and max(built.values()) == 1
     assert asked[True] > 0
+
+
+def test_theory_memo_is_freed_with_the_theory():
+    """The tables a theory's goals share live on the theory: once `prove`
+    and `find_model` have filled them, dropping the theory frees them by
+    reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        E = monoid_theory()
+        goal = parse_equation_text(E.signature,
+                                   "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]",
+                                   structure=E.structure)
+        assert not prove(E, goal, Bounds(3, 3, 4)).proved
+        assert find_model(E, 2, avoid=goal) is None
+        memo = E._memo
+        assert set(memo) == {"templates", "views", "renamings", "orders",
+                             "instances"}
+        (evaluate, _), *_ = memo["instances"][(2,)]
+        refs = [weakref.ref(E), weakref.ref(memo), weakref.ref(evaluate)]
+        del E, memo, evaluate
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_theory_with_a_full_memo_still_pickles():
+    """The compiled instances are closures, so a pickled or deep-copied
+    theory leaves its memo behind and starts with an empty one."""
+    E = monoid_theory()
+    assert find_model(E, 2) is not None
+    assert E._memo
+    for copied in (pickle.loads(pickle.dumps(E)), copy.deepcopy(E)):
+        assert copied == E and not copied._memo
+
+
+def _answer(E, text, max_size):
+    """What decide says about a goal: its proof's lines or None, its
+    truncation flags, and the countermodel `find_model` gives an unproved
+    goal."""
+    goal = parse_equation_text(E.signature, text, structure=E.structure)
+    res = prove(E, goal, Bounds(3, 3, 4))
+    if res.proved:
+        return proof_lines(res.proof), res.truncated_by, None
+    model = find_model(E, max_size, avoid=goal)
+    return None, res.truncated_by, model and format_model(model)
+
+
+def test_no_memo_is_shared_across_structures():
+    """A theory rebuilt under another structure starts with its own, empty
+    memo, and a goal proved on the base first gets the answer a fresh
+    theory gives under each structure."""
+    text = "f(x,y) ~ x ctx [ x:A y:A ]"
+    base = projection_theory()
+    other = Theory(base.name, base.signature, INJECTIVE, base.equations)
+    assert base._memo is not other._memo
+    got = [_answer(base, text, 2)]
+    assert not other._memo
+    got.append(_answer(other, text, 2))
+    assert got == [_answer(projection_theory(), text, 2),
+                   _answer(projection_theory(INJECTIVE), text, 2)]
+    assert got[0][0] and not got[1][0]
+
+
+DECIDE_GOALS = {
+    "monoid": (2, (
+        "mul(e,mul(x,y)) ~ mul(x,y) ctx [ x:M y:M ]",
+        "mul(mul(x,e),mul(y,z)) ~ mul(x,mul(y,mul(z,e))) "
+        "ctx [ x:M y:M z:M ]",
+        "mul(e,e) ~ e ctx [ ]",
+        "mul(x,y) ~ mul(y,x) ctx [ x:M y:M ]",
+        "mul(x,mul(y,x)) ~ mul(x,y) ctx [ x:M y:M ]",
+    )),
+    "projection": (3, (
+        "f(f(x,y),z) ~ x ctx [ x:A y:A z:A ]",
+        "f(x,f(y,x)) ~ f(x,z) ctx [ x:A y:A z:A ]",
+        "f(x,y) ~ f(y,x) ctx [ x:A y:A ]",
+        "f(f(y,x),x) ~ x ctx [ x:A y:A ]",
+    )),
+    "magma": (3, (
+        "f(x,f(y,z)) ~ f(x,f(y,z)) ctx [ x:A y:A z:A ]",
+        "f(f(x,y),z) ~ f(x,f(y,z)) ctx [ x:A y:A z:A ]",
+        "f(x,y) ~ f(y,x) ctx [ x:A y:A ]",
+    )),
+}
+DECIDE_THEORIES = {
+    "monoid": monoid_theory,
+    "projection": projection_theory,
+    "magma": lambda: parse_theory(
+        "theory FreeMagma\nstructure cartesian\nsort A\nop f : A A -> A\n"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DECIDE_GOALS))
+def test_answers_do_not_depend_on_the_goals_asked_before(key):
+    """On one theory, each goal asked first in order and then in reverse
+    order gets the proof, the flags and the countermodel a freshly parsed
+    theory gives it: the memo changes no answer."""
+    max_size, texts = DECIDE_GOALS[key]
+    fresh = [_answer(DECIDE_THEORIES[key](), text, max_size) for text in texts]
+    E = DECIDE_THEORIES[key]()
+    forward = [_answer(E, text, max_size) for text in texts]
+    backward = [_answer(E, text, max_size) for text in reversed(texts)]
+    assert forward == fresh and backward[::-1] == fresh
+    assert any(lines for lines, _, _ in fresh)
+    assert any(model for _, _, model in fresh)
 
 
 def test_prove_reads_term_contexts_off_their_views(monkeypatch, monoid):
@@ -1281,7 +1396,9 @@ def _draw_term(draw, sort, letters, depth):
                                 for s in ORACLE_SIG.ops[op].arity])
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@seed(2)
+@settings(derandomize=False, database=None, max_examples=300,
+          deadline=None)
 @given(data=st.data())
 def test_wrapped_substitution_instances_are_proved_or_truncated(data):
     """Every goal derivable from a one-axiom cartesian theory by one
@@ -1361,7 +1478,9 @@ def _draw_sound_theory(draw):
     return Theory("Sound", SOUND_SIG, R, tuple(axioms)) if axioms else None
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@seed(3)
+@settings(derandomize=False, database=None, max_examples=150,
+          deadline=None)
 @given(data=st.data())
 def test_derived_equations_are_sound(data):
     """Under each of the eight structures, every equation saturation derives
@@ -1452,7 +1571,9 @@ MATE_RENAMING = ({"f": "r", "g": "q", "h": "p", "a": "z"},
                  {Letter("A", "x"): Letter("A", "w")})
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@seed(4)
+@settings(derandomize=False, database=None, max_examples=150,
+          deadline=None)
 @given(data=st.data())
 def test_definite_verdicts_survive_renaming_and_larger_bounds(data):
     """A drawn goal is never proved on one side of a renaming that reverses

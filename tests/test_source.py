@@ -481,3 +481,52 @@ def test_set_map_check_sees_an_import():
     tree = ast.parse("from .setmodel import MultiMap, theta_action\n"
                      "from .setmodel import identity_map as ident\n")
     assert _set_map_imports(tree) == ["identity_map", "theta_action"]
+
+
+def _attribute_owners(tree: ast.Module, attr: str) -> list[tuple[str, int]]:
+    """For each access of the attribute `attr`, the dotted name of the
+    classes and functions that hold it (or `<module>`), with its line."""
+    out = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                out.append((owner or "<module>", child.lineno))
+            visit(child, owner)
+
+    visit(tree, "")
+    return out
+
+
+# The engine takes its theory's tables when it starts, and the model search
+# its compiled axiom instances.
+MEMO_READERS = {("deduction.py", "_Saturator.__init__"),
+                ("setmodel.py", "_op_tables")}
+
+
+def test_theory_memo_has_two_readers():
+    """Only `_Saturator.__init__` and `setmodel._op_tables` read a theory's
+    `_memo`, so proof replay (`check_proof`, `_check_node`) can never reach
+    the tables an engine fills; each of the two still reads it."""
+    readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner, _ in _attribute_owners(
+                   ast.parse(path.read_text()), "_memo")}
+    assert readers == MEMO_READERS
+
+
+def test_memo_check_sees_a_planted_read():
+    tree = ast.parse("class _Saturator:\n"
+                     "    def __init__(self, E):\n"
+                     "        self._views = E._memo.setdefault('views', {})\n"
+                     "def check_proof(E, p):\n"
+                     "    def _check_node(q):\n"
+                     "        return E._memo['views'].get(q)\n"
+                     "    return _check_node(p)\n"
+                     "MEMO = THEORY._memo\n")
+    assert _attribute_owners(tree, "_memo") == [
+        ("_Saturator.__init__", 3), ("check_proof._check_node", 6),
+        ("<module>", 8)]
