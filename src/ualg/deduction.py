@@ -38,9 +38,9 @@ instantiates at the closed terms its `ground` predicate accepts and sweeps
 closed parents only: every event after the axiom seeds is closed, and the
 context caps never cut one.  Seeds are instantiated in round 1 only and
 nothing reads the lettered spaces, so a lettered seed that round 1 cannot
-instantiate (`instantiable`) can affect no class; `universal_hom` seeds
-the closed axioms first and then only the categorization instances that
-pass.
+instantiate, as some letter has no target (`instantiable`, asked letter
+by letter), can affect no class; `universal_hom` seeds the closed axioms
+first and then only the categorization instances whose letters all pass.
 
 Proofs are assembled on demand, as in Nieuwenhuis and Oliveras' proof-
 producing congruence closure.  A union edge records why it holds as plain
@@ -579,13 +579,14 @@ class _Saturator:
             self._apply_merge(canon_ctx, a, b, proof)
             self.depth_cap = max(self.depth_cap, term_depth(a), term_depth(b))
 
-    def instantiable(self, ctx: Word) -> bool:
-        """Whether round 1 instantiates an axiom with context ctx at some
-        combo: each letter has a target.  It looks every letter up, as
-        `_instantiate` does, so it flags what round 1 would.  The answer
-        and the flags are round 1's: a ground engine's later seeds register
-        no term, since their sides have letters."""
-        return all([self._targets_for(len(ctx), x.sort, True) for x in ctx])
+    def instantiable(self, n: int, sort: str) -> bool:
+        """Whether round 1 has a target for a letter of the sort in an
+        n-letter axiom; an axiom is instantiated at some combo iff each of
+        its letters has one.  The lookup flags what it drops, as
+        `_instantiate`'s does.  The answer and the flag are round 1's: a
+        ground engine's later seeds register no term, since their sides
+        have letters."""
+        return bool(self._targets_for(n, sort, True))
 
     # -- registration ------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .context import CARTESIAN, ContextStructure, Letter, Word, delta_of
 from .finord import (
@@ -168,8 +168,8 @@ def _arg_splits(S: Sequence[str], n: int, max_total: int):
 # Categorization axioms
 
 
-def _hvar(S: SigmaSignature, name: str, a: Sequence[str], b: str) -> Var:
-    return var(Letter(S.hom_sort_name(a, b), name))
+def _hvar(sort: str, name: str) -> Var:
+    return var(Letter(sort, name))
 
 
 def _comp(S: SigmaSignature, head: Term, args: Sequence[Term]) -> Term:
@@ -191,154 +191,261 @@ def categorization_axioms(S: SigmaSignature) -> list[Equation]:
     written order.  Reindexing along a non-surjective function drops
     variables from the right-hand side, so the extended theory lives under
     the maximal structure, matching plain equational deduction over sets."""
-    return _categorization(S, lambda ctx: True)
+    return _categorization(S, lambda n, sort: True)
 
 
-def _categorization(S: SigmaSignature,
-                    keep: Callable[[Word], bool]) -> list[Equation]:
-    """The instances of `categorization_axioms(S)` whose context `keep`
-    accepts, under the names they have there.  `keep` sees each in-bound
-    instance's context before either side is built, and a rejected instance
-    is never built."""
-    out: list[Equation] = []
-    base_sorts = S.base.sorts
-    A = S.max_arity
+def _schemas(S: SigmaSignature) -> list[tuple]:
+    """The seven schemas as loop nests, (tags, step, sides, state, bounded)
+    each, in numbering order.
+
+    env holds the (shape, word) pairs chosen so far.  step(env) is None
+    past the last level, else the next level's (shape, k) choices, each
+    taken with every sort word of length k, and a map from a choice to the
+    (letter count, name, word, result) of the letter it fixes, or None;
+    the letters are h, g1.. and f1.. in written order.  Shapes and word
+    lengths alone fix the choices.  An instance whose right side falls
+    outside the bounds (the interchange laws compose and reindex at words
+    that may) gets no choices past its last level, so it takes no number.
+    sides(env, letters) is one (lhs, rhs) per tag; state(env), if given,
+    is what the instances below env depend on; bounded says whether the
+    bounds can leave an instance out.  A map is its index in thetas."""
+    sig, thetas, A = S.signature, S.thetas, S.max_arity
     # Shapes with several composition slots grow factorially in the arity
     # bound; cap them at three while the identity and unit-action laws keep
     # the full bound (they are what strips the wrappers off internalized
     # equation sides).
     A3 = min(A, 3)
-    counter = itertools.count()
+    splits = [[(None, k) for k in range(room + 1)] for room in range(A3 + 1)]
+    by_cod = [[(j, 0) for j, t in enumerate(thetas) if t.cod == k]
+              for k in range(A + 1)]
+    # `build_sigma` composes words of total length at most max_arity, and
+    # reindexes along admitted maps
+    admitted, out_of_bounds = frozenset(thetas), ([], None)
 
-    def emit(tag: str, letters: Sequence[Var],
-             sides: Callable[[], tuple[Term, Term]]) -> None:
-        number = next(counter)
-        ctx = tuple(v.letter for v in letters)
-        if keep(ctx):
-            out.append(equation(f"cat:{tag}:{number}", *sides(), ctx))
+    def split(env: tuple, start: int) -> list:  # words of total <= A3
+        return splits[A3 - sum(len(w) for _, w in env[start:])]
 
-    # identity laws and the unit action: a hom word has at most max_arity
-    # letters, and every structure admits identities
-    for sort in S.signature.sorts:
-        _, a, d = S.key_of[sort]
-        h = _hvar(S, "h", a, d)
-        emit("idl", [h], lambda: (
-            _comp(S, app(S.signature, S.id_name(d)), [h]), h))
-        emit("idr", [h], lambda: (
-            _comp(S, h, [app(S.signature, S.id_name(c)) for c in a]), h))
-        emit("actid", [h], lambda: (
-            _act(S, fn_identity(len(a)), a, d, h), h))
+    def ident(c: str) -> Term:
+        return app(sig, S.id_name(c))
+
+    # identity laws and the unit action on each hom sort [a => d]: a hom
+    # word has at most max_arity letters, and every structure admits
+    # identities
+    def units(env):
+        return None if env else ([(None, k + 1) for k in range(A + 1)],
+                                 lambda _, w: (1, "h", w[:-1], w[-1]))
+
+    def unit_sides(env, letters):
+        (h,), a, d = letters, env[0][1][:-1], env[0][1][-1]
+        return ((_comp(S, ident(d), [h]), h),
+                (_comp(S, h, [ident(c) for c in a]), h),
+                (_act(S, fn_identity(len(a)), a, d, h), h))
 
     # action composition: (phi . theta)* h = phi* (theta* h); phi . theta
     # stays in the family, which is closed under composition
-    for phi in S.thetas:
-        if phi.cod > A3:
-            continue
-        for theta in S.thetas:
-            if theta.cod != phi.dom or theta.dom > A3:
-                continue
-            comp_fn = fn_compose(phi, theta)
-            for b in itertools.product(base_sorts, repeat=phi.cod):
-                b_phi = phi.pull(b)
-                dom_word = theta.pull(b_phi)
-                for c in base_sorts:
-                    h = _hvar(S, "h", dom_word, c)
-                    emit("actcomp", [h], lambda: (
-                        _act(S, comp_fn, b, c, h),
-                        _act(S, phi, b, c, _act(S, theta, b_phi, c, h))))
+    def actcomp(env):
+        return None if env else (
+            [((i, j), phi.cod + 1) for i, phi in enumerate(thetas)
+             if phi.cod <= A3 for j, theta in enumerate(thetas)
+             if theta.cod == phi.dom and theta.dom <= A3],
+            lambda ij, w: (1, "h", thetas[ij[1]].pull(
+                thetas[ij[0]].pull(w[:-1])), w[-1]))
 
-    # The interchange schemas' left sides are in bounds for every shape;
-    # their right sides compose and reindex at words that may not be, and
-    # an instance whose right-side symbol keys have no name is skipped
-    # unnumbered, before `keep` is asked.
+    def actcomp_sides(env, letters):
+        ((i, j), w), (h,) = env[0], letters
+        phi, theta, b, c = thetas[i], thetas[j], w[:-1], w[-1]
+        return ((_act(S, fn_compose(phi, theta), b, c, h),
+                 _act(S, phi, b, c, _act(S, theta, phi.pull(b), c, h))),)
 
     # interchange of action and composition, outer side:
     #   comp(theta* h, g_1..g_n) = theta'* comp(h, g_theta(1)..g_theta(m))
-    for theta in S.thetas:
-        n = theta.cod
-        if n > A3 or theta.dom > A3:
-            continue
-        for cs in itertools.product(base_sorts, repeat=n):
-            cs_theta = theta.pull(cs)
-            for d in base_sorts:
-                for b_words in _arg_splits(base_sorts, n, A3):
-                    ks = tuple(len(b) for b in b_words)
-                    sim = similarity_component(theta, ks)
-                    flat = tuple(x for b in b_words for x in b)
-                    if (("comp", theta.pull(b_words), cs_theta, d)
-                            not in S.name_of
-                            or ("act", sim, flat, d) not in S.name_of):
-                        continue
-                    h = _hvar(S, "h", cs_theta, d)
-                    gs = [_hvar(S, f"g{i + 1}", b_words[i], cs[i])
-                          for i in range(n)]
-                    emit("actout", [h, *gs], lambda: (
-                        _comp(S, _act(S, theta, cs, d, h), gs),
-                        _act(S, sim, flat, d, _comp(S, h, theta.pull(gs)))))
+    # g_i : [b_i => c_i]; levels: theta and c_1..c_n d, then each b_i
+    def actout(env):
+        if not env:
+            return ([(i, t.cod + 1) for i, t in enumerate(thetas)
+                     if t.cod <= A3 and t.dom <= A3],
+                    lambda i, w: (thetas[i].cod + 1, "h",
+                                  thetas[i].pull(w[:-1]), w[-1]))
+        (i, w), k = env[0], len(env)
+        theta = thetas[i]
+        if k <= theta.cod:
+            return split(env, 1), lambda _, b: (theta.cod + 1, f"g{k}", b,
+                                                 w[k - 1])
+        ks = [len(b) for _, b in env[1:]]
+        if (sum(theta.pull(ks)) <= A
+                and similarity_component(theta, ks) in admitted):
+            return None
+        return out_of_bounds
+
+    def actout_sides(env, letters):
+        (i, w), h, gs = env[0], letters[0], letters[1:]
+        theta, cs, d, bs = thetas[i], w[:-1], w[-1], [b for _, b in env[1:]]
+        sim = similarity_component(theta, [len(b) for b in bs])
+        return ((_comp(S, _act(S, theta, cs, d, h), gs),
+                 _act(S, sim, sum(bs, ()), d, _comp(S, h, theta.pull(gs)))),)
 
     # interchange, inner side:
     #   comp(h, theta1* g1, .., thetan* gn) = (theta1+..+thetan)* comp(h, g..)
-    for n in range(A3 + 1):
-        for cs in itertools.product(base_sorts, repeat=n):
-            for d in base_sorts:
-                for b_words in _arg_splits(base_sorts, n, A3):
-                    theta_lists = [[t for t in S.thetas if t.cod == len(b)]
-                                   for b in b_words]
-                    for thetas in itertools.product(*theta_lists):
-                        # degenerate, both sides identical; this includes
-                        # the n = 0 shape, so the coproduct below has a term
-                        if all(t.is_identity() for t in thetas):
-                            continue
-                        total = coproduct(list(thetas))
-                        pulled = tuple(th.pull(b)
-                                       for b, th in zip(b_words, thetas))
-                        flat = tuple(x for b in b_words for x in b)
-                        if (("comp", pulled, cs, d) not in S.name_of
-                                or ("act", total, flat, d) not in S.name_of):
-                            continue
-                        h = _hvar(S, "h", cs, d)
-                        gs = [_hvar(S, f"g{i + 1}", pulled[i], cs[i])
-                              for i in range(n)]
-                        emit("actin", [h, *gs], lambda: (
-                            _comp(S, h, [
-                                _act(S, th, b, cs[i], gs[i])
-                                for i, (b, th) in enumerate(
-                                    zip(b_words, thetas))]),
-                            _act(S, total, flat, d, _comp(S, h, gs))))
+    # g_i : [theta_i* b_i => c_i]; levels: n and c_1..c_n d, each b_i, then
+    # each theta_i : [m_i] -> [len b_i]
+    def actin(env):
+        if not env:
+            return ([(n, n + 1) for n in range(A3 + 1)],
+                    lambda n, w: (n + 1, "h", w[:-1], w[-1]))
+        (n, w), k = env[0], len(env)
+        if k <= n:
+            return split(env, 1), None
+        if k <= 2 * n:
+            b = env[k - n][1]
+            return by_cod[len(b)], lambda j, _: (
+                n + 1, f"g{k - n}", thetas[j].pull(b), w[k - n - 1])
+        ths = [thetas[j] for j, _ in env[n + 1:]]
+        # all identities is degenerate, both sides identical; that includes
+        # the n = 0 shape, so the coproduct below has a term
+        if (not all(t.is_identity() for t in ths)
+                and sum(t.dom for t in ths) <= A
+                and coproduct(ths) in admitted):
+            return None
+        return out_of_bounds
+
+    def actin_sides(env, letters):
+        (n, w), h, gs = env[0], letters[0], letters[1:]
+        cs, d, bs = w[:-1], w[-1], [b for _, b in env[1:n + 1]]
+        ths = [thetas[j] for j, _ in env[n + 1:]]
+        return ((_comp(S, h, [_act(S, t, b, c, g)
+                              for b, t, c, g in zip(bs, ths, cs, gs)]),
+                 _act(S, coproduct(ths), sum(bs, ()), d, _comp(S, h, gs))),)
 
     # associativity (bounded shapes): every composition has at most A3
-    # slots and A3 letters
-    for n in range(1, A3 + 1):
-        for cs in itertools.product(base_sorts, repeat=n):
-            for d in base_sorts:
-                for m_vec in itertools.product(range(A3 + 1), repeat=n):
-                    if sum(m_vec) > A3:
-                        continue
-                    for b_words in itertools.product(*(
-                            itertools.product(base_sorts, repeat=k)
-                            for k in m_vec)):
-                        for a_words in _arg_splits(base_sorts, sum(m_vec), A3):
-                            h = _hvar(S, "h", cs, d)
-                            gs = [_hvar(S, f"g{i + 1}", b_words[i], cs[i])
-                                  for i in range(n)]
-                            flat_bs = [x for b in b_words for x in b]
-                            fs = [_hvar(S, f"f{j + 1}", a_words[j], flat_bs[j])
-                                  for j in range(sum(m_vec))]
-                            emit("assoc", [h, *gs, *fs],
-                                 lambda: _assoc_sides(S, h, gs, fs, m_vec))
+    # slots and A3 letters.  g_i : [b_i => c_i], f_j : [a_j => (b_1..)_j];
+    # levels: n and c_1..c_n d, then m_1..m_n (so the letter count), each
+    # b_i of length m_i, then each a_j
+    def assoc(env):
+        if not env:
+            return [(n, n + 1) for n in range(1, A3 + 1)], None
+        (n, w), k = env[0], len(env)
+        if k == 1:
+            return ([(m, 0) for m in itertools.product(range(A3 + 1), repeat=n)
+                     if sum(m) <= A3],
+                    lambda m, _: (1 + n + sum(m), "h", w[:-1], w[-1]))
+        m = env[1][0]
+        count = 1 + n + sum(m)
+        if k <= n + 1:
+            return [(None, m[k - 2])], lambda _, b: (count, f"g{k - 1}", b,
+                                                     w[k - 2])
+        if k <= count:
+            flat = sum((b for _, b in env[2:n + 2]), ())
+            return split(env, n + 2), lambda _, a: (
+                count, f"f{k - n - 1}", a, flat[k - n - 2])
+        return None
+
+    def assoc_state(env):  # the b lengths left, the a slots left, their room
+        if len(env) < 2:
+            return len(env), env and env[0][0]
+        (n, _), m, k = env[0], env[1][0], len(env)
+        if k <= n + 1:
+            return m[k - 2:], sum(m), A3
+        return (), n + 2 + sum(m) - k, A3 - sum(len(a) for _, a in env[n + 2:])
+
+    def assoc_sides(env, letters):
+        """comp(comp(h, gs), fs) and comp(h, comp(g_i, its m_i fs)..)."""
+        (n, _), m = env[0], env[1][0]
+        h, gs, fs = letters[0], letters[1:n + 1], letters[n + 1:]
+        starts = [sum(m[:i]) for i in range(n + 1)]
+        inners = [_comp(S, g, fs[a:b])
+                  for g, a, b in zip(gs, starts, starts[1:])]
+        return ((_comp(S, _comp(S, h, gs), fs), _comp(S, h, inners)),)
+
+    return [(("idl", "idr", "actid"), units, unit_sides, None, False),
+            (("actcomp",), actcomp, actcomp_sides, None, False),
+            (("actout",), actout, actout_sides, None, True),
+            (("actin",), actin, actin_sides, None, True),
+            (("assoc",), assoc, assoc_sides, assoc_state, False)]
+
+
+def _instances(schema: tuple, base: Sequence[str],
+               counts: dict[Hashable, int], env: tuple) -> int:
+    """The instances of a `_schemas` loop nest below env, from the loop
+    bounds: a choice of word length k stands for len(base) ** k words, all
+    alike below, so the word of base[0] alone stands in for them.
+    Memoized on the nest's state, or on that canonical env, on an explicit
+    stack that counts a level's choices first."""
+    tags, step, _, state, _ = schema
+    state = state or (lambda here: here)
+    env = tuple((shape, base[:1] * len(w)) for shape, w in env)
+    stack = [(env, state(env), None)]
+    while stack:
+        here, key, below = stack.pop()
+        if key in counts:
+            continue
+        if below is not None:
+            counts[key] = sum(counts[kid] * len(base) ** k for kid, k in below)
+            continue
+        level = step(here)
+        if level is None:
+            counts[key] = len(tags)
+            continue
+        kids = [here + ((shape, base[:1] * k),) for shape, k in level[0]]
+        below = [(state(kid), k) for kid, (_, k) in zip(kids, level[0])]
+        stack.append((here, key, below))
+        stack.extend((kid, kid_key, None)
+                     for kid, (kid_key, _) in zip(kids, below))
+    return counts[state(env)]
+
+
+def _categorization(S: SigmaSignature,
+                    has_target: Callable[[int, str], bool]
+                    ) -> list[Equation]:
+    """The instances of `categorization_axioms(S)` whose every letter
+    `has_target(n, sort)` accepts, n being the instance's letter count,
+    under the names they have there.
+
+    Each schema is walked level by level.  A letter is asked about at the
+    level that fixes it, after the letters before it, and only where some
+    in-bound instance lies below; a no skips the level's whole sub-loop,
+    and the numbering advances by the sub-loop's instance count, which the
+    loop bounds give.  So a letter is built only once every letter before
+    it is accepted, and an instance's sides only once all of its letters
+    are."""
+    base = S.base.sorts
+    out: list[Equation] = []
+    number = 0
+    for schema in _schemas(S):
+        tags, step, sides, _, bounded = schema
+        counts: dict[Hashable, int] = {}
+        words = lambda level: ((shape, w) for shape, k in level[0]
+                               for w in itertools.product(base, repeat=k))
+        # each entry: the env so far, its letters, the level's choices left
+        # and the map to the letters they fix
+        root = step(())
+        stack = [((), (), words(root), root[1])]
+        while stack:
+            env, letters, choices, letter = stack[-1]
+            choice = next(choices, None)
+            if choice is None:
+                stack.pop()
+                continue
+            env += (choice,)
+            level = step(env)
+            spec = letter and letter(*choice)
+            if spec is not None:
+                if bounded and not _instances(schema, base, counts, env):
+                    continue  # no instance below takes a number
+                n, name, word, result = spec
+                sort = S.name_of[("hom", word, result)]
+                if not has_target(n, sort):
+                    number += len(tags) if level is None else _instances(
+                        schema, base, counts, env)
+                    continue
+                letters += (_hvar(sort, name),)
+            if level is not None:
+                stack.append((env, letters, words(level), level[1]))
+                continue
+            ctx = tuple(v.letter for v in letters)
+            for tag, pair in zip(tags, sides(env, letters)):
+                out.append(equation(f"cat:{tag}:{number}", *pair, ctx))
+                number += 1
     return out
-
-
-def _assoc_sides(S: SigmaSignature, h: Term, gs: Sequence[Term],
-                 fs: Sequence[Term], m_vec: Sequence[int]
-                 ) -> tuple[Term, Term]:
-    """comp(comp(h, gs), fs) and comp(h, comp(g_i, its m_vec[i] fs)..)."""
-    inners = []
-    pos = 0
-    for g, k in zip(gs, m_vec):
-        inners.append(_comp(S, g, fs[pos:pos + k]))
-        pos += k
-    return _comp(S, _comp(S, h, gs), fs), _comp(S, h, inners)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +550,17 @@ def universal_hom(E: Theory, hom: tuple[Sequence[str], str], bounds: Bounds,
     congruence universe at desk scale.
 
     A categorization instance with a letter that has no round-1 target is
-    never built.  The engine instantiates seeds in round 1 only, every
-    later event is closed, and nothing reads the lettered spaces, so such a
-    seed can affect no class.  Round 1's targets are known from the closed
-    starting material alone, registered first, and the lookups for a
-    skipped instance still flag what they drop.  Skipping never lowers the
-    engine's `depth_cap`, which `seed` raises to the depth of the seeds'
-    sides: every categorization side has depth at most 3, and the
+    never built: `_categorization` asks `instantiable` about each letter
+    and skips every instance below the first no.  The engine instantiates
+    seeds in round 1 only, every later event is closed, and nothing reads
+    the lettered spaces, so such a seed can affect no class.  Round 1's
+    targets are known from the closed starting material alone, registered
+    first.  The lookups flag every drop: a skipped instance's first letter
+    without a target either had its targets dropped, which its lookup
+    flags, or has no closed term at all, and then no combo of that
+    instance exists to drop.  Skipping never lowers the engine's
+    `depth_cap`, which `seed` raises to the depth of the seeds' sides:
+    every categorization side has depth at most 3, and the
     action-composition instance along the identity of [1] on [c => c],
     act(act(h)) of depth 3, is always kept, as id[c] is a target for h.
     """
@@ -507,20 +618,32 @@ def _read(S: SigmaSignature, t: Term, ident: Callable, op: Callable,
           compose: Callable, act: Callable):
     """A closed extended-signature term in the multicategory of the maps
     `syntax.denote` takes: id[c] is ident(c), op:f is op(f), an action
-    act(arg, theta, b) and a composite compose(head, args)."""
-    if isinstance(t, Var):
-        raise UniversalError("only closed terms can be interpreted")
-    info = S.key_of.get(t.op)
-    if info is None or info[0] == "hom":
-        raise UniversalError(f"unknown symbol {t.op}")
-    if info[0] == "id":
-        return ident(info[1])
-    if info[0] == "op":
-        return op(info[1])
-    args = [_read(S, a, ident, op, compose, act) for a in t.args]
-    if info[0] == "act":
-        return act(args[0], info[1], info[2])
-    return compose(args[0], args[1:])
+    act(arg, theta, b) and a composite compose(head, args).  On an
+    explicit stack: a symbol is checked when first met, in written order,
+    and read once its arguments are."""
+    values: list = []
+    stack: list = [(t, None)]
+    while stack:
+        u, info = stack.pop()
+        if info is not None:  # the arguments' values are on top
+            args = values[len(values) - len(u.args):]
+            del values[len(values) - len(u.args):]
+            values.append(act(args[0], info[1], info[2]) if info[0] == "act"
+                          else compose(args[0], args[1:]))
+            continue
+        if isinstance(u, Var):
+            raise UniversalError("only closed terms can be interpreted")
+        info = S.key_of.get(u.op)
+        if info is None or info[0] == "hom":
+            raise UniversalError(f"unknown symbol {u.op}")
+        if info[0] == "id":
+            values.append(ident(info[1]))
+        elif info[0] == "op":
+            values.append(op(info[1]))
+        else:
+            stack.append((u, info))
+            stack.extend((a, None) for a in reversed(u.args))
+    return values[0]
 
 
 def sigma_interpret(S: SigmaSignature, m: FinSetModel, t: Term) -> MultiMap:

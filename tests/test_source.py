@@ -408,8 +408,6 @@ RECURSION_ALLOWED = {
     "syntax.apply_renaming": "replay's substitution; ROADMAP item 11",
     "syntax.denote": "the semantics of a term; ROADMAP item 11",
     "setmodel._ground": "model search's compiled terms; ROADMAP item 11",
-    "universal._read": "a closed term's tables or printed form; ROADMAP "
-                       "item 11",
     "universal._arg_splits": "one level per argument: the arity bound",
 }
 

@@ -1,6 +1,8 @@
 """The extended signature and the bounded initial model."""
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +22,10 @@ from ualg.setmodel import (
 from ualg.syntax import Theory, app, denote, equation, \
     parse_equation_text, parse_theory, signature, var
 from ualg.universal import (
-    _WIDTHS, UniversalError, _act, _categorization, _read, build_sigma,
-    categorization_axioms, default_sigma, enumerate_pure_terms, internalize,
-    internalize_term, sigma_interpret, sigma_term_str, sigma_theory,
-    universal_hom,
+    _WIDTHS, UniversalError, _act, _categorization, _comp, _extended_theory,
+    _read, build_sigma, categorization_axioms, default_sigma,
+    enumerate_pure_terms, internalize, internalize_term, sigma_interpret,
+    sigma_term_str, sigma_theory, universal_hom,
 )
 
 X, Y = Letter("M", "x"), Letter("M", "y")
@@ -386,11 +388,92 @@ def test_kept_instances_keep_their_names(quotient_inputs, quotients):
         f"cat:{eq.name.split(':')[1]}:{i}" for i, eq in enumerate(full)]
     E, hom, bounds, extra = quotient_inputs["monoid"]
     reference = _unfiltered_engine(E, quotients["monoid"][1], bounds, extra)
-    for keep in (lambda ctx: all(_round_one_targets(reference, ctx)),
-                 lambda ctx: len(ctx) == 2,
-                 lambda ctx: False):
+    for keep in (lambda n, sort: bool(reference._targets_for(n, sort, True)),
+                 lambda n, sort: n == 2,
+                 lambda n, sort: False):
         assert _categorization(S, keep) == [
-            eq for eq in full if keep(eq.ctx)]
+            eq for eq in full
+            if all(keep(len(eq.ctx), x.sort) for x in eq.ctx)]
+
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
+
+# Two sorts at arity 2: the full categorization walk numbers 4,242
+# instances, and the quotient keeps 127.  Without the axiom, a depth-1
+# quotient drops no target, so no lookup may flag `instantiation`.
+FREE_TWO_SORTS = """\
+theory TwoSorts
+structure cartesian
+sort A
+sort B
+op f : B -> A
+"""
+TWO_SORTS = FREE_TWO_SORTS + "eq e : f(z) ~ f(x) ctx [ x:B z:B ]\n"
+
+
+def _ground_engine(E, sigma, bounds):
+    """A fresh engine as `universal_hom` builds it, before any seed."""
+    universe = enumerate_pure_terms(sigma, min(2, bounds.max_term_depth))
+    seeds = [((), t) for terms in universe.values() for t in terms]
+    return _Saturator(_extended_theory(sigma, E, ()), bounds,
+                      extra_terms=seeds,
+                      ground=lambda t: sigma.key_of[t.op][0] != "act")
+
+
+@pytest.mark.parametrize("source, hom", [
+    ("monoid.ua", (("M", "M"), "M")),
+    ("eckmann_hilton.ua", (("M", "M"), "M")),
+    ("first_projection.ua", (("A", "A"), "A")),
+    ("first_projection_injective.ua", (("A", "A"), "A")),
+    (TWO_SORTS, (("B",), "A")),
+    (FREE_TWO_SORTS, (("B", "B"), "A")),
+])
+@pytest.mark.parametrize("bounds", [Bounds(2, 3, 8), Bounds(1, 3, 4)])
+def test_pruned_walk_is_the_filtered_full_walk(source, hom, bounds):
+    """Differential check of the pruned categorization walk: it keeps the
+    instances of the full walk whose letters all have round-1 targets,
+    with their names, sides and contexts; it looks up what a filter that
+    stops at an instance's first letter without one looks up; and the
+    quotient equals that of an engine seeded with the filtered full list,
+    classes and flags."""
+    E = parse_theory(source if "\n" in source
+                     else (THEORIES / source).read_text())
+    sigma = default_sigma(E, hom)
+    full = categorization_axioms(sigma)
+    pruned, reference = (_ground_engine(E, sigma, bounds) for _ in "ab")
+    kept = _categorization(sigma, pruned.instantiable)
+    filtered = [eq for eq in full if all(
+        reference.instantiable(len(eq.ctx), x.sort) for x in eq.ctx)]
+    assert 0 < len(kept) < len(full)
+    assert kept == filtered
+    assert pruned.truncated_by == reference.truncated_by
+    reference.seed(filtered)
+    reference.run()
+    part = universal_hom(E, hom, bounds, sigma=sigma)
+    assert part.truncated_by == tuple(sorted(reference.truncated_by))
+    space = reference.spaces[()]
+    classes = {}
+    for t in (t for cls in part.classes for t in cls):
+        classes.setdefault(space.find(t), []).append(t)
+    assert list(classes.values()) == part.classes
+
+
+def test_sigma_terms_read_on_an_explicit_stack(monoid):
+    """`_read` walks a closed term 2,000 deep, past the default recursion
+    limit, to a printed form and to a table."""
+    S = default_sigma(monoid, (("M", "M"), "M"))
+    unit = app(S.signature, S.id_name("M"))
+    t = unit
+    for i in range(2000):
+        t = (_comp(S, unit, [t]) if i % 2
+             else _act(S, identity(1), ("M",), "M", t))
+    assert 2000 > sys.getrecursionlimit()
+    printed = sigma_term_str(S, t)
+    assert printed == "comp(id[M], act[1](" * 1000 + "id[M]" + "))" * 1000
+    xor = FinSetModel(monoid.signature, monoid.structure, {"M": 2},
+                      {"mul": table_from((2, 2), 2, lambda a, b: a ^ b),
+                       "e": MultiMap((), 2, (0,))})
+    assert sigma_interpret(S, xor, t) == MultiMap((2,), 2, (0, 1))
 
 
 def test_quotient_ignores_the_context_bound(monoid):
